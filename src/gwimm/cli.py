@@ -207,7 +207,7 @@ def cmd_verify(cfg: ExperimentConfig):
     rows = [
         {"check": r.name, "value": r.value, "threshold": r.threshold,
          "verdict": r.verdict(), "seconds": round(r.seconds, 3),
-         "detail": r.detail.replace(",", ";")}
+         "detail": r.detail}
         for r in results
     ]
     all_pass = all(r.passed for r in results)

@@ -38,7 +38,7 @@ import numpy as np
 from scipy import integrate
 from scipy.interpolate import CubicSpline
 
-from .series import series_compose_poly, series_recip, series_square, trim
+from .series import series_compose_poly, series_exp, series_recip, series_square, trim
 
 CRITICALITY_TOL = 1e-10
 EXPLICIT_MASS_TOL = 1e-12
@@ -127,17 +127,14 @@ class Law:
     def apply_to_series(self, g: np.ndarray, K: int) -> np.ndarray:
         """Coefficients of pgf(g(s)) truncated at order K.
 
-        Default: Horner over the truncated pmf; families with closed pgfs
-        override.  Dropping pmf mass beyond the cutoff only removes
-        nonnegative contributions, so results stay certified lower bounds.
+        Default: Horner over the pmf, exact for bounded support; families
+        with closed pgfs override.  An unbounded law is cut at p_K, and
+        when g[0] > 0 the dropped powers g**m, m > K, have mass at every
+        order: the cut under-counts every coefficient, coefficient 0
+        included.  Results stay lower bounds, not exact ones.
         """
-        cut = self._series_pmf_cutoff(K)
+        cut = self.support_bound if self.support_bound is not None else K
         return series_compose_poly(self.pmf_array(cut), g, K)
-
-    def _series_pmf_cutoff(self, K: int) -> int:
-        if self.support_bound is not None:
-            return self.support_bound
-        return K
 
     def iterate_series(self, m: int, K: int) -> np.ndarray | None:
         """Closed-form series of the m-th pgf iterate, when available."""
@@ -254,9 +251,6 @@ class GeometricCriticalLaw(Law):
     def pmf_array(self, K):
         return 0.5 ** (np.arange(K + 1, dtype=float) + 1.0)
 
-    def _series_pmf_cutoff(self, K):
-        return min(K, 64)  # 2**-65 below double resolution of any sum
-
     def apply_to_series(self, g, K):
         denom = -trim(g, K)
         denom[0] += 2.0
@@ -365,10 +359,12 @@ class PoissonLaw(Law):
 
         return np.exp(k * math.log(self.rate) - gammaln(k + 1.0) - self.rate)
 
-    def _series_pmf_cutoff(self, K):
-        # cut where the remaining tail is below double resolution
-        cut = int(self.rate + 40.0 * math.sqrt(self.rate) + 40.0)
-        return min(K, cut)
+    def apply_to_series(self, g, K):
+        # exp(rate (g - 1)), with no pmf cut-off; g[1:] >= 0 for a pgf
+        g = trim(g, K)
+        a = self.rate * g
+        a[0] = -self.rate * (1.0 - g[0])
+        return series_exp(a, K)
 
     def sample(self, size, rng):
         return rng.poisson(self.rate, size=size)

@@ -255,7 +255,9 @@ def exact_pmf_Y_multi(
     prod_{m=0}^{n-1} h(f_m(s)), and initial particles contribute an extra
     factor f_n(s)**initial.  One series multiply per generation; truncated
     coefficients below K are exact up to roundoff whenever the factor
-    series are (bounded-support or closed-form families).
+    series are: bounded-support families, the geometric closed form, and
+    Poisson immigration (composed by the exponential recurrence, with no
+    pmf cut-off).  Log-heavy laws are cut at K and give lower bounds.
     """
     targets = sorted(set(int(n) for n in ns))
     if targets and targets[0] < 0:

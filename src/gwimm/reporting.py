@@ -7,6 +7,7 @@ bit-identically.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 
@@ -18,10 +19,12 @@ def format_value(v) -> str:
 
 
 def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
+    """CSV text; only fields holding a comma, quote or newline are quoted."""
     buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
     for row in rows:
-        buf.write(",".join(format_value(row.get(c, "")) for c in columns) + "\n")
+        writer.writerow([format_value(row.get(c, "")) for c in columns])
     return buf.getvalue()
 
 

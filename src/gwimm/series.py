@@ -9,12 +9,20 @@ index <= j, so low-order coefficients are never corrupted by the cutoff.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import fft as sp_fft
+from scipy.linalg.blas import dtrsv
 
 # Above this truncation order, products go through FFT instead of the
 # schoolbook convolution.  Both paths must agree to 1e-12 (tested).
 DIRECT_CONV_MAX = 512
+
+# Coefficients series_exp solves for at once.  Cost stays O(K**2) for any
+# block size; of 32..256, 64 timed best or near-best from K = 8 to 6144.
+EXP_BLOCK = 64
+_EXP_ROWS, _EXP_COLS = np.tril_indices(EXP_BLOCK, -1)
 
 
 def trim(a: np.ndarray, K: int) -> np.ndarray:
@@ -105,6 +113,39 @@ def series_compose_poly(coeffs: np.ndarray, g: np.ndarray, K: int) -> np.ndarray
         acc = series_mul(acc, g, K)
         acc[0] += coeffs[m]
     return acc
+
+
+def series_exp(a: np.ndarray, K: int) -> np.ndarray:
+    """exp(a) truncated at order K, for a series with a[1:] >= 0.
+
+    Exact recurrence e_0 = exp(a_0), k e_k = sum_{i=1..k} i a_i e_{k-i}.
+    With a[1:] nonnegative every term is nonnegative, so each coefficient
+    keeps its relative accuracy however small it is.  Coefficients are
+    found EXP_BLOCK at a time: the history e_0..e_{k0-1} enters through
+    one correlation, the block itself through one triangular solve whose
+    off-diagonal entries are -i a_i, so forward substitution only adds
+    nonnegative terms too.  O(K**2) flops, O(K) memory.
+    """
+    a = np.asarray(a, dtype=float)[: K + 1]
+    e = np.zeros(K + 1)
+    e[0] = math.exp(a[0])
+    b = min(EXP_BLOCK, K)
+    if b == 0:
+        return e
+    ia = np.zeros(K + b + 1)  # zero tail: the last block may run past K
+    ia[: a.shape[0]] = np.arange(a.shape[0]) * a
+    # (diag(k0..k0+b-1) - T) e[k0:k0+b] = history, T[r, c] = ia[r - c]
+    low = _EXP_ROWS < b
+    rows, cols = _EXP_ROWS[low], _EXP_COLS[low]
+    tri = np.zeros((b, b), order="F")
+    tri[rows, cols] = -ia[rows - cols]
+    diag = np.arange(b)
+    for k0 in range(1, K + 1, b):
+        history = np.correlate(ia[1 : k0 + b], e[k0 - 1 :: -1], "valid")
+        tri[diag, diag] = diag + k0
+        m = min(b, K + 1 - k0)
+        e[k0 : k0 + m] = dtrsv(tri, history, lower=1)[:m]
+    return e
 
 
 def identity_series(K: int) -> np.ndarray:

@@ -239,6 +239,14 @@ class TestSerialization:
         value = text.splitlines()[1]
         assert float(value) == 1.0 / 3.0
 
+    def test_special_characters_round_trip(self):
+        detail = 'max err 1e-13, at k=3; "window" ok'
+        rows = [{"check": "a", "detail": detail}, {"check": "b", "detail": "plain"}]
+        text = rows_to_csv(rows, ["check", "detail"])
+        back = list(csv.DictReader(io.StringIO(text)))
+        assert [r["detail"] for r in back] == [detail, "plain"]
+        assert text.splitlines()[2] == "b,plain"
+
     def test_header_always_present(self):
         assert rows_to_csv([], ["a", "b"]).splitlines() == ["a,b"]
 

@@ -194,6 +194,21 @@ class TestExactEngine:
             pmf = exact_pmf_Y(model, n, K, deficit_ceiling=1.0)
             assert abs(math.fsum(pmf.probs.tolist()) + pmf.deficit - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("K", [8, 16])
+    def test_poisson_window_zero_coefficient_equals_F(self, K):
+        # gamma = 8: P(Y_256 = 0) = 1.5e-16, the lower-deviation regime
+        model = make_model("binary", {"family": "poisson", "params": {"mean": 4.0}})
+        F = extinction_iterates(model, 256).F[256]
+        pmf = exact_pmf_Y(model, 256, K, deficit_ceiling=math.inf)
+        assert pmf.probs[0] == pytest.approx(F, rel=1e-12, abs=0.0)
+
+    def test_poisson_window_independent_of_K(self):
+        model = make_model("binary", {"family": "poisson", "params": {"mean": 4.0}})
+        small = exact_pmf_Y(model, 256, 8, deficit_ceiling=math.inf).probs
+        large = exact_pmf_Y(model, 256, 64, deficit_ceiling=math.inf).probs
+        assert np.all(small > 0.0)
+        assert np.max(np.abs(small / large[:9] - 1.0)) <= 1e-12
+
 
 class TestExactCohort:
     def test_age_zero_is_immigration(self, geo_bern):

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from gwimm.series import (
     identity_series,
     series_compose_poly,
+    series_exp,
     series_mul,
     series_mul_direct,
     series_pow,
@@ -79,6 +83,56 @@ def test_compose_poly_matches_naive():
         want += c * series_pow(g, m, K)
     got = series_compose_poly(coeffs, g, K)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _exp_recurrence_mp(a, K):
+    """e_0 = exp(a_0), k e_k = sum_i i a_i e_{k-i}, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        a = [mpmath.mpf(float(x)) for x in a]
+        e = [mpmath.exp(a[0])]
+        for k in range(1, K + 1):
+            e.append(mpmath.fsum(i * a[i] * e[k - i] for i in range(1, k + 1)) / k)
+        return [float(x) for x in e]
+
+
+@pytest.mark.parametrize("K", [0, 1, 5, 63, 64, 65, 200])
+def test_exp_matches_mpmath_recurrence(K):
+    rng = np.random.default_rng(K)
+    g = rng.uniform(0.0, 1.0, K + 1)
+    g /= 1.01 * g.sum()
+    a = 4.0 * g
+    a[0] = -4.0 * (1.0 - g[0])
+    want = np.array(_exp_recurrence_mp(a, K))
+    got = series_exp(a, K)
+    assert got.shape == (K + 1,)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+
+def test_exp_keeps_relative_accuracy_of_tiny_coefficients():
+    # coefficients fall geometrically from 1 to 1e-200; so do those of exp
+    K = 150
+    a = 10.0 ** (-200.0 * np.arange(K + 1) / K)
+    a[0] = -0.5
+    want = np.array(_exp_recurrence_mp(a, K))
+    assert want[-1] < 1e-190
+    got = series_exp(a, K)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("K", [1, 6, 20])
+def test_exp_matches_poisson_composed_by_horner(K):
+    # exp(lam (g - 1)) = sum_m poisson_pmf(m) g**m; 120 terms leave < 1e-140
+    rng = np.random.default_rng(3)
+    g = rng.uniform(0.0, 1.0, K + 1)
+    g /= g.sum()
+    lam = 3.0
+    pmf = np.array([math.exp(m * math.log(lam) - math.lgamma(m + 1) - lam)
+                    for m in range(120)])
+    a = lam * g
+    a[0] = -lam * (1.0 - g[0])
+    got = series_exp(a, K)
+    want = series_compose_poly(pmf, g, K)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-12
 
 
 def test_identity_and_trim():
