@@ -18,7 +18,6 @@ from .pgf import (
     exact_pmf_Z,
     extinction_iterates,
     kolmogorov_diagnostic,
-    pgf_eval,
     step_pmf,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "exact_pmf_Z",
     "extinction_iterates",
     "kolmogorov_diagnostic",
-    "pgf_eval",
     "step_pmf",
 ]
 

@@ -69,6 +69,9 @@ class Law:
     mean: float
     factorial_second_moment: float  # math.inf marks a divergent sum
     support_bound: int | None = None  # largest atom, None if unbounded
+    # pgf is a closed form evaluated elementwise on complex arrays, cheap
+    # enough for the exact engine's circle path (see gwimm.pgf)
+    vectorised_pgf: bool = True
 
     # -- identity ---------------------------------------------------------
 
@@ -593,6 +596,7 @@ class _HeavyLawBase(Law):
     """Common plumbing for the two log-heavy families."""
 
     _COMPLEX_HEAD = 1 << 17
+    vectorised_pgf = False  # complex points cost a 2**17-term dot product each
 
     def __init__(self, beta: float, a: int):
         if not (beta > 1.0):

@@ -19,24 +19,31 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sp_fft
 
-from .models import Law, Model
-from .series import identity_series, series_mul, series_pow
+from .models import Model
+from .series import DIRECT_CONV_MAX, identity_series, series_mul, series_pow
 
 DEFAULT_DEFICIT_CEILING = 1e-6
+
+# Full laws with K > DIRECT_CONV_MAX are read off a circle of radius r < 1
+# (Abate and Whitt, Queueing Systems 10, 1992): the pgf at
+# N = next_fast_len(CIRCLE_OVERSAMPLE * (K + 1)) points, one inverse FFT,
+# then coefficient k scaled by r**-k.  With r**N = CIRCLE_DAMPING, mass
+# aliased from k + N is damped by that factor, while rounding at k <= K
+# grows by at most CIRCLE_DAMPING**(-1/CIRCLE_OVERSAMPLE), about 316
+# (the radius trade-off of Bornemann, Found. Comput. Math. 11, 2011).
+CIRCLE_OVERSAMPLE = 4
+CIRCLE_DAMPING = 1e-10
+# Coefficients 0..CIRCLE_WINDOW of a circle-path law come from the series
+# engine at K = CIRCLE_WINDOW instead: direct convolutions of nonnegative
+# series, which keep every tiny lower-tail coefficient to full relative
+# accuracy and exact lattice zeros.
+CIRCLE_WINDOW = 64
 
 
 class DeficitError(ValueError):
     """Truncation lost more mass than the configured ceiling allows."""
-
-
-def pgf_eval(law: Law, s):
-    """Value of the law's pgf at s, |s| <= 1 up to tolerance.
-
-    Closed forms are used for the parametric families; explicit laws
-    evaluate their polynomial.
-    """
-    return law.pgf(s)
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +190,25 @@ def kolmogorov_diagnostic(cache: IterateCache) -> np.ndarray:
 class TruncatedPmf:
     """Probability vector on 0..K with the lost tail mass tracked.
 
-    Mass beyond K is dropped, never renormalized: every stored coefficient
-    is a certified lower bound on the true probability.
+    Mass beyond K is dropped, never renormalized.  ``path`` names the
+    engine that produced the coefficients:
+
+    - "series": truncated products of the factor series.  Up to
+      K = DIRECT_CONV_MAX these are direct convolutions of nonnegative
+      series, so each coefficient is a certified lower bound on the true
+      probability, to relative rounding (exact for laws whose series are
+      exact; log-heavy laws are cut at K).  Above that the products go
+      through FFTs and small coefficients carry absolute FFT noise.
+    - "circle": coefficients 0..CIRCLE_WINDOW as on "series" at
+      K = CIRCLE_WINDOW, with the same guarantee; the rest from the pgf
+      on a damped circle, within about 1e-13 absolute of the true value
+      (not a lower bound; slightly negative noise is clipped to 0).
     """
 
     probs: np.ndarray
     K: int = field(default=-1)
     deficit: float = field(default=-1.0)
+    path: str = field(default="series")
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -242,6 +261,76 @@ def _iterate_series_chain(model: Model, upto: int, K: int):
         yield m, g
 
 
+def _series_pmfs(model: Model, targets: list[int], K: int, initial: int) -> dict:
+    """Coefficients 0..K of the laws of Y_n, n in the sorted targets, by one
+    truncated series multiply per generation."""
+    imm = model.immigration
+    acc = np.zeros(K + 1)
+    acc[0] = 1.0
+    out = {}
+    for m, g in _iterate_series_chain(model, targets[-1], K):
+        if m in targets:
+            out[m] = acc if initial == 0 else series_mul(acc, series_pow(g, initial, K), K)
+            if m == targets[-1]:
+                break
+        acc = series_mul(acc, imm.apply_to_series(g, K), K)
+    return out
+
+
+def _series_cohort(model: Model, m: int, K: int) -> np.ndarray:
+    """Coefficients 0..K of h(f_m(s)) by series composition."""
+    for _, g in _iterate_series_chain(model, m, K):
+        pass
+    return model.immigration.apply_to_series(g, K)
+
+
+def _on_circle(model: Model, K: int) -> bool:
+    return (K > DIRECT_CONV_MAX and model.offspring.vectorised_pgf
+            and model.immigration.vectorised_pgf)
+
+
+def _circle_points(K: int):
+    """(N, r, z): z the N // 2 + 1 points r e^{-2 pi i j / N}, the half
+    circle a real inverse FFT of length N reads."""
+    N = sp_fft.next_fast_len(CIRCLE_OVERSAMPLE * (K + 1), real=True)
+    r = CIRCLE_DAMPING ** (1.0 / N)
+    return N, r, r * np.exp(-2j * math.pi / N * np.arange(N // 2 + 1))
+
+
+def _circle_coefficients(values: np.ndarray, N: int, r: float, K: int) -> np.ndarray:
+    """Coefficients 0..K of a pgf from its values at _circle_points(K)."""
+    return sp_fft.irfft(values, N)[: K + 1] * r ** -np.arange(K + 1.0)
+
+
+def _circle_products(model: Model, z: np.ndarray, targets):
+    """Yield (n, H_n(z), f_n(z)) for n in the sorted targets, where
+    H_n(z) = prod_{m<n} h(f_m(z)): each generation multiplies in h(z),
+    then steps z <- f(z)."""
+    imm, off = model.immigration, model.offspring
+    w = np.ones_like(z)
+    done = 0
+    for n in targets:
+        for _ in range(n - done):
+            w = w * imm.pgf(z)
+            z = off.pgf(z)
+        done = n
+        yield n, w, z
+
+
+def _circle_pmfs(model: Model, targets: list[int], K: int, initial: int) -> dict:
+    """As _series_pmfs, from the pgf on a damped circle; coefficients
+    0..CIRCLE_WINDOW from _series_pmfs at K = CIRCLE_WINDOW."""
+    N, r, z = _circle_points(K)
+    window = _series_pmfs(model, targets, CIRCLE_WINDOW, initial)
+    out = {}
+    for n, w, fz in _circle_products(model, z, targets):
+        if initial > 0:
+            w = w * fz**initial
+        out[n] = _circle_coefficients(w, N, r, K)
+        out[n][: CIRCLE_WINDOW + 1] = window[n]
+    return out
+
+
 def exact_pmf_Y_multi(
     model: Model,
     ns,
@@ -253,40 +342,38 @@ def exact_pmf_Y_multi(
 
     Uses the independent-cohort product: the pgf of Y_n from 0 is
     prod_{m=0}^{n-1} h(f_m(s)), and initial particles contribute an extra
-    factor f_n(s)**initial.  One series multiply per generation; truncated
-    coefficients below K are exact up to roundoff whenever the factor
-    series are: bounded-support families, the geometric closed form, and
-    Poisson immigration (composed by the exponential recurrence, with no
-    pmf cut-off).  Log-heavy laws are cut at K and give lower bounds.
+    factor f_n(s)**initial.  Two routes, recorded in ``path``:
+
+    - "series" (K <= DIRECT_CONV_MAX, or a log-heavy law): one truncated
+      series multiply per generation.  Coefficients are exact up to
+      roundoff whenever the factor series are: bounded-support families,
+      the geometric closed form, and Poisson immigration (composed by the
+      exponential recurrence, with no pmf cut-off).  Log-heavy laws are
+      cut at K and give lower bounds.
+    - "circle" (K > DIRECT_CONV_MAX, both pgfs closed forms): the product
+      evaluated pointwise on a damped circle and inverted by one FFT per
+      horizon; coefficients 0..CIRCLE_WINDOW come from the series route
+      at K = CIRCLE_WINDOW and keep full relative accuracy, the rest are
+      within about 1e-13 absolute of the true probabilities.
     """
     targets = sorted(set(int(n) for n in ns))
     if targets and targets[0] < 0:
         raise ValueError("generation count must be >= 0")
     if initial < 0:
         raise ValueError("initial population must be >= 0")
-    out: dict[int, TruncatedPmf] = {}
     if not targets:
-        return out
-    imm = model.immigration
-    acc = np.zeros(K + 1)
-    acc[0] = 1.0
-    remaining = set(targets)
-    for m, g in _iterate_series_chain(model, targets[-1], K):
-        if m in remaining:
-            snap = acc
-            if initial > 0:
-                snap = series_mul(acc, series_pow(g, initial, K), K)
-            pmf = TruncatedPmf(snap, K)
-            if pmf.deficit > deficit_ceiling:
-                raise DeficitError(
-                    f"deficit {pmf.deficit:.3e} exceeds ceiling {deficit_ceiling:.3e} "
-                    f"at n={m}; increase the truncation bound K={K}"
-                )
-            out[m] = pmf
-            remaining.discard(m)
-            if not remaining:
-                break
-        acc = series_mul(acc, imm.apply_to_series(g, K), K)
+        return {}
+    path = "circle" if _on_circle(model, K) else "series"
+    engine = _circle_pmfs if path == "circle" else _series_pmfs
+    out: dict[int, TruncatedPmf] = {}
+    for m, probs in engine(model, targets, K, initial).items():
+        pmf = TruncatedPmf(probs, K, path=path)
+        if pmf.deficit > deficit_ceiling:
+            raise DeficitError(
+                f"deficit {pmf.deficit:.3e} exceeds ceiling {deficit_ceiling:.3e} "
+                f"at n={m}; increase the truncation bound K={K}"
+            )
+        out[m] = pmf
     return out
 
 
@@ -308,12 +395,23 @@ def exact_pmf_Z(
     deficit_ceiling: float = DEFAULT_DEFICIT_CEILING,
 ) -> TruncatedPmf:
     """Exact truncated law of one immigrant cohort's line after m
-    generations: coefficients of h(f_m(s))."""
+    generations: coefficients of h(f_m(s)).
+
+    Routed as exact_pmf_Y_multi: above DIRECT_CONV_MAX, for closed-form
+    pgfs, h(f_m(z)) on a damped circle with coefficients
+    0..CIRCLE_WINDOW from the series composition at K = CIRCLE_WINDOW.
+    """
     if m < 0:
         raise ValueError("generation count must be >= 0")
-    for mm, g in _iterate_series_chain(model, m, K):
-        pass
-    pmf = TruncatedPmf(model.immigration.apply_to_series(g, K), K)
+    if _on_circle(model, K):
+        N, r, z = _circle_points(K)
+        for _ in range(m):
+            z = model.offspring.pgf(z)
+        probs = _circle_coefficients(model.immigration.pgf(z), N, r, K)
+        probs[: CIRCLE_WINDOW + 1] = _series_cohort(model, m, CIRCLE_WINDOW)
+        pmf = TruncatedPmf(probs, K, path="circle")
+    else:
+        pmf = TruncatedPmf(_series_cohort(model, m, K), K)
     if pmf.deficit > deficit_ceiling:
         raise DeficitError(
             f"deficit {pmf.deficit:.3e} exceeds ceiling {deficit_ceiling:.3e} "
@@ -326,9 +424,5 @@ def charfn_modulus(model: Model, n: int, t_grid) -> np.ndarray:
     """|H_n(exp(it))| on a grid of real t, via the complex iteration
     z <- f(z) with the immigration factor accumulated each generation."""
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    z = np.exp(1j * t)
-    w = np.ones_like(z)
-    for _ in range(n):
-        w = w * model.immigration.pgf(z)
-        z = model.offspring.pgf(z)
+    _, w, _ = next(_circle_products(model, np.exp(1j * t), [n]))
     return np.abs(w)

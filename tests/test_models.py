@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwimm import classify_xlogx, make_law, make_model, pgf_eval
+from gwimm import classify_xlogx, make_law, make_model
 from gwimm.models import (
     FINITE,
     INFINITE,
@@ -195,23 +195,23 @@ class TestHeavyLaws:
 class TestPgfEval:
     def test_closed_forms(self, bern_half):
         geo = make_law("geometric-critical")
-        assert pgf_eval(geo, 1.0) == pytest.approx(1.0)
-        assert pgf_eval(geo, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert geo.pgf(1.0) == pytest.approx(1.0)
+        assert geo.pgf(0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
         binl = make_law("binary")
-        assert pgf_eval(binl, 1j) == pytest.approx(0.0)
+        assert binl.pgf(1j) == pytest.approx(0.0)
         poi = make_law({"family": "poisson", "params": {"mean": 2.0}})
-        assert pgf_eval(poi, 0.5) == pytest.approx(math.exp(-1.0))
-        assert pgf_eval(bern_half, 0.25) == pytest.approx(0.625)
+        assert poi.pgf(0.5) == pytest.approx(math.exp(-1.0))
+        assert bern_half.pgf(0.25) == pytest.approx(0.625)
 
     def test_geometric_series_crosscheck(self):
         geo = make_law("geometric-critical")
         ks = np.arange(201, dtype=float)
         series = float(np.sum(0.5 ** (ks + 1.0) * 0.5**ks))
-        assert pgf_eval(geo, 0.5) == pytest.approx(series, abs=1e-15)
+        assert geo.pgf(0.5) == pytest.approx(series, abs=1e-15)
 
     def test_domain_enforced(self):
         with pytest.raises(ValueError, match="unit disk"):
-            pgf_eval(make_law("binary"), 1.001)
+            make_law("binary").pgf(1.001)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=30, deadline=None)
@@ -219,4 +219,4 @@ class TestPgfEval:
         for fam in ("geometric-critical", "binary"):
             law = make_law(fam)
             assert law.one_minus_pgf(u) == pytest.approx(
-                1.0 - float(pgf_eval(law, 1.0 - u)), abs=1e-12)
+                1.0 - float(law.pgf(1.0 - u)), abs=1e-12)

@@ -19,7 +19,10 @@ from gwimm import (
     make_model,
     step_pmf,
 )
+from gwimm.cli import _default_trunc
 from gwimm.oracles import enumerate_population_pmf
+from gwimm.pgf import CIRCLE_WINDOW
+from gwimm.series import series_mul_direct
 
 
 class TestIterates:
@@ -210,6 +213,109 @@ class TestExactEngine:
         assert np.max(np.abs(small / large[:9] - 1.0)) <= 1e-12
 
 
+def _bpo4():
+    return make_model("binary", {"family": "poisson", "params": {"mean": 4.0}})
+
+
+class TestLowerTailFullLaw:
+    """Full laws (K > DIRECT_CONV_MAX) keep the lower tail's relative accuracy."""
+
+    @pytest.mark.parametrize("n, K", [(128, None), (512, 4096)])
+    def test_zero_coefficient_equals_F(self, n, K):
+        model = _bpo4()
+        K = _default_trunc(model, n) if K is None else K
+        pmf = exact_pmf_Y(model, n, K, deficit_ceiling=math.inf)
+        F = extinction_iterates(model, n).F[n]
+        assert pmf.path == "circle"
+        assert pmf.probs[0] == pytest.approx(F, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n, K", [(128, None), (512, 4096)])
+    def test_low_coefficients_equal_window(self, n, K):
+        model = _bpo4()
+        K = _default_trunc(model, n) if K is None else K
+        full = exact_pmf_Y(model, n, K, deficit_ceiling=math.inf).probs[:17]
+        window = exact_pmf_Y(model, n, 64, deficit_ceiling=math.inf).probs[:17]
+        assert np.all(window > 0.0)
+        assert np.max(np.abs(full / window - 1.0)) <= 1e-13
+
+
+def _offspring_iterate_direct(family, m, K):
+    """Coefficients 0..K of f_m, m >= 1: schoolbook squaring for binary,
+    the closed form f_m(s) = (m - (m-1) s) / ((m+1) - m s) for geometric."""
+    if family == "geometric-critical":
+        ks = np.arange(1, K + 1, dtype=float)
+        g = np.empty(K + 1)
+        g[0] = m / (m + 1.0)
+        g[1:] = np.exp((ks - 1.0) * math.log(m) - (ks + 1.0) * math.log(m + 1.0))
+        return g
+    g = np.zeros(K + 1)
+    g[1] = 1.0
+    for _ in range(m):
+        g = 0.5 * series_mul_direct(g, g, K)
+        g[0] += 0.5
+    return g
+
+
+def _cohort_direct(immigration, g, K):
+    if immigration == "bern":
+        out = 0.5 * g
+        out[0] += 0.5
+        return out
+    # 1 / (2 - g) by the reciprocal recurrence
+    d = 2.0 - g[0]
+    out = np.zeros(K + 1)
+    out[0] = 1.0 / d
+    for k in range(1, K + 1):
+        out[k] = np.dot(g[1 : k + 1], out[k - 1 :: -1]) / d
+    return out
+
+
+class TestCirclePath:
+    @pytest.mark.parametrize("offspring, immigration, m, K", [
+        ("binary", "bern", 256, 2048),
+        ("binary", "geo", 256, 2048),
+        ("geometric-critical", "geo", 256, 2048),
+        ("geometric-critical", "geo", 1024, 600),  # large tail beyond K
+    ])
+    def test_cohort_against_direct_reference(self, offspring, immigration, m, K):
+        imm = ({"family": "bernoulli01", "params": {"q1": 0.5}} if immigration == "bern"
+               else "geometric-critical")
+        model = make_model(offspring, imm)
+        pmf = exact_pmf_Z(model, m, K, deficit_ceiling=math.inf)
+        ref = _cohort_direct(immigration, _offspring_iterate_direct(offspring, m, K), K)
+        assert pmf.path == "circle"
+        assert np.max(np.abs(pmf.probs - ref)) <= 1e-13
+
+    def test_binary_window_keeps_lattice_zeros(self, bin_bern):
+        pmf = exact_pmf_Z(bin_bern, 256, 2048, deficit_ceiling=math.inf)
+        assert np.all(pmf.probs[1 : CIRCLE_WINDOW + 1 : 2] == 0.0)
+        assert np.all(pmf.probs[0 : CIRCLE_WINDOW + 1 : 2] > 0.0)
+
+    def test_multi_matches_single(self, geo_bern):
+        multi = exact_pmf_Y_multi(geo_bern, [64, 128, 256], 2048, deficit_ceiling=1.0)
+        for n in (64, 128, 256):
+            single = exact_pmf_Y(geo_bern, n, 2048, deficit_ceiling=1.0)
+            assert multi[n].path == single.path == "circle"
+            assert np.array_equal(multi[n].probs, single.probs)
+
+    def test_initial_particles_match_series(self, bin_bern):
+        # the series route at a K below DIRECT_CONV_MAX is exact here too
+        circle = exact_pmf_Y(bin_bern, 24, 600, initial=3, deficit_ceiling=1.0)
+        series = exact_pmf_Y(bin_bern, 24, 400, initial=3, deficit_ceiling=1.0)
+        assert circle.path == "circle" and series.path == "series"
+        assert np.max(np.abs(circle.probs[:401] - series.probs)) <= 1e-13
+
+    def test_heavy_law_stays_on_series(self):
+        model = make_model("binary", {"family": "log-heavy-immigration",
+                                      "params": {"beta": 1.5}})
+        pmf = exact_pmf_Y(model, 2, 600, deficit_ceiling=math.inf)
+        assert pmf.path == "series"
+
+    def test_short_truncation_stays_on_series(self, geo_bern):
+        assert exact_pmf_Y(geo_bern, 8, 512, deficit_ceiling=1.0).path == "series"
+        assert exact_pmf_Z(geo_bern, 8, 512, deficit_ceiling=1.0).path == "series"
+
+
 class TestExactCohort:
     def test_age_zero_is_immigration(self, geo_bern):
         pmf = exact_pmf_Z(geo_bern, 0, 8)
@@ -225,6 +331,16 @@ class TestExactCohort:
 
 
 class TestCharfn:
+    def test_bit_identical_to_plain_iteration(self, bin_bern, geo_bern):
+        ts = np.linspace(-math.pi, math.pi, 257)
+        for model in (bin_bern, geo_bern):
+            z = np.exp(1j * ts)
+            w = np.ones_like(z)
+            for _ in range(300):
+                w = w * model.immigration.pgf(z)
+                z = model.offspring.pgf(z)
+            assert np.array_equal(charfn_modulus(model, 300, ts), np.abs(w))
+
     def test_at_zero(self, geo_bern):
         assert charfn_modulus(geo_bern, 17, [0.0])[0] == pytest.approx(1.0, abs=1e-12)
 

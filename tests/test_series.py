@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -32,6 +33,22 @@ def test_mul_direct_and_fft_agree(a, b, K):
     fast = series_mul(a, b, K)
     slow = series_mul_direct(a, b, K)
     assert np.max(np.abs(fast - slow)) < 1e-12
+
+
+@pytest.mark.parametrize("x, y, K", [
+    (0.90039062, 0.90039062, 1981),  # falsified the 1e-12 agreement above
+    (1.0, 0.95727793, 1077),
+    (1.0, -1.0, 2200),
+])
+def test_products_of_constant_series_round_correctly(x, y, K):
+    # coefficient k is (k + 1) x y exactly; a running sum drifts by several ulps
+    a, b = np.full(K + 1, x), np.full(K + 1, y)
+    exact = np.array([float((k + 1) * Fraction(x) * Fraction(y)) for k in range(K + 1)])
+    ulp = np.spacing(np.abs(exact))
+    for got in (series_mul(a, b, K), series_mul_direct(a, b, K)):
+        assert np.all(np.abs(got - exact) <= ulp)
+    if x == y:
+        assert np.all(np.abs(series_square(a, K) - exact) <= ulp)
 
 
 def test_mul_truncates_exactly():
