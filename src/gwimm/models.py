@@ -70,7 +70,9 @@ class Law:
     factorial_second_moment: float  # math.inf marks a divergent sum
     support_bound: int | None = None  # largest atom, None if unbounded
     # pgf is a closed form evaluated elementwise on complex arrays, cheap
-    # enough for the exact engine's circle path (see gwimm.pgf)
+    # enough for the exact engine's circle path; such laws also keep their
+    # series hooks exact at every order, so the engine shares one series
+    # chain across orders (see gwimm.pgf._chain_order)
     vectorised_pgf: bool = True
 
     # -- identity ---------------------------------------------------------

@@ -16,6 +16,7 @@ horizons neither underflow nor drift.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,34 +247,91 @@ def step_pmf(model: Model, y: TruncatedPmf) -> TruncatedPmf:
     return TruncatedPmf(acc, K)
 
 
+def _next_series(off, g, m: int, K: int) -> np.ndarray:
+    """Series of f_m, given g, the series of f_{m-1} (unused at m = 0)."""
+    closed = off.iterate_series(m, K)
+    if closed is not None:
+        return closed
+    if m == 0:
+        return identity_series(K)
+    return off.apply_to_series(g, K)
+
+
 def _iterate_series_chain(model: Model, upto: int, K: int):
     """Yield (m, series of f_m) for m = 0..upto."""
-    off = model.offspring
     g = None
     for m in range(upto + 1):
-        closed = off.iterate_series(m, K)
-        if closed is not None:
-            g = closed
-        elif m == 0:
-            g = identity_series(K)
-        else:
-            g = off.apply_to_series(g, K)
+        g = _next_series(model.offspring, g, m, K)
         yield m, g
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _ChainStore:
+    """The series chain of one model at one order K: the state
+    (f_n, prod_{m<n} h(f_m)) at every horizon n asked for so far.  A later
+    horizon continues from the largest kept state below it, by the same
+    steps as a fresh chain, so it gets bit-identical series."""
+
+    def __init__(self, model: Model, K: int):
+        self.model = model
+        self.K = K
+        acc = np.zeros(K + 1)
+        acc[0] = 1.0
+        self.horizons = [0]
+        self.states = [(_frozen(_next_series(model.offspring, None, 0, K)), _frozen(acc))]
+
+    def state(self, n: int):
+        """(series of f_n, series of prod_{m<n} h(f_m)), both read-only."""
+        i = bisect_right(self.horizons, n) - 1
+        m = self.horizons[i]
+        g, acc = self.states[i]
+        if m == n:
+            return g, acc
+        off, imm, K = self.model.offspring, self.model.immigration, self.K
+        while m < n:
+            acc = series_mul(acc, imm.apply_to_series(g, K), K)
+            m += 1
+            g = _next_series(off, g, m, K)
+        self.horizons.insert(i + 1, n)
+        self.states.insert(i + 1, (_frozen(g), _frozen(acc)))
+        return g, acc
+
+
+_CHAINS: dict[tuple[Model, int], _ChainStore] = {}
+
+
+def _chain_order(model: Model, K: int) -> int:
+    """Order of the stored chain that serves windows at K.
+
+    The vectorised_pgf laws are exactly those whose apply_to_series and
+    iterate_series are exact in the truncated ring at any order (closed
+    forms, bounded support, the Poisson exponential), so coefficients
+    0..K of their chain at a higher order are the same numbers up to
+    rounding and one chain at CIRCLE_WINDOW serves every K below it.
+    Log-heavy laws are cut at K, so their chain must run at K itself.
+    """
+    if model.offspring.vectorised_pgf and model.immigration.vectorised_pgf:
+        return max(K, CIRCLE_WINDOW)
+    return K
+
+
 def _series_pmfs(model: Model, targets: list[int], K: int, initial: int) -> dict:
-    """Coefficients 0..K of the laws of Y_n, n in the sorted targets, by one
-    truncated series multiply per generation."""
-    imm = model.immigration
-    acc = np.zeros(K + 1)
-    acc[0] = 1.0
+    """Coefficients 0..K of the laws of Y_n, n in the sorted targets, read
+    off the model's stored series chain (one truncated multiply per
+    generation not yet reached)."""
+    key = (model, _chain_order(model, K))
+    store = _CHAINS.get(key)
+    if store is None:
+        store = _CHAINS[key] = _ChainStore(model, key[1])
     out = {}
-    for m, g in _iterate_series_chain(model, targets[-1], K):
-        if m in targets:
-            out[m] = acc if initial == 0 else series_mul(acc, series_pow(g, initial, K), K)
-            if m == targets[-1]:
-                break
-        acc = series_mul(acc, imm.apply_to_series(g, K), K)
+    for n in targets:
+        g, acc = store.state(n)
+        acc = acc[: K + 1]
+        out[n] = acc if initial == 0 else series_mul(acc, series_pow(g[: K + 1], initial, K), K)
     return out
 
 
@@ -307,12 +365,17 @@ def _circle_products(model: Model, z: np.ndarray, targets):
     H_n(z) = prod_{m<n} h(f_m(z)): each generation multiplies in h(z),
     then steps z <- f(z)."""
     imm, off = model.immigration, model.offspring
+    # the first generation goes through Law.pgf, which checks that the start
+    # points lie in the closed disk; a pgf maps the disk into itself, so
+    # later generations call _pgf and skip the check
+    h, f = imm.pgf, off.pgf
     w = np.ones_like(z)
     done = 0
     for n in targets:
         for _ in range(n - done):
-            w = w * imm.pgf(z)
-            z = off.pgf(z)
+            w = w * h(z)
+            z = f(z)
+            h, f = imm._pgf, off._pgf
         done = n
         yield n, w, z
 
@@ -349,7 +412,12 @@ def exact_pmf_Y_multi(
       roundoff whenever the factor series are: bounded-support families,
       the geometric closed form, and Poisson immigration (composed by the
       exponential recurrence, with no pmf cut-off).  Log-heavy laws are
-      cut at K and give lower bounds.
+      cut at K and give lower bounds.  The chain is stored per model and
+      order and continued by later calls: closed-form models run one
+      chain at max(K, CIRCLE_WINDOW), so every window K <= CIRCLE_WINDOW
+      at every horizon reached so far is a slice of it; log-heavy models
+      keep one chain per K.  Results depend only on (model, n, K,
+      initial), never on earlier calls.
     - "circle" (K > DIRECT_CONV_MAX, both pgfs closed forms): the product
       evaluated pointwise on a damped circle and inverted by one FFT per
       horizon; coefficients 0..CIRCLE_WINDOW come from the series route
@@ -405,8 +473,10 @@ def exact_pmf_Z(
         raise ValueError("generation count must be >= 0")
     if _on_circle(model, K):
         N, r, z = _circle_points(K)
+        f = model.offspring.pgf  # domain check on the first step only, as above
         for _ in range(m):
-            z = model.offspring.pgf(z)
+            z = f(z)
+            f = model.offspring._pgf
         probs = _circle_coefficients(model.immigration.pgf(z), N, r, K)
         probs[: CIRCLE_WINDOW + 1] = _series_cohort(model, m, CIRCLE_WINDOW)
         pmf = TruncatedPmf(probs, K, path="circle")

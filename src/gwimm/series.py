@@ -22,7 +22,8 @@ DIRECT_CONV_MAX = 512
 # Coefficients series_exp solves for at once.  Cost stays O(K**2) for any
 # block size; of 32..256, 64 timed best or near-best from K = 8 to 6144.
 EXP_BLOCK = 64
-_EXP_ROWS, _EXP_COLS = np.tril_indices(EXP_BLOCK, -1)
+# r - c below the diagonal, 0 on and above it: the block's Toeplitz index
+_EXP_DIFF = np.subtract.outer(np.arange(EXP_BLOCK), np.arange(EXP_BLOCK)).clip(0)
 
 
 def trim(a: np.ndarray, K: int) -> np.ndarray:
@@ -176,10 +177,9 @@ def series_exp(a: np.ndarray, K: int) -> np.ndarray:
     ia = np.zeros(K + b + 1)  # zero tail: the last block may run past K
     ia[: a.shape[0]] = np.arange(a.shape[0]) * a
     # (diag(k0..k0+b-1) - T) e[k0:k0+b] = history, T[r, c] = ia[r - c]
-    low = _EXP_ROWS < b
-    rows, cols = _EXP_ROWS[low], _EXP_COLS[low]
-    tri = np.zeros((b, b), order="F")
-    tri[rows, cols] = -ia[rows - cols]
+    neg = -ia[:b]
+    neg[0] = 0.0
+    tri = np.asfortranarray(neg[_EXP_DIFF[:b, :b]])
     diag = np.arange(b)
     for k0 in range(1, K + 1, b):
         history = np.correlate(ia[1 : k0 + b], e[k0 - 1 :: -1], "valid")

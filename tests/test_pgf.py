@@ -20,9 +20,10 @@ from gwimm import (
     step_pmf,
 )
 from gwimm.cli import _default_trunc
+from gwimm.models import PGF_DOMAIN_TOL
 from gwimm.oracles import enumerate_population_pmf
-from gwimm.pgf import CIRCLE_WINDOW
-from gwimm.series import series_mul_direct
+from gwimm.pgf import _CHAINS, CIRCLE_WINDOW, _circle_products, _iterate_series_chain
+from gwimm.series import series_mul, series_mul_direct
 
 
 class TestIterates:
@@ -316,6 +317,81 @@ class TestCirclePath:
         assert exact_pmf_Z(geo_bern, 8, 512, deficit_ceiling=1.0).path == "series"
 
 
+def _plain_window(model, n, K):
+    """Coefficients 0..K of Y_n by a fresh series chain at order K."""
+    acc = np.zeros(K + 1)
+    acc[0] = 1.0
+    for m, g in _iterate_series_chain(model, n, K):
+        if m == n:
+            return acc
+        acc = series_mul(acc, model.immigration.apply_to_series(g, K), K)
+
+
+def _heavy_imm():
+    return make_model("binary", {"family": "log-heavy-immigration", "params": {"beta": 1.5}})
+
+
+class TestChainStore:
+    """Windows are read off one stored series chain per (model, order)."""
+
+    @pytest.mark.parametrize("model", [
+        _bpo4(),
+        make_model("geometric-critical", "geometric-critical"),
+        _heavy_imm(),
+    ], ids=["bpo4", "geo-geo", "heavy-imm"])
+    def test_history_independent(self, model):
+        queries = [(n, k, init) for n in (0, 3, 16, 40, 128) for k in (1, 5, 32, 64)
+                   for init in (0, 2)]
+        alone = {}
+        for q in queries:
+            _CHAINS.clear()
+            alone[q] = exact_pmf_Y(model, q[0], q[1], q[2], deficit_ceiling=math.inf).probs
+        _CHAINS.clear()
+        order = np.random.default_rng(5).permutation(len(queries))
+        for i in order:
+            n, k, init = queries[i]
+            probs = exact_pmf_Y(model, n, k, init, deficit_ceiling=math.inf).probs
+            assert np.array_equal(probs, alone[queries[i]])
+
+    @pytest.mark.parametrize("model", [
+        make_model("geometric-critical", {"family": "bernoulli01", "params": {"q1": 0.5}}),
+        make_model("binary", "geometric-critical"),
+        _bpo4(),
+        make_model({"family": "poisson", "params": {"mean": 1.0}}, "geometric-critical"),
+    ], ids=["geo-bern", "bin-geo", "bpo4", "po1-geo"])
+    def test_closed_form_windows_agree_across_orders(self, model):
+        # the stored chain runs at CIRCLE_WINDOW; a chain at K = k gives the
+        # same coefficients up to rounding
+        for n in (4, 64, 1024):
+            full = exact_pmf_Y(model, n, CIRCLE_WINDOW, deficit_ceiling=math.inf).probs
+            for k in (1, 8, 32):
+                window = exact_pmf_Y(model, n, k, deficit_ceiling=math.inf).probs
+                plain = _plain_window(model, n, k)
+                assert np.all(plain > 0.0)
+                assert np.max(np.abs(window / plain - 1.0)) <= 1e-14
+                assert np.max(np.abs(full[: k + 1] / plain - 1.0)) <= 1e-14
+
+    def test_log_heavy_windows_stay_at_their_order(self):
+        # log-heavy laws are cut at K, so each K keeps its own chain
+        model = _heavy_imm()
+        for n, k in [(12, 20), (3, 20), (12, 9), (20, 9)]:
+            pmf = exact_pmf_Y(model, n, k, deficit_ceiling=math.inf)
+            assert np.array_equal(pmf.probs, _plain_window(model, n, k))
+
+    def test_returned_arrays_do_not_alias_the_store(self, geo_bern):
+        first = exact_pmf_Y(geo_bern, 30, 16, deficit_ceiling=1.0)
+        before = first.probs.copy()
+        first.probs[:] = 7.0
+        circle = exact_pmf_Y(geo_bern, 30, 1024, deficit_ceiling=1.0)
+        circle.probs[:] = 7.0
+        assert np.array_equal(exact_pmf_Y(geo_bern, 30, 16, deficit_ceiling=1.0).probs, before)
+        assert np.array_equal(
+            exact_pmf_Y(geo_bern, 30, 1024, deficit_ceiling=1.0).probs[:17], before)
+        for store in _CHAINS.values():
+            for g, acc in store.states:
+                assert not g.flags.writeable and not acc.flags.writeable
+
+
 class TestExactCohort:
     def test_age_zero_is_immigration(self, geo_bern):
         pmf = exact_pmf_Z(geo_bern, 0, 8)
@@ -340,6 +416,15 @@ class TestCharfn:
                 w = w * model.immigration.pgf(z)
                 z = model.offspring.pgf(z)
             assert np.array_equal(charfn_modulus(model, 300, ts), np.abs(w))
+
+    def test_circle_iterates_stay_in_disk(self, bin_bern, geo_bern):
+        # only the first generation checks the domain; the rest rely on a
+        # pgf mapping the closed disk into itself
+        z = np.exp(1j * np.linspace(-math.pi, math.pi, 257))
+        for model in (bin_bern, geo_bern):
+            for _, w, fz in _circle_products(model, z, range(1, 4097)):
+                assert np.max(np.abs(fz)) <= 1.0 + PGF_DOMAIN_TOL
+                assert np.max(np.abs(w)) <= 1.0 + PGF_DOMAIN_TOL
 
     def test_at_zero(self, geo_bern):
         assert charfn_modulus(geo_bern, 17, [0.0])[0] == pytest.approx(1.0, abs=1e-12)
