@@ -193,12 +193,12 @@ def cmd_estimate(cfg: ExperimentConfig):
             "method": res.method, "n": cfg.n, "k": cfg.k,
             "samples": sim.samples, "seed": sim.seed, "streams": sim.streams,
             "estimate": res.estimate, "stderr": res.stderr,
-            "samples_used": res.samples_used,
+            "samples_used": res.samples_used, "attempts": res.attempts,
             "bracket_low": res.bracket_low, "bracket_high": res.bracket_high,
             "guard_trips": res.guard_trips,
         })
     return rows, ["method", "n", "k", "samples", "seed", "streams", "estimate",
-                  "stderr", "samples_used", "bracket_low", "bracket_high",
+                  "stderr", "samples_used", "attempts", "bracket_low", "bracket_high",
                   "guard_trips"]
 
 

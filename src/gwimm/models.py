@@ -31,6 +31,7 @@ iff beta <= 2.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,6 +61,10 @@ UNKNOWN = "unknown"
 def _as_float_array(s):
     arr = np.asarray(s)
     return arr, arr.ndim == 0
+
+
+def _is_array(u) -> bool:
+    return isinstance(u, np.ndarray) and u.ndim > 0
 
 
 class Law:
@@ -105,8 +110,12 @@ class Law:
     def _pgf(self, s):
         raise NotImplementedError
 
-    def one_minus_pgf(self, u: float) -> float:
-        """1 - pgf(1 - u) for real u in [0, 1], computed without cancellation."""
+    def one_minus_pgf(self, u):
+        """1 - pgf(1 - u) for real u in [0, 1], computed without cancellation.
+
+        ``u`` is a float or a float array; an array is mapped elementwise,
+        and each element's value does not depend on the array's length.
+        """
         raise NotImplementedError
 
     # -- pmf --------------------------------------------------------------
@@ -198,13 +207,15 @@ class ExplicitLaw(Law):
         return out
 
     def one_minus_pgf(self, u):
-        if u <= 0.0 or self.probs.size == 1:
-            return 0.0
-        if u >= 1.0:
-            return float(1.0 - self.probs[0])
+        arr = np.atleast_1d(np.asarray(u, dtype=float))
         ks = np.arange(1, self.probs.size, dtype=float)
-        terms = self.probs[1:] * (-np.expm1(ks * math.log1p(-u)))
-        return float(np.sum(terms))
+        with np.errstate(divide="ignore"):  # u = 1 gives -inf, replaced below
+            logs = np.log1p(-np.clip(arr, 0.0, 1.0))
+        # one row of p_k (1 - (1 - u)**k), k >= 1, per point
+        terms = self.probs[1:] * -np.expm1(np.multiply.outer(logs, ks))
+        out = np.where(arr >= 1.0, 1.0 - self.probs[0],
+                       np.where(arr <= 0.0, 0.0, np.sum(terms, axis=-1)))
+        return out if _is_array(u) else float(out[0])
 
     def pmf(self, k):
         return float(self.probs[k]) if 0 <= k < self.probs.size else 0.0
@@ -351,7 +362,9 @@ class PoissonLaw(Law):
         return np.exp(self.rate * (s - 1.0))
 
     def one_minus_pgf(self, u):
-        return -math.expm1(-self.rate * u)
+        # np.expm1 for floats and arrays alike, so both give the same bits
+        out = -np.expm1(-self.rate * u)
+        return out if _is_array(u) else float(out)
 
     def pmf(self, k):
         if k < 0:
@@ -500,6 +513,10 @@ class _HeavyTailKernel:
         self.head_mass = float(np.sum(self.head_terms))
         self.total_mass = _heavy_series_sum(a, beta)
         self.tail_mass_const = self.total_mass - self.head_mass
+        # T_i = sum_{i < k <= head} of the head terms, i = 0..head-1, listed
+        # from i = head-1 down: the Horner coefficients of one_minus_head_array
+        rest = np.cumsum(self.head_terms[::-1])
+        self._head_tail_sums = np.concatenate((rest, rest[-1:]))
         self._spline = None
 
     def _tail_integral(self, t: float) -> float:
@@ -562,6 +579,21 @@ class _HeavyTailKernel:
         theta = np.linspace(math.log(self.T_LO), math.log(self.T_HI), n_nodes)
         vals = np.array([self._tail_integral(math.exp(th)) for th in theta])
         self._spline = CubicSpline(theta, np.log(vals))
+        self._knots = theta.tolist()
+        self._pieces = np.ascontiguousarray(self._spline.c.T)  # one row per piece
+        # tail value at T_LO, the slope of the linear regime below it
+        self._base = math.exp(self._log_tail(self._knots[0]))
+
+    def _log_tail(self, x: float) -> float:
+        """The spline at one point x = log t in [log T_LO, log T_HI]: the
+        piece found by bisection, then its cubic summed with the same
+        operations in the same order as CubicSpline.__call__, which gives
+        the same bits without that call's per-point overhead."""
+        i = min(bisect_right(self._knots, x) - 1, len(self._knots) - 2)
+        c3, c2, c1, c0 = self._pieces[i].tolist()
+        d = x - self._knots[i]
+        z = d * d
+        return c0 + c1 * d + c2 * z + c3 * (z * d)
 
     def one_minus_tail(self, t: float) -> float:
         """sum_{k > head} c-free tail of sum p_k (1 - e**-(k t)) at t = -log s."""
@@ -571,13 +603,43 @@ class _HeavyTailKernel:
             self._build_spline()
         if t < self.T_LO:
             # linear regime: the tail behaves like t * integral x p(x)
-            base = math.exp(float(self._spline(math.log(self.T_LO))))
-            return base * t / self.T_LO
-        return math.exp(float(self._spline(math.log(t))))
+            return self._base * t / self.T_LO
+        return math.exp(self._log_tail(math.log(t)))
+
+    def one_minus_tail_array(self, t: np.ndarray) -> np.ndarray:
+        """one_minus_tail elementwise, with one spline call for all points."""
+        out = np.full(t.shape, self.tail_mass_const)
+        below = t < self.T_HI
+        if not np.any(below):
+            return out
+        if self._spline is None:
+            self._build_spline()
+        low = t < self.T_LO
+        out[low] = self._base * t[low] / self.T_LO
+        mid = below & ~low
+        out[mid] = np.exp(self._spline(np.log(t[mid])))
+        return out
 
     def one_minus_head(self, t: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.dot(self.head_terms, -np.expm1(-self.head_k * t)))
+        """sum_{2 <= k <= head} c-free p_k (1 - e**-(k t)) at one point."""
+        buf = self.head_k * -t
+        np.expm1(buf, out=buf)
+        return -float(np.dot(self.head_terms, buf))
+
+    def one_minus_head_array(self, u: np.ndarray) -> np.ndarray:
+        """one_minus_head elementwise, at t = -log(1 - u).
+
+        With s = 1 - u, 1 - s**k = u (1 + s + ... + s**(k-1)), so the sum
+        is u * sum_{i < head} T_i s**i with the nonnegative tail sums T_i,
+        evaluated by Horner across all points at once.
+        """
+        s = 1.0 - u
+        coeffs = self._head_tail_sums
+        acc = np.full(s.shape, coeffs[0])
+        for T in coeffs[1:]:
+            acc *= s
+            acc += T
+        return u * acc
 
     def pmf_tail_values(self, ks: np.ndarray) -> np.ndarray:
         return _heavy_term(ks.astype(float), self.a, self.beta)
@@ -642,6 +704,8 @@ class _HeavyLawBase(Law):
         return self.c * self.kernel.tail_mass_beyond(max(K, 1))
 
     def one_minus_pgf(self, u):
+        if _is_array(u):
+            return self._one_minus_pgf_array(u)
         if u <= 0.0:
             return 0.0
         t = -math.log1p(-u) if u < 1.0 else math.inf
@@ -652,13 +716,25 @@ class _HeavyLawBase(Law):
             self.kernel.one_minus_head(t) + self.kernel.one_minus_tail(t)
         )
 
+    def _one_minus_pgf_array(self, u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        out = np.zeros(u.shape)
+        inner = (u > 0.0) & (u < 1.0)
+        ui = u[inner]
+        t = -np.log1p(-ui)
+        out[inner] = self.atom1 * ui + self.c * (
+            self.kernel.one_minus_head_array(ui) + self.kernel.one_minus_tail_array(t)
+        )
+        full = u >= 1.0
+        out[full] = self.atom1 * u[full] + self.c * self.kernel.total_mass
+        return out
+
     def _pgf(self, s):
         flat = np.ravel(np.asarray(s))
         out = np.empty(flat.shape, dtype=complex)
         real_path = (flat.imag == 0.0) & (flat.real >= 0.0) if np.iscomplexobj(flat) \
             else (flat >= 0.0)
-        for i in np.nonzero(real_path)[0]:
-            out[i] = 1.0 - self.one_minus_pgf(1.0 - float(np.real(flat[i])))
+        out[real_path] = 1.0 - self.one_minus_pgf(1.0 - np.real(flat[real_path]))
         rest = np.nonzero(~real_path)[0]
         if rest.size:
             # direct head sum; the neglected tail has modulus below

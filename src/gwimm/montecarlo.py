@@ -59,7 +59,7 @@ class EstimateResult:
     bracket_low: float = 0.0
     bracket_high: float = 0.0
     guard_trips: int = 0
-    attempts: int = 0
+    attempts: int = 0  # paths simulated: one per sample (naive), cohort lines (stratified)
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -188,7 +188,8 @@ def estimate_lower_tail_naive(model, n: int, k: int, cfg: SimConfig,
     trips = sum(r[1] for r in results)
     p_hat = hits / cfg.samples
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / cfg.samples)
-    return EstimateResult(p_hat, stderr, cfg.samples, "naive", guard_trips=trips)
+    return EstimateResult(p_hat, stderr, cfg.samples, "naive", guard_trips=trips,
+                          attempts=cfg.samples)
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,23 @@ class IterateCache:
         return math.exp(self.logF_pos[n] - self.logF_pos[m])
 
 
+# Generations are added to an iterate store in blocks of this length: a
+# scalar loop runs the offspring recursion over the block, then the block's
+# immigration factors and log F prefix are computed on arrays.
+ITER_BLOCK = 8192
+
+
 class _IterStore:
-    """Grow-on-demand backing arrays shared by every cache on one model."""
+    """Grow-on-demand backing arrays shared by every cache on one model.
+
+    Only u_{j+1} = 1 - f(1 - u_j) is sequential.  v_j = 1 - h(1 - u_j) is
+    one array call per block, and log F accumulates by Sum2 (Ogita, Rump
+    and Oishi, SIAM J. Sci. Comput. 26, 2005): a running float sum of the
+    log factors, plus a running sum of the exact error of each of its
+    additions.  Every step is elementwise or a sequential cumsum continued
+    from stored totals, so a store grown in any sequence of steps holds
+    the same bits as a fresh one.
+    """
 
     def __init__(self, model: Model):
         self.model = model
@@ -87,9 +102,10 @@ class _IterStore:
         self.logFp = np.zeros(cap)
         self.nzero = np.zeros(cap, dtype=np.int64)
         self.u[0] = 1.0
-        self.v[0] = model.immigration.one_minus_pgf(1.0)
+        self.v[0] = model.immigration.one_minus_pgf(self.u[:1])[0]
         self.filled = 0  # largest valid generation index
-        self._carry = 0.0
+        self._sum = 0.0    # running float sum of log(1 - v_j) over nonzero factors
+        self._carry = 0.0  # running sum of that sum's rounding errors
 
     def ensure(self, N: int):
         if N <= self.filled:
@@ -97,42 +113,39 @@ class _IterStore:
         cap = self.u.shape[0]
         if N + 1 > cap:
             new_cap = max(N + 1, 2 * cap)
-            for name in ("u", "v", "logFp"):
+            for name in ("u", "v", "logFp", "nzero"):
                 arr = getattr(self, name)
-                grown = np.zeros(new_cap)
+                grown = np.zeros(new_cap, dtype=arr.dtype)
                 grown[: arr.shape[0]] = arr
                 setattr(self, name, grown)
-            grown = np.zeros(new_cap, dtype=np.int64)
-            grown[: self.nzero.shape[0]] = self.nzero
-            self.nzero = grown
+        while self.filled < N:
+            self._fill(min(self.filled + ITER_BLOCK, N))
+
+    def _fill(self, b: int):
+        """Generations filled+1..b; the store stays consistent if it raises."""
+        a = self.filled
         off = self.model.offspring.one_minus_pgf
-        imm = self.model.immigration.one_minus_pgf
-        u, v, logFp, nzero = self.u, self.v, self.logFp, self.nzero
-        j = self.filled
-        uj = u[j]
-        total = logFp[j]
-        zeros = int(nzero[j])
-        carry = self._carry
-        while j < N:
-            vj = imm(uj)
-            v[j] = vj
-            if vj >= 1.0:
-                zeros += 1
-            else:
-                # compensated accumulation of log F
-                term = math.log1p(-vj)
-                y = term - carry
-                t = total + y
-                carry = (t - total) - y
-                total = t
-            logFp[j + 1] = total
-            nzero[j + 1] = zeros
+        u = self.u
+        uj = float(u[a])
+        for j in range(a + 1, b + 1):
             uj = off(uj)
-            u[j + 1] = uj
-            j += 1
-        v[N] = imm(u[N])
-        self.filled = N
-        self._carry = carry
+            u[j] = uj
+        self.v[a + 1 : b + 1] = self.model.immigration.one_minus_pgf(u[a + 1 : b + 1])
+        v = self.v[a:b]
+        zero = v >= 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(zero, 0.0, np.log1p(-v))
+        total = np.cumsum(np.concatenate(([self._sum], terms)))
+        prev, now = total[:-1], total[1:]
+        # TwoSum: prev + terms == now + err exactly
+        back = now - prev
+        err = (prev - (now - back)) + (terms - back)
+        carry = np.cumsum(np.concatenate(([self._carry], err)))
+        self.logFp[a + 1 : b + 1] = now + carry[1:]
+        self.nzero[a + 1 : b + 1] = self.nzero[a] + np.cumsum(zero)
+        self._sum = float(total[-1])
+        self._carry = float(carry[-1])
+        self.filled = b
 
 
 _STORES: dict[Model, _IterStore] = {}

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from gwimm import make_law
+from gwimm import extinction_iterates, make_law, make_model
 from gwimm.cli import main
+from gwimm.montecarlo import SimConfig, estimate_lower_tail_stratified
 from gwimm.reporting import rows_to_csv, serialize
 
 
@@ -195,6 +196,20 @@ class TestSimulateEstimate:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows[0]["seed"] == "12"
         assert rows[0]["method"] == "naive"
+
+    def test_estimate_rows_report_attempts(self, bin_bern_spec, capsys):
+        code, out = run_cli(
+            ["estimate", "--model", bin_bern_spec, "--n", "16", "--k", "4",
+             "--samples", "1000", "--seed", "3", "--method", "both"], capsys)
+        assert code == 0
+        rows = {r["method"]: r for r in csv.DictReader(io.StringIO(out))}
+        # the naive estimator simulates one path per sample
+        assert rows["naive"]["attempts"] == "1000"
+        model = make_model("binary", {"family": "bernoulli01", "params": {"q1": 0.5}})
+        res = estimate_lower_tail_stratified(
+            model, extinction_iterates(model, 16), 16, 4, SimConfig(samples=1000, seed=3))
+        assert res.attempts > 0
+        assert int(rows["stratified"]["attempts"]) == res.attempts
 
     def test_zero_samples_usage_error(self, bin_bern_spec, capsys):
         code = main(["estimate", "--model", bin_bern_spec, "--n", "8",

@@ -192,6 +192,72 @@ class TestHeavyLaws:
                 assert got == pytest.approx(direct, abs=2 * tail + 1e-13)
 
 
+_FAMILY_SPECS = [
+    "geometric-critical",
+    "binary",
+    {"family": "poisson", "params": {"mean": 2.0}},
+    {"family": "bernoulli01", "params": {"q1": 0.4}},
+    {"family": "explicit", "probs": [0.25, 0.25, 0.3, 0.2]},
+    {"family": "log-heavy-offspring", "params": {"beta": 1.5}},
+    {"family": "log-heavy-immigration", "params": {"beta": 1.5}},
+    {"family": "log-heavy-immigration", "params": {"beta": 2.5}},
+]
+
+
+class TestOneMinusPgfArrays:
+    US = [0.0, 1e-12, 1e-7, 1e-3, 0.3, 1.0]
+
+    @pytest.mark.parametrize("spec", _FAMILY_SPECS,
+                             ids=lambda s: s if isinstance(s, str) else s["family"])
+    def test_array_matches_scalar(self, spec):
+        law = make_law(spec)
+        arr = law.one_minus_pgf(np.array(self.US))
+        scalar = np.array([law.one_minus_pgf(u) for u in self.US])
+        assert isinstance(arr, np.ndarray) and arr.shape == (len(self.US),)
+        assert all(isinstance(law.one_minus_pgf(u), float) for u in self.US)
+        if isinstance(law, (LogHeavyOffspringLaw, LogHeavyImmigrationLaw)):
+            # Horner head and vectorised spline against the per-point form
+            assert arr[0] == scalar[0] == 0.0
+            assert np.max(np.abs(arr[1:] / scalar[1:] - 1.0)) <= 1e-14
+        else:
+            assert np.array_equal(arr, scalar)
+        # each element is independent of the array it sits in
+        for i, u in enumerate(self.US):
+            assert law.one_minus_pgf(np.array([u]))[0] == arr[i]
+
+    @pytest.mark.parametrize("law", [LogHeavyOffspringLaw(1.5), LogHeavyImmigrationLaw(1.5)],
+                             ids=["offspring", "immigration"])
+    def test_heavy_horner_head_against_mpmath(self, law):
+        mpmath = pytest.importorskip("mpmath")
+        kernel = law.kernel
+        us = [1e-12, 1e-7, 1e-4, 0.05, 0.9]
+        got = kernel.one_minus_head_array(np.array(us))
+        with mpmath.workdps(40):
+            ks = range(2, int(kernel.head_k[-1]) + 1)
+            weights = [mpmath.mpf(k) ** -kernel.a * mpmath.log(k) ** -kernel.beta for k in ks]
+            for u, g in zip(us, got):
+                s = 1 - mpmath.mpf(u)
+                ref = mpmath.fsum(w * (1 - s**k) for w, k in zip(weights, ks))
+                assert abs(g / ref - 1) <= 1e-14
+
+    def test_scalar_tail_matches_cubic_spline(self):
+        kernel = LogHeavyImmigrationLaw(1.5).kernel
+        lo, hi = kernel.T_LO, kernel.T_HI
+        ts = np.exp(np.linspace(math.log(lo) - 3.0, math.log(hi) + 1.0, 2001))
+        ts = np.concatenate((ts, [lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, 0.0)]))
+        got = np.array([kernel.one_minus_tail(float(t)) for t in ts])
+
+        def via_cubic_spline(t):
+            if t >= hi:
+                return kernel.tail_mass_const
+            if t < lo:
+                return math.exp(float(kernel._spline(math.log(lo)))) * t / lo
+            return math.exp(float(kernel._spline(math.log(t))))
+
+        ref = np.array([via_cubic_spline(float(t)) for t in ts])
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-15
+
+
 class TestPgfEval:
     def test_closed_forms(self, bern_half):
         geo = make_law("geometric-critical")

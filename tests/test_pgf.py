@@ -22,7 +22,14 @@ from gwimm import (
 from gwimm.cli import _default_trunc
 from gwimm.models import PGF_DOMAIN_TOL
 from gwimm.oracles import enumerate_population_pmf
-from gwimm.pgf import _CHAINS, CIRCLE_WINDOW, _circle_products, _iterate_series_chain
+from gwimm.pgf import (
+    _CHAINS,
+    _STORES,
+    CIRCLE_WINDOW,
+    ITER_BLOCK,
+    _circle_products,
+    _iterate_series_chain,
+)
 from gwimm.series import series_mul, series_mul_direct
 
 
@@ -89,6 +96,73 @@ class TestIterates:
         prod = cache.F_ratio(n, k)
         rhs = (k / n) ** geo_bern.gamma * math.exp(cache.logL[k] - cache.logL[n])
         assert 0.99 <= prod / rhs <= 1.01
+
+
+_BERN = {"family": "bernoulli01", "params": {"q1": 0.4}}
+
+
+class TestIterStore:
+    """The store runs one scalar recursion per generation; the rest is on
+    arrays, one block of ITER_BLOCK generations at a time."""
+
+    @pytest.mark.parametrize("model", [
+        make_model("geometric-critical", _BERN),
+        make_model("geometric-critical", {"family": "poisson", "params": {"mean": 2.0}}),
+        # h(0) = 0: a zero factor at j = 0
+        make_model("binary", {"family": "explicit", "probs": [0.0, 0.5, 0.5]}),
+        make_model("binary", {"family": "log-heavy-immigration", "params": {"beta": 1.5}}),
+        make_model({"family": "log-heavy-offspring", "params": {"beta": 1.5}}, _BERN),
+    ], ids=["geo-bern", "geo-poisson", "bin-explicit", "heavy-imm", "heavy-off"])
+    def test_history_independent(self, model):
+        N = 2 * ITER_BLOCK + 17
+        _STORES.pop(model, None)
+        for n in (1, 5, ITER_BLOCK - 1, ITER_BLOCK, ITER_BLOCK + 3, 2 * ITER_BLOCK + 1, N):
+            grown = extinction_iterates(model, n)
+        _STORES.pop(model)
+        fresh = extinction_iterates(model, N)
+        for name in ("logF", "logF_pos", "one_minus_hfj0", "one_minus_fj0", "zero_factors"):
+            assert np.array_equal(getattr(grown, name), getattr(fresh, name)), name
+        assert fresh.zero_factors[-1] == (1 if model.immigration.kind == "explicit" else 0)
+
+    def test_interrupted_growth_resumes_exactly(self, monkeypatch):
+        model = make_model("geometric-critical", _BERN)
+        imm, calls = model.immigration, []
+
+        def failing_third_call(u):
+            calls.append(u)
+            if len(calls) == 3:  # the store's first value, block 1, then block 2
+                raise RuntimeError("interrupted")
+            return type(imm).one_minus_pgf(imm, u)
+
+        _STORES.pop(model, None)
+        monkeypatch.setattr(imm, "one_minus_pgf", failing_third_call, raising=False)
+        with pytest.raises(RuntimeError):
+            extinction_iterates(model, 3 * ITER_BLOCK)
+        monkeypatch.undo()
+        resumed = extinction_iterates(model, 3 * ITER_BLOCK)
+        _STORES.pop(model)
+        fresh = extinction_iterates(model, 3 * ITER_BLOCK)
+        assert np.array_equal(resumed.logF, fresh.logF)
+        assert np.array_equal(resumed.one_minus_hfj0, fresh.one_minus_hfj0)
+
+    def test_log_F_matches_harmonic_number(self):
+        # geometric offspring: u_j = 1/(j+1); poisson(2) immigration:
+        # log h(f_j(0)) = -2 u_j, so log F(n) = -2 H_n
+        mpmath = pytest.importorskip("mpmath")
+        model = make_model("geometric-critical", {"family": "poisson", "params": {"mean": 2.0}})
+        n = 300000
+        with mpmath.workdps(40):
+            ref = float(-2 * mpmath.harmonic(n))
+        assert abs(extinction_iterates(model, n).logF[n] - ref) <= 1e-13
+
+    def test_log_F_is_the_rounded_exact_prefix_sum(self, bin_bern):
+        cache = extinction_iterates(bin_bern, 3 * ITER_BLOCK)
+        exact, ref = Fraction(0), [0.0]
+        for term in np.log1p(-cache.one_minus_hfj0[:-1]).tolist():
+            exact += Fraction(term)
+            ref.append(float(exact))
+        err = np.abs(cache.logF - np.array(ref))
+        assert np.max(err / np.spacing(np.abs(ref))) <= 1.0
 
 
 class TestStepPmf:
