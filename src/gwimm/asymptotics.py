@@ -112,9 +112,7 @@ def main2_eval(model: Model, cache: IterateCache, n: int, k: int) -> float:
     )
 
 
-def main3_mu_estimate(model: Model, cache: IterateCache, n_grid, k: int,
-                      deficit_ceiling: float = DEFAULT_DEFICIT_CEILING
-                      ) -> np.ndarray:
+def main3_mu_estimate(model: Model, cache: IterateCache, n_grid, k: int) -> np.ndarray:
     """Sequence n^gamma L(n) P(Y_n = k) = P(Y_n = k)/F(n) over the grid;
     its stabilization estimates the fixed-k limit constant."""
     ns = sorted(int(n) for n in n_grid)

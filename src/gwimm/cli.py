@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -34,27 +33,6 @@ from .verify import run_checks
 
 class UsageError(ValueError):
     """Bad flags or unparseable model spec (exit code 2)."""
-
-
-@dataclass
-class ExperimentConfig:
-    model_path: str | None = None
-    model: Model | None = None
-    n: int = 0
-    k: int = 0
-    trunc: int | None = None
-    initial: int = 0
-    samples: int = 10000
-    seed: int = 0
-    streams: int = 1
-    jobs: int = 1
-    epsilon: float = 0.01
-    method: str = "both"
-    grid: list[int] = field(default_factory=list)
-    only: list[str] = field(default_factory=list)
-    scale: str = "desk"
-    out: str | None = None
-    fmt: str = "csv"
 
 
 def load_model_spec(path: str) -> Model:
@@ -88,13 +66,19 @@ def _default_trunc(model: Model, n: int, ceiling: float = 1e-7) -> int:
     return int(x_hi * model.B * n / 2.0) + 64
 
 
-def cmd_exact(cfg: ExperimentConfig):
-    n = cfg.n
+def _check_n(args):
+    if args.n < 0:
+        raise UsageError("--n must be >= 0")
+
+
+def cmd_exact(args, model: Model):
+    _check_n(args)
+    n = args.n
     if n == 0:
-        rows = [{"k": cfg.initial, "prob": 1.0, "cumulative": 1.0, "deficit": 0.0}]
+        rows = [{"k": args.initial, "prob": 1.0, "cumulative": 1.0, "deficit": 0.0}]
         return rows, ["k", "prob", "cumulative", "deficit"]
-    K = cfg.trunc if cfg.trunc is not None else _default_trunc(cfg.model, n)
-    pmf = exact_pmf_Y(cfg.model, n, K, cfg.initial)
+    K = args.trunc if args.trunc is not None else _default_trunc(model, n)
+    pmf = exact_pmf_Y(model, n, K, args.initial)
     cum = np.cumsum(pmf.probs)
     rows = [
         {"k": k, "prob": float(pmf.probs[k]), "cumulative": float(cum[k]),
@@ -104,11 +88,11 @@ def cmd_exact(cfg: ExperimentConfig):
     return rows, ["k", "prob", "cumulative", "deficit"]
 
 
-def cmd_theta(cfg: ExperimentConfig):
-    n = cfg.n
+def cmd_theta(args, model: Model):
+    n = args.n
     if n < 1:
         raise UsageError("theta needs --n >= 1")
-    cache = extinction_iterates(cfg.model, n)
+    cache = extinction_iterates(model, n)
     law = theta_pmf(cache, n)
     rows = []
     for l in range(1, n + 1):
@@ -121,12 +105,17 @@ def cmd_theta(cfg: ExperimentConfig):
     return rows, ["l", "prob", "survival"]
 
 
-def cmd_scan_L(cfg: ExperimentConfig):
-    grid = cfg.grid or [10**3, 10**4, 10**5]
+def cmd_scan_L(args, model: Model):
+    try:
+        grid = [int(x) for x in args.grid.split(",") if x.strip()]
+    except ValueError:
+        raise UsageError(f"bad --grid value {args.grid!r}") from None
+    if not grid:
+        raise UsageError("--grid must contain at least one n")
     if any(n < 1 for n in grid):
         raise UsageError("scan-L grid entries must be >= 1")
     grid = sorted(set(grid))
-    cache = extinction_iterates(cfg.model, max(grid))
+    cache = extinction_iterates(model, max(grid))
     two_decade = cache.L[grid[-1]] / cache.L[grid[0]]
     if two_decade > 1.02:
         trend = "increasing"
@@ -152,23 +141,13 @@ def cmd_scan_L(cfg: ExperimentConfig):
     return rows, ["n", "F", "L", "dlogL_dlogn", "trend"]
 
 
-def cmd_simulate(cfg: ExperimentConfig):
-    sim = mc.SimConfig(samples=cfg.samples, seed=cfg.seed, streams=cfg.streams)
-    per = [sim.samples // sim.streams] * sim.streams
-    for i in range(sim.samples % sim.streams):
-        per[i] += 1
-    values = []
-    for idx in range(sim.streams):
-        if per[idx] == 0:
-            continue
-        rng = mc.substream(sim.seed, mc._SIMULATE_STREAM, idx)
-        vals, _ = mc.simulate_Y_batch(cfg.model, cfg.n, cfg.initial, per[idx],
-                                      rng, sim.max_population)
-        values.append(vals)
-    allv = np.concatenate(values)
-    counts = np.bincount(allv)
+def cmd_simulate(args, model: Model):
+    _check_n(args)
+    sim = mc.SimConfig(samples=args.samples, seed=args.seed, streams=args.streams)
+    draws = mc.simulate_Y_streams(model, args.n, args.initial, sim)
+    counts = np.bincount(np.concatenate([values for values, _ in draws]))
     rows = [
-        {"n": cfg.n, "samples": sim.samples, "seed": sim.seed,
+        {"n": args.n, "samples": sim.samples, "seed": sim.seed,
          "streams": sim.streams, "value": v, "count": int(c),
          "freq": float(c / sim.samples)}
         for v, c in enumerate(counts) if c > 0
@@ -176,21 +155,22 @@ def cmd_simulate(cfg: ExperimentConfig):
     return rows, ["n", "samples", "seed", "streams", "value", "count", "freq"]
 
 
-def cmd_estimate(cfg: ExperimentConfig):
-    sim = mc.SimConfig(samples=cfg.samples, seed=cfg.seed, streams=cfg.streams)
-    methods = ["naive", "stratified"] if cfg.method == "both" else [cfg.method]
+def cmd_estimate(args, model: Model):
+    _check_n(args)
+    sim = mc.SimConfig(samples=args.samples, seed=args.seed, streams=args.streams)
+    methods = ["naive", "stratified"] if args.method == "both" else [args.method]
     rows = []
     for method in methods:
         if method == "naive":
-            res = mc.estimate_lower_tail_naive(cfg.model, cfg.n, cfg.k, sim,
-                                               jobs=cfg.jobs)
+            res = mc.estimate_lower_tail_naive(model, args.n, args.k, sim,
+                                               jobs=args.jobs)
         else:
-            cache = extinction_iterates(cfg.model, cfg.n)
+            cache = extinction_iterates(model, args.n)
             res = mc.estimate_lower_tail_stratified(
-                cfg.model, cache, cfg.n, cfg.k, sim, epsilon=cfg.epsilon,
-                jobs=cfg.jobs)
+                model, cache, args.n, args.k, sim, epsilon=args.epsilon,
+                jobs=args.jobs)
         rows.append({
-            "method": res.method, "n": cfg.n, "k": cfg.k,
+            "method": res.method, "n": args.n, "k": args.k,
             "samples": sim.samples, "seed": sim.seed, "streams": sim.streams,
             "estimate": res.estimate, "stderr": res.stderr,
             "samples_used": res.samples_used, "attempts": res.attempts,
@@ -202,17 +182,17 @@ def cmd_estimate(cfg: ExperimentConfig):
                   "guard_trips"]
 
 
-def cmd_verify(cfg: ExperimentConfig):
-    results = run_checks(cfg.only or None, cfg.scale)
+def cmd_verify(args, _model):
+    only = [x.strip() for x in (args.only or "").split(",") if x.strip()]
+    results = run_checks(only, args.scale)
     rows = [
         {"check": r.name, "value": r.value, "threshold": r.threshold,
          "verdict": r.verdict(), "seconds": round(r.seconds, 3),
          "detail": r.detail}
         for r in results
     ]
-    all_pass = all(r.passed for r in results)
     return rows, ["check", "value", "threshold", "verdict", "seconds",
-                  "detail"], all_pass
+                  "detail"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,30 +203,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, model=True):
+    def common(sp, run, model=True):
+        sp.set_defaults(run=run)
         if model:
             sp.add_argument("--model", required=True, help="model spec JSON path")
+        else:
+            sp.set_defaults(model=None)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--format", default="csv", choices=("csv", "json"),
                         dest="fmt")
 
     sp = sub.add_parser("exact", help="exact truncated pmf of Y_n")
-    common(sp)
+    common(sp, cmd_exact)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--trunc", type=int, default=None)
     sp.add_argument("--initial", type=int, default=0)
 
     sp = sub.add_parser("theta", help="law of the first surviving cohort")
-    common(sp)
+    common(sp, cmd_theta)
     sp.add_argument("--n", type=int, required=True)
 
     sp = sub.add_parser("scan-L", help="F(n), L(n) over a grid")
-    common(sp)
+    common(sp, cmd_scan_L)
     sp.add_argument("--grid", default="1000,10000,100000",
                     help="comma-separated n values")
 
     sp = sub.add_parser("simulate", help="empirical pmf of Y_n")
-    common(sp)
+    common(sp, cmd_simulate)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--initial", type=int, default=0)
     sp.add_argument("--samples", type=int, default=10000)
@@ -254,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--streams", type=int, default=1)
 
     sp = sub.add_parser("estimate", help="lower-tail probability estimators")
-    common(sp)
+    common(sp, cmd_estimate)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--samples", type=int, default=10000)
@@ -266,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("naive", "stratified", "both"))
 
     sp = sub.add_parser("verify", help="named verification checks")
-    common(sp, model=False)
+    common(sp, cmd_verify, model=False)
     sp.add_argument("--only", default=None,
                     help="comma-separated check names (default: all)")
     sp.add_argument("--scale", default="desk", choices=("desk", "full"))
@@ -280,57 +263,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    cfg = ExperimentConfig(
-        model_path=getattr(args, "model", None),
-        n=getattr(args, "n", 0),
-        k=getattr(args, "k", 0),
-        trunc=getattr(args, "trunc", None),
-        initial=getattr(args, "initial", 0),
-        samples=getattr(args, "samples", 10000),
-        seed=getattr(args, "seed", 0),
-        streams=getattr(args, "streams", 1),
-        jobs=getattr(args, "jobs", 1),
-        epsilon=getattr(args, "epsilon", 0.01),
-        method=getattr(args, "method", "both"),
-        scale=getattr(args, "scale", "desk"),
-        out=args.out,
-        fmt=args.fmt,
-    )
-    grid_arg = getattr(args, "grid", None)
-    only_arg = getattr(args, "only", None)
-
     try:
-        if grid_arg:
-            try:
-                cfg.grid = [int(x) for x in str(grid_arg).split(",") if x.strip()]
-            except ValueError:
-                raise UsageError(f"bad --grid value {grid_arg!r}") from None
-            if not cfg.grid:
-                raise UsageError("--grid must contain at least one n")
-        if only_arg:
-            cfg.only = [x.strip() for x in only_arg.split(",") if x.strip()]
-        if getattr(args, "samples", 1) < 1:
-            raise UsageError("--samples must be >= 1")
-        if getattr(args, "n", 0) < 0:
-            raise UsageError("--n must be >= 0")
-        if cfg.model_path is not None:
-            cfg.model = load_model_spec(cfg.model_path)
-
-        all_pass = True
-        if args.command == "exact":
-            rows, columns = cmd_exact(cfg)
-        elif args.command == "theta":
-            rows, columns = cmd_theta(cfg)
-        elif args.command == "scan-L":
-            rows, columns = cmd_scan_L(cfg)
-        elif args.command == "simulate":
-            rows, columns = cmd_simulate(cfg)
-        elif args.command == "estimate":
-            rows, columns = cmd_estimate(cfg)
-        elif args.command == "verify":
-            rows, columns, all_pass = cmd_verify(cfg)
-        else:  # pragma: no cover
-            raise UsageError(f"unknown command {args.command}")
+        model = load_model_spec(args.model) if args.model is not None else None
+        rows, columns = args.run(args, model)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -345,13 +280,14 @@ def main(argv=None) -> int:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return 3
 
-    text = serialize(rows, columns, cfg.fmt)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    text = serialize(rows, columns, args.fmt)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0 if all_pass else 1
+    # only verify rows carry a verdict; a failed check exits 1
+    return 1 if any(row.get("verdict") == "FAIL" for row in rows) else 0
 
 
 if __name__ == "__main__":

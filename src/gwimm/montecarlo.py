@@ -35,13 +35,15 @@ _SIMULATE_STREAM = 0
 _NAIVE_STREAM = 1
 _STRATUM_STREAM = 2
 
+# Populations above this are capped and counted as guard trips.
+MAX_POPULATION = 10**9
+
 
 @dataclass(frozen=True)
 class SimConfig:
     samples: int
     seed: int
     streams: int = 1
-    max_population: int = 10**9
 
     def __post_init__(self):
         if self.samples < 1:
@@ -68,6 +70,13 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def split_budget(total: int, streams: int) -> list[int]:
+    """Per-stream shares of a sample budget: equal parts, the remainder
+    going one each to the lowest stream indices."""
+    base, extra = divmod(total, streams)
+    return [base + (1 if i < extra else 0) for i in range(streams)]
+
+
 def _resolve_laws(model) -> tuple[Law, Law]:
     if isinstance(model, Model):
         return model.offspring, model.immigration
@@ -80,7 +89,7 @@ def _resolve_laws(model) -> tuple[Law, Law]:
 
 
 def simulate_Y_batch(model, n: int, initial: int, size: int, rng,
-                     max_population: int = 10**9):
+                     max_population: int = MAX_POPULATION):
     """`size` independent draws of Y_n given Y_0 = initial.
 
     Per generation one vectorized offspring-sum draw plus one immigration
@@ -99,10 +108,24 @@ def simulate_Y_batch(model, n: int, initial: int, size: int, rng,
     return pops, trips
 
 
-def simulate_Y(model, n: int, initial: int, rng, max_population: int = 10**9) -> int:
-    """One draw of Y_n given Y_0 = initial."""
-    values, _ = simulate_Y_batch(model, n, initial, 1, rng, max_population)
-    return int(values[0])
+def simulate_Y_streams(model, n: int, initial: int, cfg: SimConfig, jobs: int = 1,
+                       purpose: int = _SIMULATE_STREAM) -> list[tuple[np.ndarray, int]]:
+    """cfg.samples draws of Y_n given Y_0 = initial, as (draws, guard trips)
+    per substream (cfg.seed, purpose, i), in stream-index order; stream i
+    takes split_budget(cfg.samples, cfg.streams)[i] of them.  `jobs`
+    threads only fan the streams out."""
+    sizes = split_budget(cfg.samples, cfg.streams)
+
+    def run_stream(idx: int):
+        if sizes[idx] == 0:
+            return np.zeros(0, dtype=np.int64), 0
+        return simulate_Y_batch(model, n, initial, sizes[idx],
+                                substream(cfg.seed, purpose, idx))
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(run_stream, range(cfg.streams)))
+    return [run_stream(i) for i in range(cfg.streams)]
 
 
 def _gw_line_batch(offspring: Law, starts: np.ndarray, gens: int, rng):
@@ -123,21 +146,6 @@ def _gw_line_batch(offspring: Law, starts: np.ndarray, gens: int, rng):
         alive = counts > 0
         counts, idx = counts[alive], idx[alive]
     return counts, idx
-
-
-def simulate_theta(model, n: int, rng):
-    """One draw of theta_n: the cohorts are examined lazily from the
-    oldest; returns the first index whose line is alive at the horizon,
-    or None when every line dies (the atom)."""
-    offspring, immigration = _resolve_laws(model)
-    for i in range(1, n + 1):
-        z = int(immigration.sample(1, rng)[0])
-        if z == 0:
-            continue
-        values, _ = _gw_line_batch(offspring, np.array([z]), n - i, rng)
-        if values.shape[0] > 0:
-            return i
-    return None
 
 
 def simulate_theta_batch(model, n: int, size: int, rng) -> np.ndarray:
@@ -166,26 +174,9 @@ def estimate_lower_tail_naive(model, n: int, k: int, cfg: SimConfig,
     """Plain Monte Carlo frequency of {Y_n <= k} with binomial stderr."""
     if k < 0:
         return EstimateResult(0.0, 0.0, cfg.samples, "naive")
-    per = [cfg.samples // cfg.streams] * cfg.streams
-    for i in range(cfg.samples % cfg.streams):
-        per[i] += 1
-
-    def run_stream(idx: int):
-        if per[idx] == 0:
-            return 0, 0
-        rng = substream(cfg.seed, _NAIVE_STREAM, idx)
-        values, trips = simulate_Y_batch(
-            model, n, 0, per[idx], rng, cfg.max_population
-        )
-        return int(np.count_nonzero(values <= k)), trips
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_stream, range(cfg.streams)))
-    else:
-        results = [run_stream(i) for i in range(cfg.streams)]
-    hits = sum(r[0] for r in results)
-    trips = sum(r[1] for r in results)
+    draws = simulate_Y_streams(model, n, 0, cfg, jobs, _NAIVE_STREAM)
+    hits = sum(int(np.count_nonzero(values <= k)) for values, _ in draws)
+    trips = sum(t for _, t in draws)
     p_hat = hits / cfg.samples
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / cfg.samples)
     return EstimateResult(p_hat, stderr, cfg.samples, "naive", guard_trips=trips,
@@ -244,8 +235,8 @@ def _run_survivor_attempts(model: Model, plan: dict[int, int], rng
     return accepted
 
 
-def _younger_populations(model: Model, need: dict[int, int], rng,
-                         max_population: int) -> tuple[dict[int, np.ndarray], int]:
+def _younger_populations(model: Model, need: dict[int, int], rng
+                         ) -> tuple[dict[int, np.ndarray], int]:
     """Draws of Y_m (from zero) for several ages m in one shared loop.
 
     A line needing m generations joins the loop m steps before the end, so
@@ -268,10 +259,10 @@ def _younger_populations(model: Model, need: dict[int, int], rng,
         vals = model.offspring.sample_sum(vals, rng) + model.immigration.sample(
             vals.shape[0], rng
         )
-        over = vals > max_population
+        over = vals > MAX_POPULATION
         if np.any(over):
             trips += int(np.count_nonzero(over))
-            vals[over] = max_population
+            vals[over] = MAX_POPULATION
     out = {m: vals[sid == m] for m in ages}
     if 0 in need:
         out[0] = np.zeros(need[0], dtype=np.int64)
@@ -319,6 +310,8 @@ def estimate_lower_tail_stratified(
         raise ValueError(f"cache horizon {cache.N} < n={n}")
     if k < 1:
         raise ValueError("stratified estimator needs k >= 1")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
     atom = cache.F_ratio(n, 0)
 
     ages = np.arange(0, n)
@@ -348,10 +341,7 @@ def estimate_lower_tail_stratified(
 
     def run_stream(idx: int):
         rng = substream(cfg.seed, _STRATUM_STREAM, idx)
-        shares = [
-            int(t // cfg.streams + (1 if idx < t % cfg.streams else 0))
-            for t in targets
-        ]
+        shares = [split_budget(int(t), cfg.streams)[idx] for t in targets]
         pending = dict(enumerate(shares))
         z_lists: dict[int, list] = {}
         accepted = np.zeros(len(bins), dtype=np.int64)
@@ -398,7 +388,7 @@ def estimate_lower_tail_stratified(
         if not z_lists:
             return {}, attempts_total, 0
         need = {m: len(v) for m, v in z_lists.items()}
-        y_draws, trips = _younger_populations(model, need, rng, cfg.max_population)
+        y_draws, trips = _younger_populations(model, need, rng)
         stats: dict[int, list] = {}
         for m, zv in z_lists.items():
             z = np.asarray(zv, dtype=np.int64)

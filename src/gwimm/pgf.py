@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -47,6 +47,11 @@ class DeficitError(ValueError):
     """Truncation lost more mass than the configured ceiling allows."""
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 # ---------------------------------------------------------------------------
 # iterate cache
 
@@ -59,7 +64,6 @@ class IterateCache:
     N: int
     fj0: np.ndarray            # f_j(0)
     one_minus_fj0: np.ndarray  # 1 - f_j(0), exact complement
-    hfj0: np.ndarray           # h(f_j(0))
     one_minus_hfj0: np.ndarray
     logF: np.ndarray           # log F(n), n = 0..N (-inf where a factor is 0)
     F: np.ndarray
@@ -67,6 +71,12 @@ class IterateCache:
     L: np.ndarray
     logF_pos: np.ndarray       # log of the product over nonzero factors only
     zero_factors: np.ndarray   # count of zero factors h(f_j(0)) with j < n
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                _frozen(value)
 
     def F_ratio(self, n: int, m: int) -> float:
         """F(n)/F(m) = prod_{j=m}^{n-1} h(f_j(0)); stays finite when a
@@ -155,8 +165,10 @@ def extinction_iterates(model: Model, N: int) -> IterateCache:
     """Cache of f_j(0), h(f_j(0)), F and L up to horizon N (>= 1).
 
     Stores grow monotonically per model, so asking for a longer horizon
-    later reuses all earlier work.  Returned arrays are views; treat them
-    as read-only.
+    later reuses all earlier work.  Every returned array is read-only; u, v,
+    log F over nonzero factors and the zero-factor counts are views of the
+    store, which never rewrites generations already filled (growth past its
+    capacity moves it to new arrays and leaves the old ones as they are).
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -165,10 +177,9 @@ def extinction_iterates(model: Model, N: int) -> IterateCache:
         store = _IterStore(model)
         _STORES[model] = store
     store.ensure(N)
-    u = store.u[: N + 1].copy()
-    v = store.v[: N + 1].copy()
-    logF_pos = store.logFp[: N + 1].copy()
-    zero_factors = store.nzero[: N + 1].copy()
+    u = store.u[: N + 1]
+    logF_pos = store.logFp[: N + 1]
+    zero_factors = store.nzero[: N + 1]
     logF = np.where(zero_factors > 0, -np.inf, logF_pos)
     ns = np.arange(N + 1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -179,8 +190,7 @@ def extinction_iterates(model: Model, N: int) -> IterateCache:
         N=N,
         fj0=1.0 - u,
         one_minus_fj0=u,
-        hfj0=1.0 - v,
-        one_minus_hfj0=v,
+        one_minus_hfj0=store.v[: N + 1],
         logF=logF,
         F=np.exp(logF),
         logL=logL,
@@ -276,11 +286,6 @@ def _iterate_series_chain(model: Model, upto: int, K: int):
     for m in range(upto + 1):
         g = _next_series(model.offspring, g, m, K)
         yield m, g
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 class _ChainStore:
@@ -442,6 +447,8 @@ def exact_pmf_Y_multi(
         raise ValueError("generation count must be >= 0")
     if initial < 0:
         raise ValueError("initial population must be >= 0")
+    if K < 0:
+        raise ValueError(f"truncation bound must be >= 0, got K={K}")
     if not targets:
         return {}
     path = "circle" if _on_circle(model, K) else "series"
@@ -484,6 +491,8 @@ def exact_pmf_Z(
     """
     if m < 0:
         raise ValueError("generation count must be >= 0")
+    if K < 0:
+        raise ValueError(f"truncation bound must be >= 0, got K={K}")
     if _on_circle(model, K):
         N, r, z = _circle_points(K)
         f = model.offspring.pgf  # domain check on the first step only, as above

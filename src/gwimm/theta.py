@@ -19,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Model
-from .pgf import (
-    DEFAULT_DEFICIT_CEILING,
-    IterateCache,
-    TruncatedPmf,
-    _iterate_series_chain,
-    exact_pmf_Y,
-    exact_pmf_Z,
-)
+from .pgf import DEFAULT_DEFICIT_CEILING, IterateCache, _iterate_series_chain
 from .series import series_mul
 
 
@@ -68,33 +61,6 @@ def theta_pmf(cache: IterateCache, n: int) -> ThetaLaw:
     return ThetaLaw(n=n, pmf=pmf, atom_none=float(cache.F[n]))
 
 
-def joint_Y_theta(
-    model: Model,
-    cache: IterateCache,
-    n: int,
-    k: int,
-    l: int,
-    K: int,
-    deficit_ceiling: float = DEFAULT_DEFICIT_CEILING,
-) -> float:
-    """P(Y_n = k, theta_n = l), by restricting the surviving cohort's law
-    to positive values, convolving with an independent Y_{n-l}, and scaling
-    by the exact product of the younger cohorts' extinction probabilities."""
-    if not (1 <= l <= n):
-        raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    if k > K:
-        raise ValueError(f"k={k} exceeds truncation bound K={K}")
-    if k < 0:
-        return 0.0
-    m = n - l
-    zpmf = exact_pmf_Z(model, m, K, deficit_ceiling)
-    ypmf = exact_pmf_Y(model, m, K, 0, deficit_ceiling)
-    z = zpmf.probs.copy()
-    z[0] = 0.0  # the surviving cohort is conditioned positive
-    conv_k = float(np.dot(z[: k + 1], ypmf.probs[k::-1]))
-    return conv_k * cache.F_ratio(n, m + 1)
-
-
 def joint_Y_theta_window(
     model: Model,
     cache: IterateCache,
@@ -105,11 +71,21 @@ def joint_Y_theta_window(
     deficit_ceiling: float = DEFAULT_DEFICIT_CEILING,
 ) -> np.ndarray:
     """P(Y_n = k, theta_n = n - m) for all cohort ages m = 0..m_max, built
-    incrementally along one series chain (one multiply per age)."""
+    incrementally along one series chain (one multiply per age).  Entry m
+    is the surviving cohort's law restricted to positive values, convolved
+    with the law of Y_m (the younger cohorts), times F(n)/F(m+1), the
+    probability that every older cohort is extinct.  k > K raises; k < 0
+    gives zeros."""
+    if k > K:
+        raise ValueError(f"k={k} exceeds truncation bound K={K}")
+    if n > cache.N:
+        raise ValueError(f"cache horizon {cache.N} < n={n}")
     if m_max is None:
         m_max = n - 1
     m_max = min(m_max, n - 1)
     out = np.zeros(m_max + 1)
+    if k < 0:
+        return out
     imm = model.immigration
     acc = np.zeros(K + 1)
     acc[0] = 1.0  # law of Y_0

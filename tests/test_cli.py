@@ -10,7 +10,12 @@ import pytest
 
 from gwimm import extinction_iterates, make_law, make_model
 from gwimm.cli import main
-from gwimm.montecarlo import SimConfig, estimate_lower_tail_stratified
+from gwimm.montecarlo import (
+    SimConfig,
+    estimate_lower_tail_stratified,
+    simulate_Y_batch,
+    substream,
+)
 from gwimm.reporting import rows_to_csv, serialize
 
 
@@ -83,6 +88,12 @@ class TestExact:
         err = capsys.readouterr().err
         assert code == 3
         assert "increase" in err
+
+    def test_negative_truncation_usage_error(self, bin_bern_spec, capsys):
+        code, out = run_cli(
+            ["exact", "--model", bin_bern_spec, "--n", "4", "--trunc", "-5"], capsys)
+        assert code == 2
+        assert out == ""
 
     def test_roundtrip_reingests_bit_identically(self, bin_bern_spec, capsys,
                                                  tmp_path):
@@ -210,6 +221,26 @@ class TestSimulateEstimate:
             model, extinction_iterates(model, 16), 16, 4, SimConfig(samples=1000, seed=3))
         assert res.attempts > 0
         assert int(rows["stratified"]["attempts"]) == res.attempts
+
+    def test_simulate_follows_documented_streams(self, bin_bern_spec, bin_bern, capsys):
+        # stream i draws from substream (seed, purpose 0, i); the budget splits
+        # equally, the remainder one each to the lowest stream indices
+        code, out = run_cli(["simulate", "--model", bin_bern_spec, "--n", "16",
+                             "--samples", "4002", "--seed", "5", "--streams", "4"],
+                            capsys)
+        assert code == 0
+        draws = [simulate_Y_batch(bin_bern, 16, 0, size, substream(5, 0, i))[0]
+                 for i, size in enumerate([1001, 1001, 1000, 1000])]
+        counts = np.bincount(np.concatenate(draws))
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert {int(r["value"]): int(r["count"]) for r in rows} == {
+            v: int(c) for v, c in enumerate(counts) if c > 0}
+
+    def test_zero_epsilon_usage_error(self, bin_bern_spec, capsys):
+        code = main(["estimate", "--model", bin_bern_spec, "--n", "8", "--k", "2",
+                     "--samples", "100", "--method", "stratified", "--epsilon", "0"])
+        assert code == 2
+        assert "epsilon" in capsys.readouterr().err
 
     def test_zero_samples_usage_error(self, bin_bern_spec, capsys):
         code = main(["estimate", "--model", bin_bern_spec, "--n", "8",

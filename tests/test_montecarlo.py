@@ -18,11 +18,13 @@ def chain_pair():
 class TestSimulateY:
     def test_no_steps_returns_initial(self, bin_bern):
         rng = mc.substream(0, 0)
-        assert mc.simulate_Y(bin_bern, 0, 7, rng) == 7
+        values, _ = mc.simulate_Y_batch(bin_bern, 0, 7, 1, rng)
+        assert values.tolist() == [7]
 
     def test_deterministic_chain(self, chain_pair):
         rng = mc.substream(0, 0)
-        assert mc.simulate_Y(chain_pair, 23, 0, rng) == 23
+        values, _ = mc.simulate_Y_batch(chain_pair, 23, 0, 1, rng)
+        assert values.tolist() == [23]
 
     def test_empirical_pmf_matches_exact(self, bin_bern):
         rng = mc.substream(7, 0)
@@ -44,7 +46,7 @@ class TestSimulateTheta:
     def test_deterministic_chain_first_cohort(self, chain_pair):
         rng = mc.substream(0, 0)
         for n in (1, 5, 9):
-            assert mc.simulate_theta(chain_pair, n, rng) == 1
+            assert mc.simulate_theta_batch(chain_pair, n, 1, rng).tolist() == [1]
 
     def test_empirical_law_close_in_total_variation(self, geo_bern):
         n, draws = 16, 10**5
@@ -125,6 +127,13 @@ class TestStratifiedEstimator:
         with pytest.raises(ValueError, match="horizon"):
             mc.estimate_lower_tail_stratified(
                 geo_bern, cache, 16, 2, mc.SimConfig(samples=10, seed=0))
+
+    def test_epsilon_must_be_positive(self, geo_bern):
+        cache = extinction_iterates(geo_bern, 8)
+        for eps in (0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="epsilon"):
+                mc.estimate_lower_tail_stratified(
+                    geo_bern, cache, 8, 2, mc.SimConfig(samples=10, seed=0), epsilon=eps)
 
     def test_budget_roughly_respected(self, geo_bern):
         cache = extinction_iterates(geo_bern, 256)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -31,6 +32,11 @@ from gwimm.pgf import (
     _iterate_series_chain,
 )
 from gwimm.series import series_mul, series_mul_direct
+
+
+def _array_fields(cache):
+    return [f.name for f in dataclasses.fields(cache)
+            if isinstance(getattr(cache, f.name), np.ndarray)]
 
 
 class TestIterates:
@@ -73,6 +79,26 @@ class TestIterates:
     def test_horizon_validation(self, geo_bern):
         with pytest.raises(ValueError):
             extinction_iterates(geo_bern, 0)
+
+    def test_arrays_are_read_only(self, geo_bern):
+        cache = extinction_iterates(geo_bern, 40)
+        arrays = _array_fields(cache)
+        assert len(arrays) == 9
+        for name in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cache, name)[1] = 0
+
+    def test_views_survive_store_reallocation(self):
+        model = make_model("geometric-critical",
+                           {"family": "bernoulli01", "params": {"q1": 0.3125}})
+        _STORES.pop(model, None)
+        small = extinction_iterates(model, 100)
+        names = _array_fields(small)
+        before = {name: getattr(small, name).tobytes() for name in names}
+        big = extinction_iterates(model, 5000)  # past the store's first capacity
+        assert not np.shares_memory(small.one_minus_fj0, big.one_minus_fj0)
+        for name in names:
+            assert getattr(small, name).tobytes() == before[name], name
 
     def test_kolmogorov_diagnostic(self, geo_bern, bin_bern):
         kd = kolmogorov_diagnostic(extinction_iterates(geo_bern, 10**4))
@@ -266,6 +292,12 @@ class TestExactEngine:
     def test_deficit_ceiling_raises(self, geo_bern):
         with pytest.raises(DeficitError, match="increase"):
             exact_pmf_Y(geo_bern, 256, 64)
+
+    def test_negative_truncation_rejected(self, geo_bern):
+        with pytest.raises(ValueError, match="K=-5"):
+            exact_pmf_Y_multi(geo_bern, [4], -5)
+        with pytest.raises(ValueError, match="K=-5"):
+            exact_pmf_Z(geo_bern, 4, -5)
 
     def test_normalization_invariant(self, geo_bern, bin_bern):
         for model, n, K in ((geo_bern, 40, 512), (bin_bern, 25, 256)):

@@ -4,13 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwimm import exact_pmf_Y, extinction_iterates, make_model
-from gwimm.theta import (
-    joint_Y_theta,
-    joint_Y_theta_window,
-    theta_pmf,
-    theta_survival,
-)
+import numpy as np
+
+from gwimm import exact_pmf_Y, exact_pmf_Z, extinction_iterates, make_model
+from gwimm.theta import joint_Y_theta_window, theta_pmf, theta_survival
 
 
 class TestSurvival:
@@ -74,14 +71,15 @@ class TestJoint:
         n, K = 3, 16
         exact = exact_pmf_Y(bin_bern, n, K)
         for k in range(1, 9):
-            total = sum(joint_Y_theta(bin_bern, cache, n, k, l, K)
-                        for l in range(1, n + 1))
+            win = joint_Y_theta_window(bin_bern, cache, n, k, K)
+            total = sum(win[n - l] for l in range(1, n + 1))
             assert abs(total - exact[k]) < 1e-10
 
     def test_k_zero_contributes_nothing(self, bin_bern):
         cache = extinction_iterates(bin_bern, 8)
+        win = joint_Y_theta_window(bin_bern, cache, 3, 0, 16)
         for l in (1, 2, 3):
-            assert joint_Y_theta(bin_bern, cache, 3, 0, l, 16) == 0.0
+            assert win[3 - l] == 0.0
 
     def test_oldest_cohort_row(self, bin_bern):
         # theta_n = n means the newest cohort is the first alive: its size is
@@ -89,34 +87,45 @@ class TestJoint:
         cache = extinction_iterates(bin_bern, 8)
         n = 3
         prod = cache.F_ratio(n, 1)
-        assert joint_Y_theta(bin_bern, cache, n, 1, n, 16) == pytest.approx(
+        assert joint_Y_theta_window(bin_bern, cache, n, 1, 16)[0] == pytest.approx(
             0.5 * prod, abs=1e-15)
-        assert joint_Y_theta(bin_bern, cache, n, 2, n, 16) == 0.0
+        assert joint_Y_theta_window(bin_bern, cache, n, 2, 16)[0] == 0.0
 
     def test_consistency_with_theta_marginal(self, bin_bern):
         # summing the joint over k recovers P(theta_n = l) on a bounded model
         cache = extinction_iterates(bin_bern, 8)
         n, K = 4, 32
         law = theta_pmf(cache, n)
+        wins = [joint_Y_theta_window(bin_bern, cache, n, k, K) for k in range(1, K + 1)]
         for l in range(1, n + 1):
-            total = sum(joint_Y_theta(bin_bern, cache, n, k, l, K)
-                        for k in range(1, K + 1))
+            total = sum(win[n - l] for win in wins)
             assert abs(total - law.pmf[l]) < 1e-10
 
     def test_window_matches_pointwise(self, geo_bern):
+        # reference: the surviving cohort's law restricted to positive
+        # values, convolved with an independent Y_m, times the probability
+        # that every older cohort is extinct
         cache = extinction_iterates(geo_bern, 12)
-        win = joint_Y_theta_window(geo_bern, cache, 12, 3, 32)
-        for m in range(12):
-            point = joint_Y_theta(geo_bern, cache, 12, 3, 12 - m, 32,
-                                  deficit_ceiling=1.0)
+        n, k, K = 12, 3, 32
+        win = joint_Y_theta_window(geo_bern, cache, n, k, K)
+        for m in range(n):
+            z = exact_pmf_Z(geo_bern, m, K, deficit_ceiling=1.0).probs.copy()
+            z[0] = 0.0
+            y = exact_pmf_Y(geo_bern, m, K, deficit_ceiling=1.0).probs
+            point = float(np.dot(z[: k + 1], y[k::-1])) * cache.F_ratio(n, m + 1)
             assert win[m] == pytest.approx(point, rel=1e-12, abs=1e-15)
 
     def test_validation(self, bin_bern):
         cache = extinction_iterates(bin_bern, 8)
         with pytest.raises(ValueError):
-            joint_Y_theta(bin_bern, cache, 3, 1, 0, 16)
-        with pytest.raises(ValueError):
-            joint_Y_theta(bin_bern, cache, 3, 40, 1, 16)
+            joint_Y_theta_window(bin_bern, cache, 3, 40, 16)
+        # k > K would read past the truncated laws (these values summed to
+        # 0.0786 against P(Y_6 = 8) = 0.0218)
+        with pytest.raises(ValueError, match="K=4"):
+            joint_Y_theta_window(bin_bern, cache, 6, 8, 4)
+        assert not joint_Y_theta_window(bin_bern, cache, 6, -1, 4).any()
+        with pytest.raises(ValueError, match="horizon"):
+            joint_Y_theta_window(bin_bern, cache, 12, 2, 4)
 
 
 @pytest.mark.slow
