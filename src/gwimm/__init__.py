@@ -18,7 +18,6 @@ from .pgf import (
     exact_pmf_Z,
     extinction_iterates,
     kolmogorov_diagnostic,
-    step_pmf,
 )
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "exact_pmf_Z",
     "extinction_iterates",
     "kolmogorov_diagnostic",
-    "step_pmf",
 ]
 
 __version__ = "0.1.0"

@@ -77,8 +77,9 @@ def mellein_local(model: Model, n: int, k: int) -> float:
 
 
 def _l_ratio_log(cache: IterateCache, k: int, n: int) -> float:
-    """log of L(k)/L(n)."""
-    return float(cache.logL[k] - cache.logL[n])
+    """log of L(k)/L(n), for 1 <= k, n."""
+    logL = cache.logL_at([k, n])
+    return float(logL[0] - logL[1])
 
 
 def main1_eval(model: Model, cache: IterateCache, n: int, k: int) -> float:

@@ -116,7 +116,10 @@ def cmd_scan_L(args, model: Model):
         raise UsageError("scan-L grid entries must be >= 1")
     grid = sorted(set(grid))
     cache = extinction_iterates(model, max(grid))
-    two_decade = cache.L[grid[-1]] / cache.L[grid[0]]
+    F = np.exp(cache.logF_at(grid))
+    logL = cache.logL_at(grid)
+    L = np.exp(logL)
+    two_decade = L[-1] / L[0]
     if two_decade > 1.02:
         trend = "increasing"
     elif two_decade < 0.98:
@@ -124,20 +127,18 @@ def cmd_scan_L(args, model: Model):
     else:
         trend = "flat"
     rows = []
-    prev = None
-    for n in grid:
+    for i, n in enumerate(grid):
         slope = ""
-        if prev is not None:
-            slope = float((cache.logL[n] - cache.logL[prev])
-                          / (math.log(n) - math.log(prev)))
+        if i > 0:
+            slope = float((logL[i] - logL[i - 1])
+                          / (math.log(n) - math.log(grid[i - 1])))
         rows.append({
             "n": n,
-            "F": float(cache.F[n]),
-            "L": float(cache.L[n]),
+            "F": float(F[i]),
+            "L": float(L[i]),
             "dlogL_dlogn": slope,
             "trend": trend,
         })
-        prev = n
     return rows, ["n", "F", "L", "dlogL_dlogn", "trend"]
 
 

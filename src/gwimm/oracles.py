@@ -1,8 +1,10 @@
 """Independent oracles used by the verification checks and the test suite.
 
-These deliberately avoid the series engine: the branching recursion is
-enumerated with exact rational arithmetic, so agreement is evidence rather
-than tautology.
+The enumeration deliberately avoids the series engine: the branching
+recursion is enumerated with exact rational arithmetic, so agreement is
+evidence rather than tautology.  step_pmf is a float cross-check of the
+exact engine by a different route, the one-generation recursion of the
+population law instead of the product over immigrant cohorts.
 """
 
 from __future__ import annotations
@@ -10,11 +12,37 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
+
+from .models import Model
+from .pgf import TruncatedPmf
+from .series import series_mul
+
 
 def _as_fractions(probs) -> list[Fraction]:
     # Fraction(float) is the exact dyadic value, so the enumeration is the
     # exact law of the float-valued probabilities actually used upstream
     return [p if isinstance(p, Fraction) else Fraction(p) for p in probs]
+
+
+def step_pmf(model: Model, y: TruncatedPmf) -> TruncatedPmf:
+    """One generation step: coefficients 0..K of (sum_m y_m f(s)**m) h(s).
+
+    Horner from the top coefficient down, one truncated multiply per
+    coefficient: the direct transcription of the recursion, a cross-check
+    of exact_pmf_Y.
+    """
+    K = y.K
+    if K < 1:
+        raise ValueError("truncation bound must be >= 1")
+    inner = model.offspring.pmf_array(K)
+    acc = np.zeros(K + 1)
+    acc[0] = y.probs[K]
+    for m in range(K - 1, -1, -1):
+        acc = series_mul(acc, inner, K)
+        acc[0] += y.probs[m]
+    acc = series_mul(acc, model.immigration.pmf_array(K), K)
+    return TruncatedPmf(acc, K)
 
 
 def enumerate_population_pmf(offspring_probs, immigration_probs, n: int,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -58,17 +59,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class IterateCache:
-    """Read-only arrays indexed by generation j = 0..N."""
+    """Read-only arrays indexed by generation j = 0..N.
+
+    The four fields are views of the model's iterate store.  fj0, logF, F,
+    logL and L are derived from them on first read and kept; a caller that
+    needs a few generations reads logF_at / logL_at there instead.
+    """
 
     model: Model
     N: int
-    fj0: np.ndarray            # f_j(0)
     one_minus_fj0: np.ndarray  # 1 - f_j(0), exact complement
     one_minus_hfj0: np.ndarray
-    logF: np.ndarray           # log F(n), n = 0..N (-inf where a factor is 0)
-    F: np.ndarray
-    logL: np.ndarray           # log L(n), n >= 1; index 0 is nan
-    L: np.ndarray
     logF_pos: np.ndarray       # log of the product over nonzero factors only
     zero_factors: np.ndarray   # count of zero factors h(f_j(0)) with j < n
 
@@ -77,6 +78,40 @@ class IterateCache:
             value = getattr(self, f.name)
             if isinstance(value, np.ndarray):
                 _frozen(value)
+
+    def logF_at(self, ns) -> np.ndarray:
+        """log F(n) at the generations ns (-inf where a factor is 0)."""
+        return np.where(self.zero_factors[ns] > 0, -np.inf, self.logF_pos[ns])
+
+    def logL_at(self, ns) -> np.ndarray:
+        """log L(n) = -gamma log n - log F(n) at the generations ns >= 1."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return -self.model.gamma * np.log(np.asarray(ns, dtype=float)) - self.logF_at(ns)
+
+    @cached_property
+    def fj0(self) -> np.ndarray:
+        """f_j(0)."""
+        return _frozen(1.0 - self.one_minus_fj0)
+
+    @cached_property
+    def logF(self) -> np.ndarray:
+        """log F(n), n = 0..N (-inf where a factor is 0)."""
+        return _frozen(self.logF_at(np.arange(self.N + 1)))
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        return _frozen(np.exp(self.logF))
+
+    @cached_property
+    def logL(self) -> np.ndarray:
+        """log L(n), n >= 1; index 0 is nan."""
+        logL = self.logL_at(np.arange(self.N + 1))
+        logL[0] = math.nan
+        return _frozen(logL)
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        return _frozen(np.exp(self.logL))
 
     def F_ratio(self, n: int, m: int) -> float:
         """F(n)/F(m) = prod_{j=m}^{n-1} h(f_j(0)); stays finite when a
@@ -165,10 +200,10 @@ def extinction_iterates(model: Model, N: int) -> IterateCache:
     """Cache of f_j(0), h(f_j(0)), F and L up to horizon N (>= 1).
 
     Stores grow monotonically per model, so asking for a longer horizon
-    later reuses all earlier work.  Every returned array is read-only; u, v,
-    log F over nonzero factors and the zero-factor counts are views of the
-    store, which never rewrites generations already filled (growth past its
-    capacity moves it to new arrays and leaves the old ones as they are).
+    later reuses all earlier work.  Every array of the cache is read-only;
+    its four fields are views of the store, which never rewrites
+    generations already filled (growth past its capacity moves it to new
+    arrays and leaves the old ones as they are).
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -177,26 +212,13 @@ def extinction_iterates(model: Model, N: int) -> IterateCache:
         store = _IterStore(model)
         _STORES[model] = store
     store.ensure(N)
-    u = store.u[: N + 1]
-    logF_pos = store.logFp[: N + 1]
-    zero_factors = store.nzero[: N + 1]
-    logF = np.where(zero_factors > 0, -np.inf, logF_pos)
-    ns = np.arange(N + 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logL = -model.gamma * np.log(ns) - logF
-    logL[0] = math.nan
     return IterateCache(
         model=model,
         N=N,
-        fj0=1.0 - u,
-        one_minus_fj0=u,
+        one_minus_fj0=store.u[: N + 1],
         one_minus_hfj0=store.v[: N + 1],
-        logF=logF,
-        F=np.exp(logF),
-        logL=logL,
-        L=np.exp(logL),
-        logF_pos=logF_pos,
-        zero_factors=zero_factors,
+        logF_pos=store.logFp[: N + 1],
+        zero_factors=store.nzero[: N + 1],
     )
 
 
@@ -250,26 +272,6 @@ class TruncatedPmf:
         return float(self.probs[k]) if 0 <= k <= self.K else 0.0
 
 
-def step_pmf(model: Model, y: TruncatedPmf) -> TruncatedPmf:
-    """One generation step: coefficients 0..K of (sum_m y_m f(s)**m) h(s).
-
-    Horner from the top coefficient down, one truncated multiply per
-    coefficient.  The engine in exact_pmf_Y is the fast path; this is the
-    direct transcription of the recursion, kept for cross-checks.
-    """
-    K = y.K
-    if K < 1:
-        raise ValueError("truncation bound must be >= 1")
-    inner = model.offspring.pmf_array(K)
-    acc = np.zeros(K + 1)
-    acc[0] = y.probs[K]
-    for m in range(K - 1, -1, -1):
-        acc = series_mul(acc, inner, K)
-        acc[0] += y.probs[m]
-    acc = series_mul(acc, model.immigration.pmf_array(K), K)
-    return TruncatedPmf(acc, K)
-
-
 def _next_series(off, g, m: int, K: int) -> np.ndarray:
     """Series of f_m, given g, the series of f_{m-1} (unused at m = 0)."""
     closed = off.iterate_series(m, K)
@@ -289,10 +291,20 @@ def _iterate_series_chain(model: Model, upto: int, K: int):
 
 
 class _ChainStore:
-    """The series chain of one model at one order K: the state
-    (f_n, prod_{m<n} h(f_m)) at every horizon n asked for so far.  A later
-    horizon continues from the largest kept state below it, by the same
-    steps as a fresh chain, so it gets bit-identical series."""
+    """The series chain of one model at one order K.
+
+    It keeps the state (f_n, H_n) with H_n = prod_{m<n} h(f_m) at every
+    horizon n asked for so far.  A later horizon continues from the
+    largest kept state below it, by the same steps as a fresh chain, so it
+    gets bit-identical series.
+
+    It also keeps the joint rows R_m = H_m (h(f_m) - h(f_m(0))),
+    m = 0..nrows-1, which do not depend on the horizon:
+    P(Y_n = k, theta_n = n - m) = R_m[k] F(n)/F(m+1) for every n > m.
+    Each row is a direct product of nonnegative series, so every
+    coefficient keeps its relative accuracy; H_{m+1} - h(f_m(0)) H_m is
+    the same series but cancels.
+    """
 
     def __init__(self, model: Model, K: int):
         self.model = model
@@ -301,22 +313,51 @@ class _ChainStore:
         acc[0] = 1.0
         self.horizons = [0]
         self.states = [(_frozen(_next_series(model.offspring, None, 0, K)), _frozen(acc))]
+        self.nrows = 0
+        self._rows = np.zeros((0, K + 1))  # capacity doubles as rows grow
 
     def state(self, n: int):
-        """(series of f_n, series of prod_{m<n} h(f_m)), both read-only."""
+        """(series of f_n, series of H_n), both read-only."""
         i = bisect_right(self.horizons, n) - 1
+        if self.horizons[i] == n:
+            return self.states[i]
+        return self._walk(i, n, rows=False)
+
+    def rows(self, count: int) -> np.ndarray:
+        """R_0..R_{count-1} as the lines of one read-only array."""
+        if count > self.nrows:
+            cap = self._rows.shape[0]
+            if count > cap:
+                grown = np.zeros((max(count, 2 * cap), self.K + 1))
+                grown[: self.nrows] = self._rows[: self.nrows]
+                self._rows = grown
+            # the walk keeps its end state, so nrows is always a kept horizon
+            self._walk(self.horizons.index(self.nrows), count, rows=True)
+        return _frozen(self._rows[:count])
+
+    def _walk(self, i: int, n: int, rows: bool):
+        """Step from kept state i to horizon n and keep the state there;
+        with rows, also fill the rows of the generations stepped over."""
         m = self.horizons[i]
         g, acc = self.states[i]
-        if m == n:
-            return g, acc
         off, imm, K = self.model.offspring, self.model.immigration, self.K
         while m < n:
-            acc = series_mul(acc, imm.apply_to_series(g, K), K)
+            factor = imm.apply_to_series(g, K)
+            if rows:
+                z = factor.copy()
+                z[0] = 0.0
+                self._rows[m] = series_mul(acc, z, K)
+            acc = series_mul(acc, factor, K)
             m += 1
             g = _next_series(off, g, m, K)
-        self.horizons.insert(i + 1, n)
-        self.states.insert(i + 1, (_frozen(g), _frozen(acc)))
-        return g, acc
+        if rows:
+            self.nrows = n
+        j = bisect_right(self.horizons, n)
+        if self.horizons[j - 1] != n:
+            self.horizons.insert(j, n)
+            self.states.insert(j, (_frozen(g), _frozen(acc)))
+            j += 1
+        return self.states[j - 1]
 
 
 _CHAINS: dict[tuple[Model, int], _ChainStore] = {}
@@ -337,14 +378,20 @@ def _chain_order(model: Model, K: int) -> int:
     return K
 
 
-def _series_pmfs(model: Model, targets: list[int], K: int, initial: int) -> dict:
-    """Coefficients 0..K of the laws of Y_n, n in the sorted targets, read
-    off the model's stored series chain (one truncated multiply per
-    generation not yet reached)."""
+def _chain_store(model: Model, K: int) -> _ChainStore:
+    """The stored chain that serves windows at K (created on first use)."""
     key = (model, _chain_order(model, K))
     store = _CHAINS.get(key)
     if store is None:
         store = _CHAINS[key] = _ChainStore(model, key[1])
+    return store
+
+
+def _series_pmfs(model: Model, targets: list[int], K: int, initial: int) -> dict:
+    """Coefficients 0..K of the laws of Y_n, n in the sorted targets, read
+    off the model's stored series chain (one truncated multiply per
+    generation not yet reached)."""
+    store = _chain_store(model, K)
     out = {}
     for n in targets:
         g, acc = store.state(n)

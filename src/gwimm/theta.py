@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Model
-from .pgf import DEFAULT_DEFICIT_CEILING, IterateCache, _iterate_series_chain
-from .series import series_mul
+from .pgf import DEFAULT_DEFICIT_CEILING, IterateCache, _chain_store
 
 
 @dataclass
@@ -70,36 +69,34 @@ def joint_Y_theta_window(
     m_max: int | None = None,
     deficit_ceiling: float = DEFAULT_DEFICIT_CEILING,
 ) -> np.ndarray:
-    """P(Y_n = k, theta_n = n - m) for all cohort ages m = 0..m_max, built
-    incrementally along one series chain (one multiply per age).  Entry m
-    is the surviving cohort's law restricted to positive values, convolved
-    with the law of Y_m (the younger cohorts), times F(n)/F(m+1), the
-    probability that every older cohort is extinct.  k > K raises; k < 0
-    gives zeros."""
+    """P(Y_n = k, theta_n = n - m) for all cohort ages m = 0..m_max.
+
+    Entry m is the surviving cohort's law restricted to positive values,
+    convolved with the law of Y_m (the younger cohorts), times
+    F(n)/F(m+1), the probability that every older cohort is extinct.  The
+    convolutions are the joint rows of the model's stored series chain at
+    order K (pgf._ChainStore), which do not depend on n, so later windows
+    at any horizon reuse them.  k > K or m_max < 0 raises; k < 0 gives
+    zeros.  deficit_ceiling is accepted and ignored: the window certifies
+    no mass."""
     if k > K:
         raise ValueError(f"k={k} exceeds truncation bound K={K}")
     if n > cache.N:
         raise ValueError(f"cache horizon {cache.N} < n={n}")
+    if n < 0:
+        raise ValueError(f"generation count must be >= 0, got n={n}")
     if m_max is None:
         m_max = n - 1
+    elif m_max < 0:
+        raise ValueError(f"need m_max >= 0, got m_max={m_max}")
     m_max = min(m_max, n - 1)
-    out = np.zeros(m_max + 1)
-    if k < 0:
-        return out
-    imm = model.immigration
-    acc = np.zeros(K + 1)
-    acc[0] = 1.0  # law of Y_0
-    idx = np.arange(m_max + 2)
+    if k < 0 or m_max < 0:
+        return np.zeros(m_max + 1)
+    rows = _chain_store(model, K).rows(m_max + 1)
+    idx = np.arange(1, m_max + 2)
     scale = np.where(
         cache.zero_factors[n] == cache.zero_factors[idx],
         np.exp(cache.logF_pos[n] - cache.logF_pos[idx]),
         0.0,
     )
-    for m, g in _iterate_series_chain(model, m_max, K):
-        factor = imm.apply_to_series(g, K)
-        z = factor.copy()
-        z[0] = 0.0
-        out[m] = float(np.dot(z[: k + 1], acc[k::-1])) * scale[m + 1]
-        if m < m_max:
-            acc = series_mul(acc, factor, K)
-    return out
+    return rows[:, k] * scale

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 import numpy as np
 
 from gwimm import exact_pmf_Y, exact_pmf_Z, extinction_iterates, make_model
+from gwimm.pgf import _CHAINS, _chain_store, _iterate_series_chain
+from gwimm.series import series_mul
 from gwimm.theta import joint_Y_theta_window, theta_pmf, theta_survival
 
 
@@ -126,6 +128,112 @@ class TestJoint:
         assert not joint_Y_theta_window(bin_bern, cache, 6, -1, 4).any()
         with pytest.raises(ValueError, match="horizon"):
             joint_Y_theta_window(bin_bern, cache, 12, 2, 4)
+        with pytest.raises(ValueError, match="n=-2"):
+            joint_Y_theta_window(bin_bern, cache, -2, 2, 4)
+        assert joint_Y_theta_window(bin_bern, cache, 0, 2, 4).shape == (0,)
+
+    @pytest.mark.parametrize("m_max", [-1, -3])
+    def test_negative_m_max_raises(self, bin_bern, m_max):
+        cache = extinction_iterates(bin_bern, 8)
+        with pytest.raises(ValueError, match="m_max"):
+            joint_Y_theta_window(bin_bern, cache, 6, 2, 4, m_max=m_max)
+
+
+def _joint_per_call(model, cache, n, k, K, m_max):
+    """The joint window by a fresh series chain of m_max generations at
+    order K: one dot product of the cohort law and the law of Y_m per age."""
+    out = np.zeros(m_max + 1)
+    acc = np.zeros(K + 1)
+    acc[0] = 1.0
+    for m, g in _iterate_series_chain(model, m_max, K):
+        factor = model.immigration.apply_to_series(g, K)
+        z = factor.copy()
+        z[0] = 0.0
+        out[m] = float(np.dot(z[: k + 1], acc[k::-1])) * cache.F_ratio(n, m + 1)
+        acc = series_mul(acc, factor, K)
+    return out
+
+
+_HEAVY_IMM = make_model("binary", {"family": "log-heavy-immigration", "params": {"beta": 1.5}})
+_HEAVY_OFF = make_model({"family": "log-heavy-offspring", "params": {"beta": 1.5}},
+                        {"family": "bernoulli01", "params": {"q1": 0.4}})
+_BPO4 = make_model("binary", {"family": "poisson", "params": {"mean": 4.0}})
+_GEO_BERN = make_model("geometric-critical", {"family": "bernoulli01", "params": {"q1": 0.5}})
+
+
+class TestJointRows:
+    """The joint window reads the rows H_m (h(f_m) - h(f_m(0))) of the
+    model's stored series chain."""
+
+    @pytest.mark.parametrize("model", [_GEO_BERN, _BPO4, _HEAVY_IMM],
+                             ids=["geo-bern", "bpo4", "heavy-imm"])
+    def test_history_independent(self, model):
+        rng = np.random.default_rng(11)
+        cache = extinction_iterates(model, 256)
+        queries = []
+        for _ in range(40):
+            n = int(rng.choice([1, 3, 16, 40, 128, 256]))
+            k = int(rng.choice([1, 5, 16, 32]))
+            m_max = [None, 0, int(rng.integers(0, n)), n + 7][int(rng.integers(0, 4))]
+            queries.append((n, k, m_max))
+        alone = {}
+        for q in queries:
+            _CHAINS.clear()
+            alone[q] = joint_Y_theta_window(model, cache, q[0], q[1], q[1], m_max=q[2])
+        _CHAINS.clear()
+        for q in queries:
+            # a window on the same chain between joint queries
+            exact_pmf_Y(model, int(rng.integers(0, 300)), q[1], deficit_ceiling=math.inf)
+            win = joint_Y_theta_window(model, cache, q[0], q[1], q[1], m_max=q[2])
+            assert np.array_equal(win, alone[q]), q
+
+    @pytest.mark.parametrize("model", [
+        _GEO_BERN,
+        make_model("binary", {"family": "bernoulli01", "params": {"q1": 0.5}}),
+        # every population even: odd k are exact zeros at every age
+        make_model("binary", {"family": "explicit", "probs": [0.5, 0.0, 0.5]}),
+        _BPO4,
+        _HEAVY_IMM,
+        _HEAVY_OFF,
+    ], ids=["geo-bern", "bin-bern", "bin-even", "bpo4", "heavy-imm", "heavy-off"])
+    def test_matches_per_call_chain(self, model):
+        cache = extinction_iterates(model, 256)
+        for n, m_max in ((7, 6), (64, 63), (256, 100)):
+            for k in (1, 2, 7, 16, 33):
+                win = joint_Y_theta_window(model, cache, n, k, k, m_max=m_max)
+                ref = _joint_per_call(model, cache, n, k, k, m_max)
+                assert np.array_equal(win == 0.0, ref == 0.0), (n, k)
+                nz = ref != 0.0
+                assert np.all(np.abs(win[nz] / ref[nz] - 1.0) <= 1e-14), (n, k)
+
+    @pytest.mark.parametrize("model", [_GEO_BERN, _BPO4], ids=["geo-bern", "bpo4"])
+    def test_chain_states_unchanged(self, model):
+        _CHAINS.clear()
+        plain = [_chain_store(model, 8).state(n) for n in (256, 4096)]
+        _CHAINS.clear()
+        cache = extinction_iterates(model, 4096)
+        joint_Y_theta_window(model, cache, 4096, 8, 8, m_max=300)
+        joint_Y_theta_window(model, cache, 200, 3, 3)
+        after = [_chain_store(model, 8).state(n) for n in (256, 4096)]
+        for (g0, acc0), (g1, acc1) in zip(plain, after):
+            assert np.array_equal(g0, g1) and np.array_equal(acc0, acc1)
+
+    def test_rows_grow_to_the_ages_asked_for(self, geo_bern):
+        _CHAINS.clear()
+        cache = extinction_iterates(geo_bern, 4096)
+        joint_Y_theta_window(geo_bern, cache, 4096, 4, 4, m_max=10)
+        store = _chain_store(geo_bern, 4)
+        assert store.nrows == 11
+        assert max(store.horizons) == 11
+        rows = store.rows(11)
+        assert rows.shape == (11, store.K + 1)
+        with pytest.raises(ValueError, match="read-only"):
+            rows[3, 4] = 0.0
+        before = rows.copy()
+        joint_Y_theta_window(geo_bern, cache, 4096, 4, 4, m_max=40)
+        assert store.nrows == 41
+        assert np.array_equal(store.rows(11), before)
+        assert np.array_equal(rows, before)
 
 
 @pytest.mark.slow
