@@ -160,6 +160,8 @@ def cmd_simulate(args, model: Model):
 
 def cmd_estimate(args, model: Model):
     _check_n(args)
+    if args.jobs < 1:
+        raise UsageError("--jobs must be >= 1")
     sim = mc.SimConfig(samples=args.samples, seed=args.seed, streams=args.streams)
     methods = ["naive", "stratified"] if args.method == "both" else [args.method]
     rows = []

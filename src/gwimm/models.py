@@ -124,9 +124,6 @@ class Law:
         """gcd of the positive support; 1 means aperiodic local behavior."""
         return 1
 
-    def pmf(self, k: int) -> float:
-        raise NotImplementedError
-
     def pmf_array(self, K: int) -> np.ndarray:
         """Coefficients p_0..p_K."""
         raise NotImplementedError
@@ -169,6 +166,9 @@ class ExplicitLaw(Law):
 
     def __init__(self, probs):
         probs = np.asarray(probs, dtype=float)
+        if probs.ndim != 1:
+            raise ValueError(f"key 'probs' must be a flat list of probabilities, "
+                             f"got {probs.ndim} dimensions")
         if probs.size == 0:
             raise ValueError("explicit law needs a nonempty probability vector")
         if np.any(probs < 0):
@@ -216,9 +216,6 @@ class ExplicitLaw(Law):
                        np.where(arr <= 0.0, 0.0, np.sum(terms, axis=-1)))
         return out if _is_array(u) else float(out[0])
 
-    def pmf(self, k):
-        return float(self.probs[k]) if 0 <= k < self.probs.size else 0.0
-
     def pmf_array(self, K):
         return trim(self.probs, K)
 
@@ -259,9 +256,6 @@ class GeometricCriticalLaw(Law):
 
     def one_minus_pgf(self, u):
         return u / (1.0 + u)
-
-    def pmf(self, k):
-        return 0.5 ** (k + 1) if k >= 0 else 0.0
 
     def pmf_array(self, K):
         return 0.5 ** (np.arange(K + 1, dtype=float) + 1.0)
@@ -319,9 +313,6 @@ class BinaryLaw(Law):
     def one_minus_pgf(self, u):
         return u * (2.0 - u) / 2.0
 
-    def pmf(self, k):
-        return 0.5 if k in (0, 2) else 0.0
-
     def pmf_array(self, K):
         out = np.zeros(K + 1)
         out[0] = 0.5
@@ -365,11 +356,6 @@ class PoissonLaw(Law):
         out = -np.expm1(-self.rate * u)
         return out if _is_array(u) else float(out)
 
-    def pmf(self, k):
-        if k < 0:
-            return 0.0
-        return math.exp(k * math.log(self.rate) - math.lgamma(k + 1) - self.rate)
-
     def pmf_array(self, K):
         k = np.arange(K + 1, dtype=float)
         return np.exp(k * math.log(self.rate) - gammaln(k + 1.0) - self.rate)
@@ -412,9 +398,6 @@ class Bernoulli01Law(Law):
 
     def one_minus_pgf(self, u):
         return self.q1 * u
-
-    def pmf(self, k):
-        return {0: 1.0 - self.q1, 1: self.q1}.get(k, 0.0)
 
     def pmf_array(self, K):
         out = np.zeros(K + 1)
@@ -649,9 +632,6 @@ class _HeavyTailKernel:
             acc += T
         return u * acc
 
-    def pmf_tail_values(self, ks: np.ndarray) -> np.ndarray:
-        return _heavy_term(ks.astype(float), self.a, self.beta)
-
     def tail_mass_beyond(self, k: int) -> float:
         """sum_{i > k} i**-a (log i)**-beta (c-free)."""
         table = _heavy_tail_cumulative(self.a, self.beta)
@@ -686,15 +666,6 @@ class _HeavyLawBase(Law):
 
     def describe(self):
         return f"{self.kind}({self.beta})"
-
-    def pmf(self, k):
-        if k == 0:
-            return self.atom0
-        if k == 1:
-            return self.atom1
-        if k < 2:
-            return 0.0
-        return self.c * _heavy_term(float(k), self.kernel.a, self.beta)
 
     def pmf_array(self, K):
         out = np.zeros(K + 1)
@@ -791,14 +762,13 @@ class _HeavyLawBase(Law):
     def sample_sum(self, counts, rng):
         counts = np.asarray(counts, dtype=np.int64)
         total = int(counts.sum())
-        out = np.zeros_like(counts)
         if total == 0:
-            return out
-        draws = self.sample(total, rng)
-        edges = np.concatenate(([0], np.cumsum(counts)))
-        sums = np.add.reduceat(draws, edges[:-1])
-        sums[counts == 0] = 0
-        return sums
+            return np.zeros_like(counts)
+        # entry i sums the draws between its two count edges; an entry with
+        # count 0 has equal edges and sums to 0
+        csum = np.concatenate(([0], np.cumsum(self.sample(total, rng))))
+        edges = np.cumsum(counts)
+        return csum[edges] - csum[edges - counts]
 
 
 class LogHeavyOffspringLaw(_HeavyLawBase):
@@ -861,9 +831,14 @@ def make_law(spec) -> Law:
     if "family" not in spec:
         raise ValueError("law spec missing key 'family'")
     family = spec["family"]
+    if not isinstance(family, str):
+        raise ValueError(f"key 'family' must be a string, got {type(family).__name__}")
     if family not in _FAMILIES:
         raise ValueError(f"unknown family '{family}' in key 'family'")
-    params = dict(spec.get("params") or {})
+    params = spec.get("params")
+    if not isinstance(params, (dict, type(None))):
+        raise ValueError(f"key 'params' must be a mapping, got {type(params).__name__}")
+    params = dict(params or {})
     for key, value in spec.items():
         if key not in ("family", "params"):
             params.setdefault(key, value)

@@ -88,24 +88,45 @@ def _resolve_laws(model) -> tuple[Law, Law]:
 # forward simulation
 
 
-def simulate_Y_batch(model, n: int, initial: int, size: int, rng,
-                     max_population: int = MAX_POPULATION):
-    """`size` independent draws of Y_n given Y_0 = initial.
+def _fan_out(run_stream, streams: int, jobs: int) -> list:
+    """[run_stream(i) for i in range(streams)], in index order; `jobs`
+    threads only change where the calls run."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(run_stream, range(streams)))
+    return [run_stream(i) for i in range(streams)]
 
-    Per generation one vectorized offspring-sum draw plus one immigration
-    draw.  Populations crossing the guard are capped and counted; the
-    trajectory continues on the capped value (reported, not fatal).
+
+def simulate_Y_batch(model, horizons, initial: int, rng,
+                     max_population: int = MAX_POPULATION):
+    """One draw of Y_m given Y_0 = initial per entry m of `horizons`.
+
+    All lines share one generation loop: a line with horizon m joins it m
+    steps before the end, so each generation is one vectorized
+    offspring-sum draw plus one immigration draw over the lines joined so
+    far (the longest horizons first, ties in input order).  Horizon-0
+    lines draw nothing.  Populations crossing the guard are capped and
+    counted; the trajectory continues on the capped value (reported, not
+    fatal).  Returns (draws in input order, guard trips).
     """
     offspring, immigration = _resolve_laws(model)
-    pops = np.full(size, initial, dtype=np.int64)
+    horizons = np.asarray(horizons, dtype=np.int64)
+    order = np.argsort(-horizons, kind="stable")
+    steps = int(horizons.max(initial=0))
+    # lines joined by step s: those with horizon >= steps - s
+    joined = np.searchsorted(-horizons[order], np.arange(steps) - steps, side="right")
+    pops = np.full(horizons.shape[0], initial, dtype=np.int64)
     trips = 0
-    for _ in range(n):
-        pops = offspring.sample_sum(pops, rng) + immigration.sample(size, rng)
-        over = pops > max_population
+    for width in joined:
+        head = offspring.sample_sum(pops[:width], rng) + immigration.sample(width, rng)
+        over = head > max_population
         if np.any(over):
             trips += int(np.count_nonzero(over))
-            pops[over] = max_population
-    return pops, trips
+            head[over] = max_population
+        pops[:width] = head
+    out = np.empty_like(pops)
+    out[order] = pops
+    return out, trips
 
 
 def simulate_Y_streams(model, n: int, initial: int, cfg: SimConfig, jobs: int = 1,
@@ -117,35 +138,40 @@ def simulate_Y_streams(model, n: int, initial: int, cfg: SimConfig, jobs: int = 
     sizes = split_budget(cfg.samples, cfg.streams)
 
     def run_stream(idx: int):
-        if sizes[idx] == 0:
-            return np.zeros(0, dtype=np.int64), 0
-        return simulate_Y_batch(model, n, initial, sizes[idx],
+        return simulate_Y_batch(model, np.full(sizes[idx], n), initial,
                                 substream(cfg.seed, purpose, idx))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_stream, range(cfg.streams)))
-    return [run_stream(i) for i in range(cfg.streams)]
+    return _fan_out(run_stream, cfg.streams, jobs)
 
 
-def _gw_line_batch(offspring: Law, starts: np.ndarray, gens: int, rng):
-    """Run `gens` offspring-only generations from the given start counts.
+def _run_lines(offspring: Law, starts, gens, rng):
+    """Branch each start count for its own number `gens` (an int or one per
+    line) of offspring-only generations, all lines in one loop.
 
-    Dead lines are compacted away each generation (work is proportional to
-    the number still alive).  Returns (surviving values, their indices
-    into `starts`).
+    Each generation is one sample_sum over the lines still running, in
+    input order; lines stop when they die or finish.  Returns (surviving
+    values, their indices into `starts`), by index.
     """
-    counts = starts.astype(np.int64, copy=True)
-    idx = np.arange(counts.shape[0])
-    alive = counts > 0
-    counts, idx = counts[alive], idx[alive]
-    for _ in range(gens):
-        if counts.shape[0] == 0:
+    vals = np.asarray(starts, dtype=np.int64)
+    idx = np.flatnonzero(vals > 0)
+    rem = np.broadcast_to(np.asarray(gens, dtype=np.int64), vals.shape)[idx]
+    vals = vals[idx]
+    done_vals, done_idx = [vals[:0]], [idx[:0]]
+    while True:
+        done = rem == 0
+        if np.any(done):
+            done_vals.append(vals[done])
+            done_idx.append(idx[done])
+            vals, idx, rem = vals[~done], idx[~done], rem[~done]
+        if idx.shape[0] == 0:
             break
-        counts = offspring.sample_sum(counts, rng)
-        alive = counts > 0
-        counts, idx = counts[alive], idx[alive]
-    return counts, idx
+        vals = offspring.sample_sum(vals, rng)
+        rem -= 1
+        alive = vals > 0
+        vals, idx, rem = vals[alive], idx[alive], rem[alive]
+    vals, idx = np.concatenate(done_vals), np.concatenate(done_idx)
+    order = np.argsort(idx)
+    return vals[order], idx[order]
 
 
 def simulate_theta_batch(model, n: int, size: int, rng) -> np.ndarray:
@@ -156,8 +182,8 @@ def simulate_theta_batch(model, n: int, size: int, rng) -> np.ndarray:
     for i in range(1, n + 1):
         if undecided.size == 0:
             break
-        z = immigration.sample(undecided.size, rng).astype(np.int64)
-        _, alive_idx = _gw_line_batch(offspring, z, n - i, rng)
+        z = immigration.sample(undecided.size, rng)
+        _, alive_idx = _run_lines(offspring, z, n - i, rng)
         out[undecided[alive_idx]] = i
         mask = np.ones(undecided.size, dtype=bool)
         mask[alive_idx] = False
@@ -201,72 +227,6 @@ def _markov_tail_bound(cache: IterateCache, m: int, k: int) -> float:
     if cache.zero_factors[m] != cache.zero_factors[k]:
         return 0.0
     return min(1.0, math.exp(val))
-
-
-def _run_survivor_attempts(model: Model, plan: dict[int, int], rng
-                           ) -> dict[int, list]:
-    """One round of cohort-line attempts: plan[m] lines are started from an
-    immigration draw and branched m generations.  All ages share one
-    generation loop (one offspring draw per generation over the union of
-    still-active lines), so the rng-call count scales with the maximal age
-    rather than the attempt count.  Returns {m: surviving values}.
-    """
-    accepted: dict[int, list] = {m: [] for m in plan}
-    items = sorted((m, a) for m, a in plan.items() if a > 0)
-    if not items:
-        return accepted
-    sid = np.concatenate([np.full(a, m, dtype=np.int64) for m, a in items])
-    vals = model.immigration.sample(sid.shape[0], rng).astype(np.int64)
-    rem = sid.copy()  # age doubles as generations still to run
-    while vals.shape[0]:
-        done = rem == 0
-        if np.any(done):
-            ok = done & (vals > 0)
-            for m in np.unique(sid[ok]):
-                accepted[int(m)].extend(vals[ok & (sid == m)].tolist())
-            keep = ~done
-            vals, rem, sid = vals[keep], rem[keep], sid[keep]
-            if vals.shape[0] == 0:
-                break
-        vals = model.offspring.sample_sum(vals, rng)
-        rem -= 1
-        alive = vals > 0
-        vals, rem, sid = vals[alive], rem[alive], sid[alive]
-    return accepted
-
-
-def _younger_populations(model: Model, need: dict[int, int], rng
-                         ) -> tuple[dict[int, np.ndarray], int]:
-    """Draws of Y_m (from zero) for several ages m in one shared loop.
-
-    A line needing m generations joins the loop m steps before the end, so
-    every line sees exactly its own number of immigration-plus-branching
-    steps.  Returns ({m: draws}, guard trips).
-    """
-    ages = sorted((m for m, c in need.items() if c > 0), reverse=True)
-    if not ages:
-        return {m: np.zeros(0, dtype=np.int64) for m in need}, 0
-    T = ages[0]
-    vals = np.zeros(0, dtype=np.int64)
-    sid = np.zeros(0, dtype=np.int64)
-    trips = 0
-    join = {T - m: m for m in ages}
-    for step in range(T):
-        m = join.get(step)
-        if m is not None:
-            vals = np.concatenate([vals, np.zeros(need[m], dtype=np.int64)])
-            sid = np.concatenate([sid, np.full(need[m], m, dtype=np.int64)])
-        vals = model.offspring.sample_sum(vals, rng) + model.immigration.sample(
-            vals.shape[0], rng
-        )
-        over = vals > MAX_POPULATION
-        if np.any(over):
-            trips += int(np.count_nonzero(over))
-            vals[over] = MAX_POPULATION
-    out = {m: vals[sid == m] for m in ages}
-    if 0 in need:
-        out[0] = np.zeros(need[0], dtype=np.int64)
-    return out, trips
 
 
 def _age_bins(window: int, k: int) -> list[np.ndarray]:
@@ -317,13 +277,14 @@ def estimate_lower_tail_stratified(
     ages = np.arange(0, n)
     f_ratios = np.array([cache.F_ratio(n, int(m) + 1) for m in ages])
     weights = cache.one_minus_hfj0[ages] * f_ratios
-    bounds = np.array([
-        min(1.0, _markov_tail_bound(cache, int(m), k - 1)) for m in ages
-    ])
+    bounds = np.array([_markov_tail_bound(cache, int(m), k - 1) for m in ages])
     window = int(min(n - 1, math.floor(k / epsilon)))
     bracket = float(np.dot(weights[window + 1:], bounds[window + 1:]))
 
     bins = _age_bins(window, k)
+    bin_of_age = np.zeros(window + 1, dtype=np.int64)
+    for b, bin_ages in enumerate(bins):
+        bin_of_age[bin_ages] = b
     bin_w = np.array([float(weights[b].sum()) for b in bins])
     bin_f = np.array([float(f_ratios[b].sum()) for b in bins])
     bin_accept = np.divide(bin_w, bin_f, out=np.zeros_like(bin_w),
@@ -341,21 +302,16 @@ def estimate_lower_tail_stratified(
 
     def run_stream(idx: int):
         rng = substream(cfg.seed, _STRATUM_STREAM, idx)
-        shares = [split_budget(int(t), cfg.streams)[idx] for t in targets]
-        pending = dict(enumerate(shares))
-        z_lists: dict[int, list] = {}
+        shares = np.array([split_budget(int(t), cfg.streams)[idx] for t in targets])
         accepted = np.zeros(len(bins), dtype=np.int64)
-        attempts_total = 0
-        age_to_bin = {}
-        for b, bin_ages in enumerate(bins):
-            for m in bin_ages:
-                age_to_bin[int(m)] = b
+        empty = np.zeros(0, dtype=np.int64)
+        z_parts, age_parts = [empty], [empty]
+        attempts = 0
         for _round in range(4):
-            plan: dict[int, int] = {}
             final = _round == 3
-            for b, short in pending.items():
-                if short <= 0 or bin_accept[b] <= 0.0:
-                    continue
+            plan = np.zeros(window + 1, dtype=np.int64)
+            for b in np.flatnonzero((shares > accepted) & (bin_accept > 0.0)):
+                short = int(shares[b] - accepted[b])
                 # early rounds aim straight at the shortfall (keeping the
                 # accepted count near the budget); the last round adds a
                 # margin to close out with high probability; cohort ages
@@ -363,57 +319,28 @@ def estimate_lower_tail_stratified(
                 # accepted draws follow the exact within-bin mixture
                 margin = 3.0 * math.sqrt(short) + 5.0 if final else 0.0
                 tries = int(math.ceil((short + margin) / bin_accept[b]))
-                bin_ages = bins[b]
-                if bin_ages.shape[0] == 1:
-                    plan[int(bin_ages[0])] = plan.get(int(bin_ages[0]), 0) + tries
-                else:
-                    q = f_ratios[bin_ages]
-                    counts = rng.multinomial(tries, q / q.sum())
-                    for m, c in zip(bin_ages, counts):
-                        if c > 0:
-                            plan[int(m)] = plan.get(int(m), 0) + int(c)
-            if not plan:
+                q = f_ratios[bins[b]]
+                plan[bins[b]] += rng.multinomial(tries, q / q.sum())
+            if not plan.any():
                 break
-            attempts_total += sum(plan.values())
-            got = _run_survivor_attempts(model, plan, rng)
-            for m, vals_m in got.items():
-                if vals_m:
-                    z_lists.setdefault(m, []).extend(vals_m)
-                    accepted[age_to_bin[m]] += len(vals_m)
-            pending = {
-                b: shares[b] - int(accepted[b])
-                for b in range(len(bins))
-                if shares[b] - int(accepted[b]) > 0
-            }
-        if not z_lists:
-            return {}, attempts_total, 0
-        need = {m: len(v) for m, v in z_lists.items()}
-        y_draws, trips = _younger_populations(model, need, rng)
-        stats: dict[int, list] = {}
-        for m, zv in z_lists.items():
-            z = np.asarray(zv, dtype=np.int64)
-            hits = int(np.count_nonzero(z + y_draws[m] <= k))
-            agg = stats.setdefault(age_to_bin[m], [0, 0])
-            agg[0] += hits
-            agg[1] += int(z.shape[0])
-        return stats, attempts_total, trips
+            attempts += int(plan.sum())
+            # a line of cohort age m: an immigration draw branched m
+            # generations, kept if it survives
+            line_age = np.repeat(np.arange(window + 1), plan)
+            starts = model.immigration.sample(line_age.shape[0], rng)
+            z, alive = _run_lines(model.offspring, starts, line_age, rng)
+            z_parts.append(z)
+            age_parts.append(line_age[alive])
+            accepted += np.bincount(bin_of_age[age_parts[-1]], minlength=len(bins))
+        z, age = np.concatenate(z_parts), np.concatenate(age_parts)
+        # each accepted cohort plus an independent younger process Y_m
+        y, trips = simulate_Y_batch(model, age, 0, rng)
+        line_bin = bin_of_age[age]
+        return (np.bincount(line_bin[z + y <= k], minlength=len(bins)),
+                np.bincount(line_bin, minlength=len(bins)), attempts, trips)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_stream = list(pool.map(run_stream, range(cfg.streams)))
-    else:
-        per_stream = [run_stream(i) for i in range(cfg.streams)]
-
-    hits = np.zeros(len(bins), dtype=np.int64)
-    draws = np.zeros(len(bins), dtype=np.int64)
-    attempts_total = 0
-    trips_total = 0
-    for stats, attempts, trips in per_stream:
-        attempts_total += attempts
-        trips_total += trips
-        for b, (h, d) in stats.items():
-            hits[b] += h
-            draws[b] += d
+    per_stream = _fan_out(run_stream, cfg.streams, jobs)
+    hits, draws, attempts_total, trips_total = (sum(col) for col in zip(*per_stream))
 
     estimate = atom
     variance = 0.0

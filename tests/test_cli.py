@@ -127,6 +127,26 @@ def test_negative_initial_usage_error(argv, bin_bern_spec, capsys):
     assert "--initial" in captured.err
 
 
+
+@pytest.mark.parametrize("law, key", [
+    ({"family": "binary", "params": 5}, "params"),
+    ({"family": ["binary"]}, "family"),
+    ({"family": "explicit", "probs": 1.0}, "probs"),
+    ({"family": "explicit", "probs": [[0.5, 0.5]]}, "probs"),
+])
+def test_malformed_law_key_usage_error(law, key, tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({
+        "offspring": law,
+        "immigration": {"family": "bernoulli01", "params": {"q1": 0.5}},
+    }))
+    code = main(["exact", "--model", str(spec), "--n", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"'{key}'" in captured.err
+
+
 class TestTheta:
     def test_columns_and_atom(self, geo_bern_spec, capsys):
         code, out = run_cli(["theta", "--model", geo_bern_spec, "--n", "2"], capsys)
@@ -241,7 +261,7 @@ class TestSimulateEstimate:
                              "--samples", "4002", "--seed", "5", "--streams", "4"],
                             capsys)
         assert code == 0
-        draws = [simulate_Y_batch(bin_bern, 16, 0, size, substream(5, 0, i))[0]
+        draws = [simulate_Y_batch(bin_bern, np.full(size, 16), 0, substream(5, 0, i))[0]
                  for i, size in enumerate([1001, 1001, 1000, 1000])]
         counts = np.bincount(np.concatenate(draws))
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -253,6 +273,33 @@ class TestSimulateEstimate:
                      "--samples", "100", "--method", "stratified", "--epsilon", "0"])
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_usage_error(self, jobs, bin_bern_spec, capsys):
+        code = main(["estimate", "--model", bin_bern_spec, "--n", "8", "--k", "2",
+                     "--samples", "100", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--jobs" in captured.err
+
+    def test_estimate_log_heavy_offspring(self, tmp_path, capsys):
+        # the regime where sum k^2 log k p_k diverges: both estimators run
+        # and agree within three standard errors plus the bias bracket
+        spec = tmp_path / "heavy_off.json"
+        spec.write_text(json.dumps({
+            "offspring": {"family": "log-heavy-offspring", "params": {"beta": 1.5}},
+            "immigration": {"family": "bernoulli01", "params": {"q1": 0.5}},
+        }))
+        code, out = run_cli(["estimate", "--model", str(spec), "--n", "64", "--k", "4",
+                             "--samples", "4000", "--seed", "1", "--method", "both"],
+                            capsys)
+        assert code == 0
+        rows = {r["method"]: r for r in csv.DictReader(io.StringIO(out))}
+        naive, strat = rows["naive"], rows["stratified"]
+        sigma = math.hypot(float(naive["stderr"]), float(strat["stderr"]))
+        gap = abs(float(naive["estimate"]) - float(strat["estimate"]))
+        assert gap <= 3 * sigma + float(strat["bracket_high"])
 
     def test_zero_samples_usage_error(self, bin_bern_spec, capsys):
         code = main(["estimate", "--model", bin_bern_spec, "--n", "8",

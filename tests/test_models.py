@@ -192,6 +192,18 @@ class TestHeavyLaws:
                 assert got == pytest.approx(direct, abs=2 * tail + 1e-13)
 
 
+    @pytest.mark.parametrize("law_cls", [LogHeavyOffspringLaw, LogHeavyImmigrationLaw])
+    @pytest.mark.parametrize("counts", [[2, 0, 3, 0], [0, 4, 0, 0], [3, 0], [0, 0]])
+    def test_sample_sum_with_zero_counts(self, law_cls, counts):
+        # each entry sums its own block of one draw sequence; a zero count,
+        # in the middle or at the end, sums to 0
+        law = law_cls(1.5)
+        sums = law.sample_sum(np.array(counts), np.random.default_rng(4))
+        draws = law.sample(sum(counts), np.random.default_rng(4))
+        edges = np.concatenate(([0], np.cumsum(counts)))
+        assert sums.tolist() == [int(draws[a:b].sum()) for a, b in zip(edges, edges[1:])]
+
+
 _FAMILY_SPECS = [
     "geometric-critical",
     "binary",

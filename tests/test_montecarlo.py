@@ -18,17 +18,17 @@ def chain_pair():
 class TestSimulateY:
     def test_no_steps_returns_initial(self, bin_bern):
         rng = mc.substream(0, 0)
-        values, _ = mc.simulate_Y_batch(bin_bern, 0, 7, 1, rng)
+        values, _ = mc.simulate_Y_batch(bin_bern, [0], 7, rng)
         assert values.tolist() == [7]
 
     def test_deterministic_chain(self, chain_pair):
         rng = mc.substream(0, 0)
-        values, _ = mc.simulate_Y_batch(chain_pair, 23, 0, 1, rng)
+        values, _ = mc.simulate_Y_batch(chain_pair, [23], 0, rng)
         assert values.tolist() == [23]
 
     def test_empirical_pmf_matches_exact(self, bin_bern):
         rng = mc.substream(7, 0)
-        values, trips = mc.simulate_Y_batch(bin_bern, 2, 0, 10**6, rng)
+        values, trips = mc.simulate_Y_batch(bin_bern, np.full(10**6, 2), 0, rng)
         assert trips == 0
         counts = np.bincount(values, minlength=4)
         _, p = stats.chisquare(counts, np.array([3, 3, 1, 1]) / 8.0 * 10**6)
@@ -36,10 +36,46 @@ class TestSimulateY:
 
     def test_guard_reports_not_crashes(self, bin_bern):
         rng = mc.substream(1, 0)
-        values, trips = mc.simulate_Y_batch(bin_bern, 50, 0, 200, rng,
+        values, trips = mc.simulate_Y_batch(bin_bern, np.full(200, 50), 0, rng,
                                             max_population=3)
         assert trips > 0
         assert np.all(values <= 3)
+
+    def test_mixed_horizons_match_exact_per_horizon(self, bin_bern):
+        # horizons interleaved, so draws must come back in input order
+        per, horizons = 50000, np.tile([0, 1, 2, 3], 50000)
+        values, trips = mc.simulate_Y_batch(bin_bern, horizons, 0, mc.substream(8, 0))
+        assert trips == 0
+        assert np.all(values[horizons == 0] == 0)
+        for m in (1, 2, 3):
+            probs = exact_pmf_Y(bin_bern, m, 8).probs
+            support = np.flatnonzero(probs > 0)
+            counts = np.bincount(values[horizons == m], minlength=9)
+            assert counts.sum() == counts[support].sum() == per
+            _, p = stats.chisquare(counts[support], probs[support] * per)
+            assert p > 0.001
+
+    def test_zero_horizon_lines_draw_nothing(self, bin_bern):
+        rng = mc.substream(2, 0)
+        values, _ = mc.simulate_Y_batch(bin_bern, [0, 0, 0], 5, rng)
+        assert values.tolist() == [5, 5, 5]
+        assert rng.random() == mc.substream(2, 0).random()
+        # in a mixed batch they leave the other lines' draws unchanged
+        mixed_rng, plain_rng = mc.substream(2, 1), mc.substream(2, 1)
+        mixed, _ = mc.simulate_Y_batch(bin_bern, [6, 0, 6], 5, mixed_rng)
+        plain, _ = mc.simulate_Y_batch(bin_bern, [6, 6], 5, plain_rng)
+        assert mixed[1] == 5 and mixed[[0, 2]].tolist() == plain.tolist()
+        assert mixed_rng.random() == plain_rng.random()
+
+
+class TestRunLines:
+    def test_per_line_generations_on_one_child_chain(self, chain_pair):
+        one, _ = chain_pair
+        starts = np.array([4, 1, 7, 2, 3])
+        vals, idx = mc._run_lines(one, starts, np.array([3, 0, 5, 1, 2]),
+                                  mc.substream(0, 0))
+        assert vals.tolist() == starts.tolist()
+        assert idx.tolist() == [0, 1, 2, 3, 4]
 
 
 class TestSimulateTheta:
@@ -174,7 +210,7 @@ class TestConcentrationSignatures:
             K = 6 * n
             pmf = exact_pmf_Y(bin_bern, n, K, deficit_ceiling=1.0)
             sups_exact.append(float(np.max(np.arange(K + 1) * pmf.probs)))
-            vals, _ = mc.simulate_Y_batch(bin_bern, n, 0, 10**5,
+            vals, _ = mc.simulate_Y_batch(bin_bern, np.full(10**5, n), 0,
                                           mc.substream(21, n))
             emp = np.bincount(vals) / 10**5
             sups_emp.append(float(np.max(np.arange(emp.size) * emp)))
