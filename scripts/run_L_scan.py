@@ -7,10 +7,6 @@ Usage: python scripts/run_L_scan.py [--decades 3 5] [--beta 1.5]
 """
 
 import argparse
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gwimm import extinction_iterates, make_model
 

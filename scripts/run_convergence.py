@@ -8,10 +8,6 @@ Usage: python scripts/run_convergence.py [--model spec.json] [--nmax-pow 14]
 
 import argparse
 import math
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gwimm import exact_pmf_Y_multi, extinction_iterates, make_model
 from gwimm.asymptotics import build_report_row, main2_eval, mellein_local

@@ -26,7 +26,6 @@ from .pgf import (
     IterateCache,
     exact_pmf_Y,
     exact_pmf_Y_multi,
-    exact_pmf_Z,
 )
 
 

@@ -27,7 +27,7 @@ from . import montecarlo as mc
 from .models import Model, make_law, make_model
 from .pgf import DeficitError, exact_pmf_Y, extinction_iterates
 from .reporting import serialize
-from .theta import theta_pmf, theta_survival
+from .theta import theta_pmf
 from .verify import run_checks
 
 
@@ -77,17 +77,15 @@ def cmd_exact(args, model: Model):
     _check_n(args)
     n = args.n
     if n == 0:
-        rows = [{"k": args.initial, "prob": 1.0, "cumulative": 1.0, "deficit": 0.0}]
-        return rows, ["k", "prob", "cumulative", "deficit"]
+        return [{"k": args.initial, "prob": 1.0, "cumulative": 1.0, "deficit": 0.0}]
     K = args.trunc if args.trunc is not None else _default_trunc(model, n)
     pmf = exact_pmf_Y(model, n, K, args.initial)
     cum = np.cumsum(pmf.probs)
-    rows = [
+    return [
         {"k": k, "prob": float(pmf.probs[k]), "cumulative": float(cum[k]),
          "deficit": pmf.deficit}
         for k in range(K + 1)
     ]
-    return rows, ["k", "prob", "cumulative", "deficit"]
 
 
 def cmd_theta(args, model: Model):
@@ -96,15 +94,12 @@ def cmd_theta(args, model: Model):
         raise UsageError("theta needs --n >= 1")
     cache = extinction_iterates(model, n)
     law = theta_pmf(cache, n)
-    rows = []
-    for l in range(1, n + 1):
-        rows.append({
-            "l": l,
-            "prob": float(law.pmf[l]),
-            "survival": theta_survival(cache, n, l),
-        })
+    ls = np.arange(1, n + 1)
+    survival = cache.F_ratio(n, n - ls)  # P(theta_n > l)
+    rows = [{"l": l, "prob": p, "survival": s}
+            for l, p, s in zip(ls.tolist(), law.pmf[1:].tolist(), survival.tolist())]
     rows.append({"l": "atom", "prob": law.atom_none, "survival": law.atom_none})
-    return rows, ["l", "prob", "survival"]
+    return rows
 
 
 def cmd_scan_L(args, model: Model):
@@ -141,7 +136,7 @@ def cmd_scan_L(args, model: Model):
             "dlogL_dlogn": slope,
             "trend": trend,
         })
-    return rows, ["n", "F", "L", "dlogL_dlogn", "trend"]
+    return rows
 
 
 def cmd_simulate(args, model: Model):
@@ -149,13 +144,12 @@ def cmd_simulate(args, model: Model):
     sim = mc.SimConfig(samples=args.samples, seed=args.seed, streams=args.streams)
     draws = mc.simulate_Y_streams(model, args.n, args.initial, sim)
     counts = np.bincount(np.concatenate([values for values, _ in draws]))
-    rows = [
+    return [
         {"n": args.n, "samples": sim.samples, "seed": sim.seed,
          "streams": sim.streams, "value": v, "count": int(c),
          "freq": float(c / sim.samples)}
         for v, c in enumerate(counts) if c > 0
     ]
-    return rows, ["n", "samples", "seed", "streams", "value", "count", "freq"]
 
 
 def cmd_estimate(args, model: Model):
@@ -182,22 +176,18 @@ def cmd_estimate(args, model: Model):
             "bracket_low": res.bracket_low, "bracket_high": res.bracket_high,
             "guard_trips": res.guard_trips,
         })
-    return rows, ["method", "n", "k", "samples", "seed", "streams", "estimate",
-                  "stderr", "samples_used", "attempts", "bracket_low", "bracket_high",
-                  "guard_trips"]
+    return rows
 
 
 def cmd_verify(args, _model):
     only = [x.strip() for x in (args.only or "").split(",") if x.strip()]
     results = run_checks(only, args.scale)
-    rows = [
+    return [
         {"check": r.name, "value": r.value, "threshold": r.threshold,
          "verdict": r.verdict(), "seconds": round(r.seconds, 3),
          "detail": r.detail}
         for r in results
     ]
-    return rows, ["check", "value", "threshold", "verdict", "seconds",
-                  "detail"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,7 +260,7 @@ def main(argv=None) -> int:
 
     try:
         model = load_model_spec(args.model) if args.model is not None else None
-        rows, columns = args.run(args, model)
+        rows = args.run(args, model)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -285,7 +275,8 @@ def main(argv=None) -> int:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return 3
 
-    text = serialize(rows, columns, args.fmt)
+    # every command's rows are nonempty, keyed in column order
+    text = serialize(rows, list(rows[0]), args.fmt)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -51,6 +51,11 @@ _HEAVY_HEAD = 4096
 _CONST_HEAD = 1 << 20
 # Inverse-cdf table length for sampling unbounded laws.
 _SAMPLE_TABLE = 1 << 16
+# Largest beta of the log-heavy laws.  Their tail table holds values down to
+# about 4096**-a (log 4096)**-beta, 7e-293 at beta = 300 for a = 3.  From
+# beta ~ 317 it is subnormal, so the log-log spline loses its digits and then
+# fails (from ~335); from ~1940 the head terms overflow to nan.
+HEAVY_BETA_MAX = 300.0
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -654,6 +659,11 @@ class _HeavyLawBase(Law):
         if not (beta > 1.0):
             raise ValueError(
                 f"{self.kind} requires beta > 1 (got {beta}); the base moment diverges otherwise"
+            )
+        if beta > HEAVY_BETA_MAX:
+            raise ValueError(
+                f"{self.kind} requires beta <= {HEAVY_BETA_MAX:g} (got {beta}); "
+                "its tail table underflows beyond that"
             )
         self.beta = float(beta)
         self.kernel = _HeavyTailKernel(a, self.beta)

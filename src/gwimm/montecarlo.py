@@ -30,6 +30,7 @@ import numpy as np
 
 from .models import Law, Model
 from .pgf import IterateCache
+from .theta import theta_pmf
 
 _SIMULATE_STREAM = 0
 _NAIVE_STREAM = 1
@@ -213,20 +214,15 @@ def estimate_lower_tail_naive(model, n: int, k: int, cfg: SimConfig,
 # stratified estimator
 
 
-def _markov_tail_bound(cache: IterateCache, m: int, k: int) -> float:
-    """Computable upper bound on P(Y_m <= k) from the pgf Markov chain
-    (monotone product shortened to the cache horizon)."""
-    if k < 0:
-        return 0.0
-    if m <= k or k < 1:
-        return 1.0
-    fk = cache.fj0[k]
-    if fk <= 0.0:
-        return 1.0
-    val = cache.logF_pos[m] - cache.logF_pos[k] - k * math.log(fk)
-    if cache.zero_factors[m] != cache.zero_factors[k]:
-        return 0.0
-    return min(1.0, math.exp(val))
+def _markov_tail_bounds(cache: IterateCache, ms: np.ndarray, k: int) -> np.ndarray:
+    """Computable upper bounds on P(Y_m <= k) at the ages ms from the pgf
+    Markov chain (monotone product shortened to the cache horizon); 1 where
+    m <= k or f_k(0) gives no bound."""
+    if k < 1 or k > cache.N or cache.fj0[k] <= 0.0:
+        return np.ones(np.shape(ms))
+    with np.errstate(over="ignore"):
+        bounds = np.exp(cache.log_F_ratio(ms, k) - k * math.log(cache.fj0[k]))
+    return np.where(ms <= k, 1.0, np.minimum(1.0, bounds))
 
 
 def _age_bins(window: int, k: int) -> list[np.ndarray]:
@@ -256,10 +252,10 @@ def estimate_lower_tail_stratified(
     estimate = F(n)  (the all-dead atom, exact)
              + sum over strata of P(theta_n in stratum) * p_hat,
     where a stratum is a single cohort age near the k-sized window and a
-    geometric band of ages deeper in; weights are exact from the cache,
-    within-band ages are drawn proportionally to their exact weights, and
-    the conditional indicator is estimated by rejection-sampled surviving
-    cohorts plus independent younger-process copies.  Strata beyond the
+    geometric band of ages deeper in; weights are the exact law of theta_n
+    (theta_pmf), within-band ages are drawn proportionally to their exact
+    weights, and the conditional indicator is estimated by rejection-sampled
+    surviving cohorts plus independent younger-process copies.  Strata beyond the
     epsilon-window or allocated no samples are bracketed, not sampled.
     The sample budget splits across cfg.streams substreams merged in
     stream-index order; `jobs` threads only fan the streams out.
@@ -272,12 +268,12 @@ def estimate_lower_tail_stratified(
         raise ValueError("stratified estimator needs k >= 1")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    atom = cache.F_ratio(n, 0)
-
+    law = theta_pmf(cache, n)
+    atom = law.atom_none
     ages = np.arange(0, n)
-    f_ratios = np.array([cache.F_ratio(n, int(m) + 1) for m in ages])
-    weights = cache.one_minus_hfj0[ages] * f_ratios
-    bounds = np.array([_markov_tail_bound(cache, int(m), k - 1) for m in ages])
+    weights = law.pmf[n - ages]
+    f_ratios = cache.F_ratio(n, ages + 1)
+    bounds = _markov_tail_bounds(cache, ages, k - 1)
     window = int(min(n - 1, math.floor(k / epsilon)))
     bracket = float(np.dot(weights[window + 1:], bounds[window + 1:]))
 

@@ -79,9 +79,23 @@ class IterateCache:
             if isinstance(value, np.ndarray):
                 _frozen(value)
 
+    def log_F_ratio(self, n, m) -> np.ndarray:
+        """log F(n)/F(m) = sum_{j=m}^{n-1} log h(f_j(0)), elementwise over
+        ints or broadcasting arrays.  -inf where a zero factor lies between
+        m and n; finite when a common zero factor makes both F vanish.  The
+        only reader of logF_pos and zero_factors."""
+        return np.where(self.zero_factors[n] == self.zero_factors[m],
+                        self.logF_pos[n] - self.logF_pos[m], -np.inf)
+
+    def F_ratio(self, n, m):
+        """F(n)/F(m) = prod_{j=m}^{n-1} h(f_j(0)), elementwise as
+        log_F_ratio; a float for scalar arguments."""
+        ratio = np.exp(self.log_F_ratio(n, m))
+        return ratio if np.ndim(ratio) else float(ratio)
+
     def logF_at(self, ns) -> np.ndarray:
         """log F(n) at the generations ns (-inf where a factor is 0)."""
-        return np.where(self.zero_factors[ns] > 0, -np.inf, self.logF_pos[ns])
+        return self.log_F_ratio(ns, 0)
 
     def logL_at(self, ns) -> np.ndarray:
         """log L(n) = -gamma log n - log F(n) at the generations ns >= 1."""
@@ -112,13 +126,6 @@ class IterateCache:
     @cached_property
     def L(self) -> np.ndarray:
         return _frozen(np.exp(self.logL))
-
-    def F_ratio(self, n: int, m: int) -> float:
-        """F(n)/F(m) = prod_{j=m}^{n-1} h(f_j(0)); stays finite when a
-        common zero factor makes both F values vanish."""
-        if self.zero_factors[n] != self.zero_factors[m]:
-            return 0.0
-        return math.exp(self.logF_pos[n] - self.logF_pos[m])
 
 
 # Generations are added to an iterate store in blocks of this length: a
@@ -258,6 +265,8 @@ class TruncatedPmf:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
+        if not np.all(np.isfinite(probs)):
+            raise FloatingPointError("non-finite coefficient in truncated pmf")
         if np.any(probs < -1e-9):
             raise ValueError("negative probability in truncated pmf")
         self.probs = np.maximum(probs, 0.0)

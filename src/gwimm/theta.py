@@ -51,12 +51,7 @@ def theta_pmf(cache: IterateCache, n: int) -> ThetaLaw:
     pmf = np.zeros(n + 1)
     if n >= 1:
         m = n - np.arange(1, n + 1)  # cohort age at the horizon
-        ratio = np.where(
-            cache.zero_factors[n] == cache.zero_factors[m + 1],
-            np.exp(cache.logF_pos[n] - cache.logF_pos[m + 1]),
-            0.0,
-        )
-        pmf[1:] = cache.one_minus_hfj0[m] * ratio
+        pmf[1:] = cache.one_minus_hfj0[m] * cache.F_ratio(n, m + 1)
     return ThetaLaw(n=n, pmf=pmf, atom_none=float(cache.F[n]))
 
 
@@ -93,10 +88,4 @@ def joint_Y_theta_window(
     if k < 0 or m_max < 0:
         return np.zeros(m_max + 1)
     rows = _chain_store(model, K).rows(m_max + 1)
-    idx = np.arange(1, m_max + 2)
-    scale = np.where(
-        cache.zero_factors[n] == cache.zero_factors[idx],
-        np.exp(cache.logF_pos[n] - cache.logF_pos[idx]),
-        0.0,
-    )
-    return rows[:, k] * scale
+    return rows[:, k] * cache.F_ratio(n, np.arange(1, m_max + 2))

@@ -212,56 +212,42 @@ def check_mc_vs_exact(scale: str) -> CheckResult:
 _SUP_GRID = (128, 256, 512)
 
 
-def _sup_growth(sups: list[float]) -> float:
-    return max(
-        (sups[i + 1] - sups[i]) / sups[i] for i in range(len(sups) - 1)
-    )
+def _doubling_check(name: str, sup_at) -> CheckResult:
+    """sup_at(model, n) over _SUP_GRID for both light models; passes while
+    no doubling of n grows the sup by more than 5%."""
+    worst = -math.inf
+    parts = []
+    for model in (_bin_bern(), _geo_bern()):
+        sups = [sup_at(model, n) for n in _SUP_GRID]
+        worst = max(worst, max((b - a) / a for a, b in zip(sups, sups[1:])))
+        parts.append(f"{model.describe()}: " + ",".join(f"{s:.4f}" for s in sups))
+    return CheckResult(name, worst <= 0.05, worst, 0.05, "; ".join(parts))
 
 
 def check_lemma9_sup(scale: str) -> CheckResult:
     """sup_m m P(Y_n = m) stays bounded as n doubles."""
-    worst = -math.inf
-    parts = []
-    for model in (_bin_bern(), _geo_bern()):
-        sups = []
-        for n in _SUP_GRID:
-            K = 6 * n
-            pmf = exact_pmf_Y(model, n, K, deficit_ceiling=1.0)
-            sups.append(float(np.max(np.arange(K + 1) * pmf.probs)))
-        worst = max(worst, _sup_growth(sups))
-        parts.append(f"{model.describe()}: " + ",".join(f"{s:.4f}" for s in sups))
-    return CheckResult("lemma9-sup", worst <= 0.05, worst, 0.05, "; ".join(parts))
+    def sup(model, n):
+        pmf = exact_pmf_Y(model, n, 6 * n, deficit_ceiling=1.0)
+        return float(np.max(np.arange(6 * n + 1) * pmf.probs))
+    return _doubling_check("lemma9-sup", sup)
 
 
 def check_lemma10p_bound(scale: str) -> CheckResult:
     """sup_k k*(age)*P(cohort = k) stays bounded as the age doubles."""
-    worst = -math.inf
-    parts = []
-    for model in (_bin_bern(), _geo_bern()):
-        sups = []
-        for n in _SUP_GRID:
-            K = 6 * n
-            pmf = exact_pmf_Z(model, n, K, deficit_ceiling=1.0)
-            sups.append(float(np.max(np.arange(K + 1) * n * pmf.probs)))
-        worst = max(worst, _sup_growth(sups))
-        parts.append(f"{model.describe()}: " + ",".join(f"{s:.4f}" for s in sups))
-    return CheckResult("lemma10p-bound", worst <= 0.05, worst, 0.05, "; ".join(parts))
+    def sup(model, n):
+        pmf = exact_pmf_Z(model, n, 6 * n, deficit_ceiling=1.0)
+        return float(np.max(np.arange(6 * n + 1) * n * pmf.probs))
+    return _doubling_check("lemma10p-bound", sup)
 
 
 def check_lemma8_decay(scale: str) -> CheckResult:
     """sup_t |H_n(e^it)| (n|t|)^theta stays bounded as n doubles."""
-    worst = -math.inf
-    parts = []
-    for model in (_bin_bern(), _geo_bern()):
+    ts = np.geomspace(1e-4, math.pi / 2, 400)
+
+    def sup(model, n):
         theta_exp = min(2.0 * model.gamma, 0.5)
-        sups = []
-        ts = np.geomspace(1e-4, math.pi / 2, 400)
-        for n in _SUP_GRID:
-            H = charfn_modulus(model, n, ts)
-            sups.append(float(np.max(H * (n * ts) ** theta_exp)))
-        worst = max(worst, _sup_growth(sups))
-        parts.append(f"{model.describe()}: " + ",".join(f"{s:.4f}" for s in sups))
-    return CheckResult("lemma8-decay", worst <= 0.05, worst, 0.05, "; ".join(parts))
+        return float(np.max(charfn_modulus(model, n, ts) * (n * ts) ** theta_exp))
+    return _doubling_check("lemma8-decay", sup)
 
 
 def check_gw_llt_ratio(scale: str) -> CheckResult:

@@ -17,6 +17,7 @@ from gwimm.montecarlo import (
     substream,
 )
 from gwimm.reporting import rows_to_csv, serialize
+from gwimm.theta import theta_survival
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +169,16 @@ class TestTheta:
             tail = math.fsum(probs[l + 1:]) + atom
             assert surv[l] == pytest.approx(tail, abs=1e-14)
 
+    def test_survival_column_matches_theta_survival(self, geo_bern_spec, geo_bern, capsys):
+        n = 512
+        code, out = run_cli(["theta", "--model", geo_bern_spec, "--n", str(n)], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        surv = np.array([float(r["survival"]) for r in rows[:-1]])
+        cache = extinction_iterates(geo_bern, n)
+        ref = np.array([theta_survival(cache, n, l) for l in range(1, n + 1)])
+        np.testing.assert_array_max_ulp(surv, ref, maxulp=1)
+
 
 class TestScanL:
     def test_geometric_limit(self, geo_bern_spec, capsys):
@@ -314,6 +325,36 @@ class TestSimulateEstimate:
         freq = {int(r["value"]): float(r["freq"]) for r in rows}
         for k, p in enumerate([0.375, 0.375, 0.125, 0.125]):
             assert abs(freq[k] - p) < 0.006
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["exact", "--n", "2"], "k,prob,cumulative,deficit"),
+    (["theta", "--n", "2"], "l,prob,survival"),
+    (["scan-L", "--grid", "10,100"], "n,F,L,dlogL_dlogn,trend"),
+    (["simulate", "--n", "2", "--samples", "10"], "n,samples,seed,streams,value,count,freq"),
+    (["estimate", "--n", "8", "--k", "2", "--samples", "20"],
+     "method,n,k,samples,seed,streams,estimate,stderr,samples_used,attempts,"
+     "bracket_low,bracket_high,guard_trips"),
+])
+def test_csv_header_is_the_documented_column_order(argv, header, bin_bern_spec, capsys):
+    code, out = run_cli(argv + ["--model", bin_bern_spec], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == header
+
+
+@pytest.mark.parametrize("family", ["log-heavy-immigration", "log-heavy-offspring"])
+def test_log_heavy_beta_above_cap_usage_error(family, tmp_path, capsys):
+    # beta = 2000 printed nan probabilities with exit 0
+    law = {"family": family, "params": {"beta": 2000}}
+    bern = {"family": "bernoulli01", "params": {"q1": 0.5}}
+    spec = tmp_path / "heavy.json"
+    spec.write_text(json.dumps({
+        "offspring": law if family.endswith("offspring") else {"family": "binary"},
+        "immigration": bern if family.endswith("offspring") else law,
+    }))
+    assert main(["exact", "--model", str(spec), "--n", "4", "--trunc", "16"]) == 2
+    err = capsys.readouterr().err
+    assert family in err and "beta" in err
 
 
 class TestVerifyCommand:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwimm import classify_xlogx, make_law, make_model
+from gwimm import classify_xlogx, extinction_iterates, make_law, make_model
 from gwimm.models import (
     FINITE,
+    HEAVY_BETA_MAX,
     INFINITE,
     LogHeavyImmigrationLaw,
     LogHeavyOffspringLaw,
@@ -72,6 +73,21 @@ class TestValidation:
         for family in ("log-heavy-offspring", "log-heavy-immigration"):
             with pytest.raises(ValueError, match="beta"):
                 make_law({"family": family, "params": {"beta": 1.0}})
+
+    def test_heavy_beta_above_cap_rejected(self):
+        # above the cap the tail table underflows: nan pmfs or a failed spline
+        for family in ("log-heavy-offspring", "log-heavy-immigration"):
+            with pytest.raises(ValueError, match=f"{family} requires beta <= 300"):
+                make_law({"family": family, "params": {"beta": HEAVY_BETA_MAX + 1}})
+
+    def test_heavy_beta_at_cap_stays_finite(self):
+        bern = {"family": "bernoulli01", "params": {"q1": 0.5}}
+        for offspring, immigration in (
+            ("binary", {"family": "log-heavy-immigration", "params": {"beta": HEAVY_BETA_MAX}}),
+            ({"family": "log-heavy-offspring", "params": {"beta": HEAVY_BETA_MAX}}, bern),
+        ):
+            cache = extinction_iterates(make_model(offspring, immigration), 1000)
+            assert np.all(np.isfinite(cache.logL[1:]))
 
     def test_unknown_family_and_missing_keys(self):
         with pytest.raises(ValueError, match="family"):

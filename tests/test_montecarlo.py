@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from gwimm import exact_pmf_Y, exact_pmf_Z, extinction_iterates, make_law
+from gwimm import exact_pmf_Y, exact_pmf_Z, extinction_iterates, make_law, make_model
 from gwimm import montecarlo as mc
 from gwimm.theta import theta_pmf
 
@@ -176,6 +178,52 @@ class TestStratifiedEstimator:
         res = mc.estimate_lower_tail_stratified(
             geo_bern, cache, 256, 8, mc.SimConfig(samples=5000, seed=2))
         assert 5000 <= res.samples_used <= 6500
+
+
+def _markov_bound_reference(cache, m, k):
+    """Upper bound on P(Y_m <= k) for one age, computed in scalars."""
+    if m <= k or k < 1:
+        return 1.0
+    fk = float(cache.fj0[k])
+    if fk <= 0.0:
+        return 1.0
+    if cache.zero_factors[m] != cache.zero_factors[k]:
+        return 0.0
+    return min(1.0, math.exp(cache.logF_pos[m] - cache.logF_pos[k] - k * math.log(fk)))
+
+
+_ZERO_FACTOR_MODEL = make_model("binary", {"family": "explicit", "probs": [0.0, 0.5, 0.5]})
+
+
+class TestStratifiedSetup:
+    """The set-up reads the theta_n law and the Markov bounds on arrays."""
+
+    @pytest.mark.parametrize("which", ["geo_bern", "bin_bern", "zero-factor"])
+    def test_markov_bounds_match_scalar_reference(self, which, request):
+        model = _ZERO_FACTOR_MODEL if which == "zero-factor" else request.getfixturevalue(which)
+        n = 96
+        cache = extinction_iterates(model, n)
+        ages = np.arange(n)
+        for k in (0, 1, 2, 7, 31, n - 2, n - 1, n, n + 5, cache.N + 3):
+            ref = np.array([_markov_bound_reference(cache, int(m), k) for m in ages])
+            got = mc._markov_tail_bounds(cache, ages, k)
+            np.testing.assert_array_max_ulp(got, ref, maxulp=1)
+        assert mc._markov_tail_bounds(cache, ages, 7)[-1] < 1.0
+
+    @pytest.mark.parametrize("which", ["geo_bern", "bin_bern"])
+    def test_bracket_uses_theta_law_weights(self, which, request):
+        # epsilon > k samples age 0 only, so every deeper age is bracketed:
+        # bracket_high = sum over ages m >= 1 of P(theta_n = n - m) * bound_m
+        model = request.getfixturevalue(which)
+        n, k = 80, 4
+        cache = extinction_iterates(model, n)
+        res = mc.estimate_lower_tail_stratified(
+            model, cache, n, k, mc.SimConfig(samples=200, seed=3), epsilon=2.0 * k)
+        ages = np.arange(1, n)
+        weights = theta_pmf(cache, n).pmf[n - ages]
+        bounds = [_markov_bound_reference(cache, int(m), k - 1) for m in ages]
+        assert res.bracket_high == pytest.approx(float(np.dot(weights, bounds)), rel=1e-14)
+        assert res.bracket_high > 0.0
 
 
 @pytest.mark.slow

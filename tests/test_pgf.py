@@ -191,6 +191,40 @@ class TestIterStore:
         assert np.max(err / np.spacing(np.abs(ref))) <= 1.0
 
 
+class TestFRatio:
+    """log_F_ratio and F_ratio, the one reader of the stored F."""
+
+    @pytest.mark.parametrize("model", [
+        make_model("geometric-critical", _BERN),
+        # h(0) = 0: a zero factor at j = 0, so F(n) = 0 for n >= 1
+        make_model("binary", {"family": "explicit", "probs": [0.0, 0.5, 0.5]}),
+    ], ids=["geo-bern", "bin-explicit"])
+    def test_arrays_equal_scalar_calls(self, model):
+        N = 48
+        cache = extinction_iterates(model, N)
+        ns, ms = np.meshgrid(np.arange(N + 1), np.arange(N + 1), indexing="ij")
+        log_ratio, ratio = cache.log_F_ratio(ns, ms), cache.F_ratio(ns, ms)
+        for n in range(N + 1):
+            for m in range(N + 1):
+                scalar = cache.F_ratio(n, m)
+                assert type(scalar) is float
+                assert scalar == ratio[n, m]
+                assert cache.log_F_ratio(n, m) == log_ratio[n, m]
+        assert np.array_equal(cache.F_ratio(N, np.arange(N + 1)), ratio[N])
+        assert np.array_equal(np.diag(ratio), np.ones(N + 1))
+        assert np.array_equal(cache.logF_at(np.arange(N + 1)), log_ratio[:, 0])
+
+    def test_zero_factor_ratios(self):
+        cache = extinction_iterates(
+            make_model("binary", {"family": "explicit", "probs": [0.0, 0.5, 0.5]}), 16)
+        assert cache.F_ratio(5, 0) == 0.0
+        assert cache.log_F_ratio(5, 0) == -np.inf
+        # both F values vanish, their ratio does not
+        assert 0.0 < cache.F_ratio(5, 1) < 1.0
+        assert cache.F_ratio(5, 1) == pytest.approx(
+            math.prod(1.0 - cache.one_minus_hfj0[1:5]), rel=1e-14)
+
+
 class TestStepPmf:
     def test_two_steps_match_enumeration(self, bin_bern):
         start = TruncatedPmf(np.array([1.0] + [0.0] * 16))
@@ -553,6 +587,11 @@ class TestTruncatedPmf:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             TruncatedPmf(np.array([0.5, -0.1]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            TruncatedPmf(np.array([0.5, bad]))
 
     def test_clips_fft_noise(self):
         pmf = TruncatedPmf(np.array([1.0, -1e-18]))
