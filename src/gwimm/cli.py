@@ -113,7 +113,12 @@ def cmd_scan_L(args, model: Model):
         raise UsageError("scan-L grid entries must be >= 1")
     grid = sorted(set(grid))
     cache = extinction_iterates(model, max(grid))
-    F = np.exp(cache.logF_at(grid))
+    logF = cache.logF_at(grid)
+    if np.isneginf(logF).any():
+        n = grid[int(np.argmax(np.isneginf(logF)))]
+        raise UsageError(f"P(Y_n = 0) = 0 at n={n}, so L(n) = 1/(n**gamma P(Y_n = 0)) "
+                         "is undefined; scan-L needs an immigration law with mass at 0")
+    F = np.exp(logF)
     logL = cache.logL_at(grid)
     L = np.exp(logL)
     two_decade = L[-1] / L[0]

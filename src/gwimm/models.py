@@ -142,6 +142,21 @@ class Law:
     def apply_to_series(self, g: np.ndarray, K: int) -> np.ndarray:
         """Coefficients of pgf(g(s)) truncated at order K.
 
+        ``g`` is one series or a stack of series, one per row; each row of
+        the result has the bits of the call on that row alone.  This base
+        maps a stack row by row through _apply_one.
+        """
+        g = np.asarray(g, dtype=float)
+        if g.ndim == 1:
+            return self._apply_one(g, K)
+        out = np.empty((g.shape[0], K + 1))
+        for i, row in enumerate(g):
+            out[i] = self._apply_one(row, K)
+        return out
+
+    def _apply_one(self, g: np.ndarray, K: int) -> np.ndarray:
+        """apply_to_series on one series.
+
         Default: Horner over the pmf, exact for bounded support; families
         with closed pgfs override.  An unbounded law is cut at p_K, and
         when g[0] > 0 the dropped powers g**m, m > K, have mass at every
@@ -151,9 +166,17 @@ class Law:
         cut = self.support_bound if self.support_bound is not None else K
         return series_compose_poly(self.pmf_array(cut), g, K)
 
-    def iterate_series(self, m: int, K: int) -> np.ndarray | None:
-        """Closed-form series of the m-th pgf iterate, when available."""
-        return None
+    def iterate_series(self, g: np.ndarray, m: int, count: int, K: int) -> np.ndarray:
+        """Series of the pgf iterates f_{m+1}..f_{m+count}, one per row of
+        a (count, K+1) array, given g, the series of f_m.
+
+        Default: apply_to_series row after row; a family with a closed
+        form for its iterates overrides, with the same rows for every m.
+        """
+        out = np.empty((count, K + 1))
+        for i in range(count):
+            g = out[i] = self.apply_to_series(g, K)
+        return out
 
     # -- sampling -----------------------------------------------------------
 
@@ -265,22 +288,23 @@ class GeometricCriticalLaw(Law):
     def pmf_array(self, K):
         return 0.5 ** (np.arange(K + 1, dtype=float) + 1.0)
 
-    def apply_to_series(self, g, K):
+    def _apply_one(self, g, K):
         denom = -trim(g, K)
         denom[0] += 2.0
         return series_recip(denom, K)
 
-    def iterate_series(self, m, K):
-        # m-th iterate is (m - (m-1)s)/((m+1) - m s); coefficients
-        # j=0: m/(m+1), j>=1: m**(j-1)/(m+1)**(j+1).
-        out = np.zeros(K + 1)
-        out[0] = m / (m + 1.0)
+    def iterate_series(self, g, m, count, K):
+        # the i-th iterate is (i - (i-1)s)/((i+1) - i s); coefficients
+        # j=0: i/(i+1), j>=1: i**(j-1)/(i+1)**(j+1).  math.log per i, as
+        # one row at a time would take it, keeps the bits of that row.
+        its = range(m + 1, m + count + 1)
+        out = np.empty((count, K + 1))
+        out[:, 0] = [i / (i + 1.0) for i in its]
         if K >= 1:
             j = np.arange(1, K + 1, dtype=float)
-            if m == 0:
-                out[1] = 1.0
-            else:
-                out[1:] = np.exp((j - 1.0) * math.log(m) - (j + 1.0) * math.log(m + 1.0))
+            log_i = np.array([[math.log(i)] for i in its])
+            log_i1 = np.array([[math.log(i + 1.0)] for i in its])
+            out[:, 1:] = np.exp((j - 1.0) * log_i - (j + 1.0) * log_i1)
         return out
 
     def sample(self, size, rng):
@@ -313,7 +337,8 @@ class BinaryLaw(Law):
         return ("binary",)
 
     def _pgf(self, s):
-        return (1.0 + s * s) / 2.0
+        # 0.5 * x has the bits of x / 2.0, without a complex division
+        return 0.5 + 0.5 * (s * s)
 
     def one_minus_pgf(self, u):
         return u * (2.0 - u) / 2.0
@@ -325,7 +350,7 @@ class BinaryLaw(Law):
             out[2] = 0.5
         return out
 
-    def apply_to_series(self, g, K):
+    def _apply_one(self, g, K):
         out = 0.5 * series_square(g, K)
         out[0] += 0.5
         return out
@@ -365,7 +390,7 @@ class PoissonLaw(Law):
         k = np.arange(K + 1, dtype=float)
         return np.exp(k * math.log(self.rate) - gammaln(k + 1.0) - self.rate)
 
-    def apply_to_series(self, g, K):
+    def _apply_one(self, g, K):
         # exp(rate (g - 1)), with no pmf cut-off; g[1:] >= 0 for a pgf
         g = trim(g, K)
         a = self.rate * g
@@ -412,8 +437,9 @@ class Bernoulli01Law(Law):
         return out
 
     def apply_to_series(self, g, K):
+        # elementwise, so a stack of series maps in one expression
         out = self.q1 * trim(g, K)
-        out[0] += 1.0 - self.q1
+        out[..., 0] += 1.0 - self.q1
         return out
 
     def sample(self, size, rng):

@@ -281,22 +281,11 @@ class TruncatedPmf:
         return float(self.probs[k]) if 0 <= k <= self.K else 0.0
 
 
-def _next_series(off, g, m: int, K: int) -> np.ndarray:
-    """Series of f_m, given g, the series of f_{m-1} (unused at m = 0)."""
-    closed = off.iterate_series(m, K)
-    if closed is not None:
-        return closed
-    if m == 0:
-        return identity_series(K)
-    return off.apply_to_series(g, K)
-
-
-def _iterate_series_chain(model: Model, upto: int, K: int):
-    """Yield (m, series of f_m) for m = 0..upto."""
-    g = None
-    for m in range(upto + 1):
-        g = _next_series(model.offspring, g, m, K)
-        yield m, g
+# The series chain steps this many generations per block: one call for the
+# block's offspring iterates and one for its immigration factors, then one
+# truncated product per generation.  Every row has the bits it would have
+# one generation at a time, so block edges never show in a result.
+CHAIN_BLOCK = 64
 
 
 class _ChainStore:
@@ -321,7 +310,7 @@ class _ChainStore:
         acc = np.zeros(K + 1)
         acc[0] = 1.0
         self.horizons = [0]
-        self.states = [(_frozen(_next_series(model.offspring, None, 0, K)), _frozen(acc))]
+        self.states = [(_frozen(identity_series(K)), _frozen(acc))]
         self.nrows = 0
         self._rows = np.zeros((0, K + 1))  # capacity doubles as rows grow
 
@@ -351,20 +340,25 @@ class _ChainStore:
         g, acc = self.states[i]
         off, imm, K = self.model.offspring, self.model.immigration, self.K
         while m < n:
-            factor = imm.apply_to_series(g, K)
+            count = min(CHAIN_BLOCK, n - m)
+            later = off.iterate_series(g, m, count, K)  # f_{m+1}..f_{m+count}
+            factors = imm.apply_to_series(np.concatenate((g[None], later[:-1])), K)
             if rows:
-                z = factor.copy()
-                z[0] = 0.0
-                self._rows[m] = series_mul(acc, z, K)
-            acc = series_mul(acc, factor, K)
-            m += 1
-            g = _next_series(off, g, m, K)
+                zs = factors.copy()
+                zs[:, 0] = 0.0
+            for r, factor in enumerate(factors):
+                if rows:
+                    self._rows[m + r] = series_mul(acc, zs[r], K)
+                acc = series_mul(acc, factor, K)
+            m += count
+            g = later[-1]
         if rows:
             self.nrows = n
         j = bisect_right(self.horizons, n)
         if self.horizons[j - 1] != n:
             self.horizons.insert(j, n)
-            self.states.insert(j, (_frozen(g), _frozen(acc)))
+            # a copy: a row of `later` would keep its whole block alive
+            self.states.insert(j, (_frozen(g.copy()), _frozen(acc)))
             j += 1
         return self.states[j - 1]
 
@@ -411,8 +405,9 @@ def _series_pmfs(model: Model, targets: list[int], K: int, initial: int) -> dict
 
 def _series_cohort(model: Model, m: int, K: int) -> np.ndarray:
     """Coefficients 0..K of h(f_m(s)) by series composition."""
-    for _, g in _iterate_series_chain(model, m, K):
-        pass
+    g = identity_series(K)
+    for start in range(0, m, CHAIN_BLOCK):
+        g = model.offspring.iterate_series(g, start, min(CHAIN_BLOCK, m - start), K)[-1]
     return model.immigration.apply_to_series(g, K)
 
 

@@ -27,12 +27,13 @@ _EXP_DIFF = np.subtract.outer(np.arange(EXP_BLOCK), np.arange(EXP_BLOCK)).clip(0
 
 
 def trim(a: np.ndarray, K: int) -> np.ndarray:
-    """Truncate (or zero-pad) ``a`` to exactly K+1 coefficients."""
+    """Truncate (or zero-pad) ``a`` to exactly K+1 coefficients; a stack
+    of series, one per row, is cut along its last axis."""
     a = np.asarray(a, dtype=float)
-    if a.shape[0] >= K + 1:
-        return a[: K + 1]
-    out = np.zeros(K + 1)
-    out[: a.shape[0]] = a
+    if a.shape[-1] >= K + 1:
+        return a[..., : K + 1]
+    out = np.zeros(a.shape[:-1] + (K + 1,))
+    out[..., : a.shape[-1]] = a
     return out
 
 
@@ -72,13 +73,16 @@ def _fft_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return exact + rest
 
 
+def _cut(full: np.ndarray, K: int) -> np.ndarray:
+    """trim for a fresh product: a slice when it has K+1 terms already."""
+    return full[: K + 1] if full.shape[0] > K else trim(full, K)
+
+
 def series_mul(a: np.ndarray, b: np.ndarray, K: int) -> np.ndarray:
     """Product of two series, truncated at order K."""
     a = np.asarray(a, dtype=float)[: K + 1]
     b = np.asarray(b, dtype=float)[: K + 1]
-    if K <= DIRECT_CONV_MAX:
-        return trim(np.convolve(a, b), K)
-    return trim(_fft_product(a, b), K)
+    return _cut(np.convolve(a, b) if K <= DIRECT_CONV_MAX else _fft_product(a, b), K)
 
 
 def series_mul_direct(a: np.ndarray, b: np.ndarray, K: int) -> np.ndarray:
@@ -102,9 +106,7 @@ def series_mul_direct(a: np.ndarray, b: np.ndarray, K: int) -> np.ndarray:
 def series_square(a: np.ndarray, K: int) -> np.ndarray:
     """a**2 truncated at order K (half the transforms on the FFT path)."""
     a = np.asarray(a, dtype=float)[: K + 1]
-    if K <= DIRECT_CONV_MAX:
-        return trim(np.convolve(a, a), K)
-    return trim(_fft_product(a, a), K)
+    return _cut(np.convolve(a, a) if K <= DIRECT_CONV_MAX else _fft_product(a, a), K)
 
 
 def series_pow(a: np.ndarray, m: int, K: int) -> np.ndarray:

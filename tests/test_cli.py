@@ -217,6 +217,21 @@ class TestScanL:
         code = main(["scan-L", "--model", geo_bern_spec, "--grid", "10,x"])
         assert code == 2
 
+    def test_refuses_a_law_without_zero_immigration(self, tmp_path, capsys):
+        # q0 = 0 makes h(f_0(0)) = 0, so F(n) = P(Y_n = 0) = 0 at every n >= 1
+        spec = tmp_path / "q0.json"
+        spec.write_text(json.dumps({
+            "offspring": {"family": "binary"},
+            "immigration": {"family": "explicit", "probs": [0.0, 0.5, 0.5]},
+        }))
+        for fmt in ("csv", "json"):
+            code = main(["scan-L", "--model", str(spec), "--grid", "10,100",
+                         "--format", fmt])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "P(Y_n = 0) = 0 at n=10" in captured.err
+
 
 class TestSimulateEstimate:
     def test_simulate_deterministic_bytes(self, bin_bern_spec, tmp_path):

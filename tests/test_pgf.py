@@ -27,10 +27,10 @@ from gwimm.pgf import (
     _STORES,
     CIRCLE_WINDOW,
     ITER_BLOCK,
+    _chain_store,
     _circle_products,
-    _iterate_series_chain,
 )
-from gwimm.series import series_mul, series_mul_direct
+from gwimm.series import identity_series, series_mul, series_mul_direct
 
 
 # every array an IterateCache exposes: its four fields, views of the store,
@@ -457,18 +457,129 @@ class TestCirclePath:
         assert exact_pmf_Z(geo_bern, 8, 512, deficit_ceiling=1.0).path == "series"
 
 
-def _plain_window(model, n, K):
-    """Coefficients 0..K of Y_n by a fresh series chain at order K."""
+def _one_generation_at_a_time(model, ns, K):
+    """{n: (series of f_n, series of H_n)} for n in ns, and the joint rows
+    R_0..R_{max(ns)-1}, by a fresh chain at order K that steps one
+    generation at a time: per generation one immigration factor, one
+    product per row and per H, then one offspring iterate."""
+    off, imm = model.offspring, model.immigration
+    g = identity_series(K)
     acc = np.zeros(K + 1)
     acc[0] = 1.0
-    for m, g in _iterate_series_chain(model, n, K):
-        if m == n:
-            return acc
-        acc = series_mul(acc, model.immigration.apply_to_series(g, K), K)
+    states, rows = {}, np.zeros((max(ns), K + 1))
+    for m in range(max(ns) + 1):
+        if m in ns:
+            states[m] = (g, acc)
+        if m == max(ns):
+            return states, rows
+        factor = imm.apply_to_series(g, K)
+        z = factor.copy()
+        z[0] = 0.0
+        rows[m] = series_mul(acc, z, K)
+        acc = series_mul(acc, factor, K)
+        g = off.iterate_series(g, m, 1, K)[0]
+
+
+def _plain_window(model, n, K):
+    """Coefficients 0..K of Y_n by a fresh series chain at order K."""
+    return _one_generation_at_a_time(model, [n], K)[0][n][1]
 
 
 def _heavy_imm():
     return make_model("binary", {"family": "log-heavy-immigration", "params": {"beta": 1.5}})
+
+
+def _bern(q1):
+    return {"family": "bernoulli01", "params": {"q1": q1}}
+
+
+class TestBlockWalk:
+    """The chain steps CHAIN_BLOCK generations per block; every state,
+    window and joint row keeps the bits of the one-generation walk."""
+
+    NS = [63, 64, 65, 129, 4097]
+
+    @pytest.mark.parametrize("model, K", [
+        (make_model("geometric-critical", _bern(0.5)), CIRCLE_WINDOW),
+        (make_model("binary", _bern(0.37)), CIRCLE_WINDOW),
+        (make_model("binary", {"family": "poisson", "params": {"mean": 2.3}}), CIRCLE_WINDOW),
+        (make_model("geometric-critical", "geometric-critical"), CIRCLE_WINDOW),
+        (make_model("binary", {"family": "explicit", "probs": [0.25, 0.5, 0.25]}),
+         CIRCLE_WINDOW),
+        (_heavy_imm(), 16),
+        (make_model({"family": "log-heavy-offspring", "params": {"beta": 1.5}}, _bern(0.5)),
+         8),
+    ], ids=["geo-bern", "bin-bern", "bin-po", "geo-geo", "bin-explicit", "heavy-imm",
+            "heavy-off"])
+    def test_equals_one_generation_at_a_time(self, model, K):
+        ref, ref_rows = _one_generation_at_a_time(model, self.NS, K)
+        _CHAINS.clear()
+        store = _chain_store(model, K)
+        assert store.K == K
+        # continued from the horizon kept before it, so blocks start off the grid
+        for n in self.NS:
+            g, acc = store.state(n)
+            assert np.array_equal(g, ref[n][0]) and np.array_equal(acc, ref[n][1])
+            assert np.array_equal(store.rows(n), ref_rows[:n])
+        # a log-heavy law is cut at the window's order, so only k = K is a slice
+        light = model.offspring.vectorised_pgf and model.immigration.vectorised_pgf
+        for n in self.NS:
+            _CHAINS.clear()
+            for k in ({1, 8, K} if light else {K}):
+                window = exact_pmf_Y(model, n, k, deficit_ceiling=math.inf).probs
+                assert np.array_equal(window, ref[n][1][: k + 1])
+
+    @pytest.mark.parametrize("K", [0, 1, 64, 600])
+    def test_geometric_block_hook_is_the_closed_form(self, K):
+        def closed_form(m):
+            # m-th iterate (m - (m-1)s)/((m+1) - m s), one m at a time
+            out = np.zeros(K + 1)
+            out[0] = m / (m + 1.0)
+            if K >= 1:
+                j = np.arange(1, K + 1, dtype=float)
+                if m == 0:
+                    out[1] = 1.0
+                else:
+                    out[1:] = np.exp((j - 1.0) * math.log(m) - (j + 1.0) * math.log(m + 1.0))
+            return out
+
+        law = make_law("geometric-critical")
+        unused = np.full(K + 1, np.nan)  # the closed form ignores f_m
+        assert np.array_equal(identity_series(K), closed_form(0))
+        for m in (1, 2, 1000, 4096):
+            assert np.array_equal(law.iterate_series(unused, m - 1, 1, K)[0], closed_form(m))
+            first = max(m - 5, 0)
+            block = law.iterate_series(unused, first, 9, K)
+            assert block.shape == (9, K + 1)
+            assert np.array_equal(block[m - first - 1], closed_form(m))
+
+
+class TestStackedApply:
+    @pytest.mark.parametrize("spec", [
+        _bern(0.3),
+        "geometric-critical",
+        "binary",
+        {"family": "poisson", "params": {"mean": 2.3}},
+        {"family": "explicit", "probs": [0.2, 0.3, 0.0, 0.5]},
+        {"family": "log-heavy-immigration", "params": {"beta": 1.5}},
+        {"family": "log-heavy-offspring", "params": {"beta": 2.5}},
+    ], ids=["bernoulli", "geometric", "binary", "poisson", "explicit", "heavy-imm",
+            "heavy-off"])
+    @pytest.mark.parametrize("K", [0, 5, 64])
+    def test_each_row_is_the_single_series_call(self, spec, K):
+        law = make_law(spec)
+        # iterates of the binary pgf: series of pgfs, some with g[0] = 0
+        stack = [identity_series(K + 3)]
+        for _ in range(6):
+            g = 0.5 * series_mul(stack[-1], stack[-1], K + 3)
+            g[0] += 0.5
+            stack.append(g)
+        for width in (K + 1, K + 4, min(K + 1, 2)):
+            rows = np.array([s[:width] for s in stack])
+            out = law.apply_to_series(rows, K)
+            assert out.shape == (len(rows), K + 1)
+            for row, got in zip(rows, out):
+                assert np.array_equal(got, law.apply_to_series(row, K))
 
 
 class TestChainStore:
@@ -477,11 +588,13 @@ class TestChainStore:
     @pytest.mark.parametrize("model", [
         _bpo4(),
         make_model("geometric-critical", "geometric-critical"),
+        make_model("binary", _bern(0.5)),
         _heavy_imm(),
-    ], ids=["bpo4", "geo-geo", "heavy-imm"])
+    ], ids=["bpo4", "geo-geo", "bin-bern", "heavy-imm"])
     def test_history_independent(self, model):
-        queries = [(n, k, init) for n in (0, 3, 16, 40, 128) for k in (1, 5, 32, 64)
-                   for init in (0, 2)]
+        # horizons on both sides of the block edges at 64 and 128
+        queries = [(n, k, init) for n in (0, 3, 16, 40, 63, 65, 128, 129)
+                   for k in (1, 5, 32, 64) for init in (0, 2)]
         alone = {}
         for q in queries:
             _CHAINS.clear()

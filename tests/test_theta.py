@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 import numpy as np
 
 from gwimm import exact_pmf_Y, exact_pmf_Z, extinction_iterates, make_model
-from gwimm.pgf import _CHAINS, _chain_store, _iterate_series_chain
-from gwimm.series import series_mul
+from gwimm.pgf import _CHAINS, _chain_store
+from gwimm.series import identity_series, series_mul
 from gwimm.theta import joint_Y_theta_window, theta_pmf, theta_survival
 
 
@@ -145,12 +145,14 @@ def _joint_per_call(model, cache, n, k, K, m_max):
     out = np.zeros(m_max + 1)
     acc = np.zeros(K + 1)
     acc[0] = 1.0
-    for m, g in _iterate_series_chain(model, m_max, K):
+    g = identity_series(K)
+    for m in range(m_max + 1):
         factor = model.immigration.apply_to_series(g, K)
         z = factor.copy()
         z[0] = 0.0
         out[m] = float(np.dot(z[: k + 1], acc[k::-1])) * cache.F_ratio(n, m + 1)
         acc = series_mul(acc, factor, K)
+        g = model.offspring.iterate_series(g, m, 1, K)[0]
     return out
 
 
