@@ -12,6 +12,7 @@ import math
 from gwimm import exact_pmf_Y_multi, extinction_iterates, make_model
 from gwimm.asymptotics import build_report_row, main2_eval, mellein_local
 from gwimm.cli import load_model_spec
+from gwimm.pgf import full_law_truncation
 
 
 def main():
@@ -30,9 +31,7 @@ def main():
     grid = [2**p for p in range(7, args.nmax_pow + 1)]
     cache = extinction_iterates(model, grid[-1])
     # truncation sized so even the deepest row keeps its trust label honest
-    from scipy.special import gammainccinv
-
-    K = int(float(gammainccinv(model.gamma, 1e-10)) * model.B * grid[-1] / 2) + 64
+    K = full_law_truncation(model, grid[-1], 1e-10)
     pmfs = exact_pmf_Y_multi(model, grid, K, deficit_ceiling=2.0)
 
     print(f"{'n':>6} {'k':>6} {'rule':>8} {'exact':>13} {'asymptote':>13} "

@@ -21,12 +21,7 @@ import numpy as np
 from scipy import special
 
 from .models import Model
-from .pgf import (
-    DEFAULT_DEFICIT_CEILING,
-    IterateCache,
-    exact_pmf_Y,
-    exact_pmf_Y_multi,
-)
+from .pgf import IterateCache, exact_pmf_Y, exact_pmf_Y_multi
 
 
 @dataclass
@@ -61,18 +56,17 @@ def gamma_limit_cdf(gamma: float, x: float) -> float:
     return float(special.gammainc(gamma, x))
 
 
+def _local_log(model: Model, n: int, logk):
+    """log of (2/B)^g k^(g-1) n^-g / Gamma(g), the factor shared by the
+    local asymptote and the local-limit density, from log k (a float or an
+    array), summed left to right."""
+    g = model.gamma
+    return -special.gammaln(g) + g * math.log(2.0 / model.B) + (g - 1.0) * logk - g * math.log(n)
+
+
 def mellein_local(model: Model, n: int, k: int) -> float:
     """Local-limit density value (2/B)^g k^(g-1) n^-g e^(-2k/(Bn)) / Gamma(g)."""
-    g, B = model.gamma, model.B
-    return float(
-        math.exp(
-            -special.gammaln(g)
-            + g * math.log(2.0 / B)
-            + (g - 1.0) * math.log(k)
-            - g * math.log(n)
-            - 2.0 * k / (B * n)
-        )
-    )
+    return float(math.exp(_local_log(model, n, math.log(k)) - 2.0 * k / (model.B * n)))
 
 
 def _l_ratio_log(cache: IterateCache, k: int, n: int) -> float:
@@ -100,16 +94,7 @@ def main2_eval(model: Model, cache: IterateCache, n: int, k: int) -> float:
     """Local asymptote for P(Y_n = k), k -> inf with k = o(n) (aperiodic)."""
     if not (1 <= k <= n <= cache.N):
         raise ValueError("need 1 <= k <= n <= cache horizon")
-    g, B = model.gamma, model.B
-    return float(
-        math.exp(
-            -special.gammaln(g)
-            + g * math.log(2.0 / B)
-            + (g - 1.0) * math.log(k)
-            - g * math.log(n)
-            + _l_ratio_log(cache, k, n)
-        )
-    )
+    return float(math.exp(_local_log(model, n, math.log(k)) + _l_ratio_log(cache, k, n)))
 
 
 def main3_mu_estimate(model: Model, cache: IterateCache, n_grid, k: int) -> np.ndarray:
@@ -133,8 +118,7 @@ def gw_llt_eval(gprime1: float, B: float, n: int, j: int) -> float:
     return 4.0 * gprime1 / (B * n) ** 2 * math.exp(-2.0 * j / (B * n))
 
 
-def conjecture_sup(model: Model, n: int, epsilon: float, K: int,
-                   deficit_ceiling: float = DEFAULT_DEFICIT_CEILING) -> float:
+def conjecture_sup(model: Model, n: int, epsilon: float, K: int) -> float:
     """sup over k >= eps*n of the uniform typical-zone local error
 
         | n P(Y_n=k) - (2/B) (2k/(Bn))^(gamma-1) e^(-2k/(Bn)) / Gamma(gamma) |,
@@ -148,39 +132,32 @@ def conjecture_sup(model: Model, n: int, epsilon: float, K: int,
     lo = int(math.ceil(epsilon * n))
     if lo > K:
         return 0.0  # empty range convention
-    pmf = exact_pmf_Y(model, n, K, 0, deficit_ceiling)
-    g, B = model.gamma, model.B
+    pmf = exact_pmf_Y(model, n, K)
     ks = np.arange(max(lo, 1), K + 1, dtype=float)
-    dens = np.exp(
-        math.log(2.0 / B)
-        - special.gammaln(g)
-        + (g - 1.0) * (np.log(2.0 * ks) - math.log(B * n))
-        - 2.0 * ks / (B * n)
-    )
+    # n times the local-limit density
+    dens = n * np.exp(_local_log(model, n, np.log(ks)) - 2.0 * ks / (model.B * n))
     return float(np.max(np.abs(n * pmf.probs[max(lo, 1):] - dens)))
 
 
-def lemma5_ratio(model: Model, cache: IterateCache, n: int, k: int, K: int,
-                 deficit_ceiling: float = DEFAULT_DEFICIT_CEILING) -> float:
+def lemma5_ratio(model: Model, cache: IterateCache, n: int, k: int, K: int) -> float:
     """P(Y_n <= k) / prod_{j=k}^{n-1} h(f_j(0)); sandwiched between
-    positive constants uniformly in 1 <= k <= n."""
+    positive constants uniformly in 1 <= k <= n.  P(Y_n <= k) is read off
+    the window 0..K, exact at any K >= k, so no deficit is checked."""
     if not (1 <= k <= n <= cache.N):
         raise ValueError("need 1 <= k <= n <= cache horizon")
     if k > K:
         raise ValueError("truncation bound smaller than k")
-    pmf = exact_pmf_Y(model, n, K, 0, deficit_ceiling)
+    pmf = exact_pmf_Y(model, n, K, deficit_ceiling=math.inf)
     tail = float(pmf.cdf()[k])
     return tail / cache.F_ratio(n, k)
 
 
-def lemma5_sandwich(model: Model, cache: IterateCache, n, k, K: int,
-                    deficit_ceiling: float = DEFAULT_DEFICIT_CEILING
-                    ) -> tuple[float, float]:
+def lemma5_sandwich(model: Model, cache: IterateCache, n, k, K: int) -> tuple[float, float]:
     """(min, max) of the lemma5_ratio over grids of n and k (scalars allowed)."""
     ns = [n] if np.isscalar(n) else list(n)
     ks = [k] if np.isscalar(k) else list(k)
     ratios = [
-        lemma5_ratio(model, cache, int(nn), int(kk), K, deficit_ceiling)
+        lemma5_ratio(model, cache, int(nn), int(kk), K)
         for nn in ns
         for kk in ks
         if kk <= nn

@@ -21,13 +21,12 @@ import math
 import sys
 
 import numpy as np
-from scipy import special
 
 from . import montecarlo as mc
-from .models import Model, make_law, make_model
-from .pgf import DeficitError, exact_pmf_Y, extinction_iterates
+from .models import Model, make_model
+from .pgf import DeficitError, exact_pmf_Y, extinction_iterates, full_law_truncation
 from .reporting import serialize
-from .theta import theta_pmf
+from .theta import theta_pmf, theta_survival
 from .verify import run_checks
 
 
@@ -52,18 +51,9 @@ def load_model_spec(path: str) -> Model:
         if key not in doc:
             raise UsageError(f"model spec missing key '{key}'")
     try:
-        return make_model(make_law(doc["offspring"]), make_law(doc["immigration"]))
+        return make_model(doc["offspring"], doc["immigration"])
     except ValueError as exc:
         raise UsageError(f"model spec: {exc}") from None
-
-
-def _default_trunc(model: Model, n: int, ceiling: float = 1e-7) -> int:
-    """Truncation bound sized so the tail mass stays under the deficit
-    ceiling, from the gamma-limit tail."""
-    if n == 0:
-        return 64
-    x_hi = float(special.gammainccinv(model.gamma, ceiling / 10.0))
-    return int(x_hi * model.B * n / 2.0) + 64
 
 
 def _check_n(args):
@@ -78,7 +68,7 @@ def cmd_exact(args, model: Model):
     n = args.n
     if n == 0:
         return [{"k": args.initial, "prob": 1.0, "cumulative": 1.0, "deficit": 0.0}]
-    K = args.trunc if args.trunc is not None else _default_trunc(model, n)
+    K = args.trunc if args.trunc is not None else full_law_truncation(model, n, 1e-8)
     pmf = exact_pmf_Y(model, n, K, args.initial)
     cum = np.cumsum(pmf.probs)
     return [
@@ -95,7 +85,7 @@ def cmd_theta(args, model: Model):
     cache = extinction_iterates(model, n)
     law = theta_pmf(cache, n)
     ls = np.arange(1, n + 1)
-    survival = cache.F_ratio(n, n - ls)  # P(theta_n > l)
+    survival = theta_survival(cache, n, ls)
     rows = [{"l": l, "prob": p, "survival": s}
             for l, p, s in zip(ls.tolist(), law.pmf[1:].tolist(), survival.tolist())]
     rows.append({"l": "atom", "prob": law.atom_none, "survival": law.atom_none})

@@ -42,7 +42,7 @@ def step_pmf(model: Model, y: TruncatedPmf) -> TruncatedPmf:
         acc = series_mul(acc, inner, K)
         acc[0] += y.probs[m]
     acc = series_mul(acc, model.immigration.pmf_array(K), K)
-    return TruncatedPmf(acc, K)
+    return TruncatedPmf(acc)
 
 
 def enumerate_population_pmf(offspring_probs, immigration_probs, n: int,

@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import fft as sp_fft
+from scipy import special
 
 from .models import Model
 from .series import DIRECT_CONV_MAX, identity_series, series_mul, series_pow
@@ -243,8 +244,9 @@ def kolmogorov_diagnostic(cache: IterateCache) -> np.ndarray:
 class TruncatedPmf:
     """Probability vector on 0..K with the lost tail mass tracked.
 
-    Mass beyond K is dropped, never renormalized.  ``path`` names the
-    engine that produced the coefficients:
+    Mass beyond K is dropped, never renormalized.  K = len(probs) - 1 and
+    deficit = 1 - sum(probs) are derived from the coefficients.  ``path``
+    names the engine that produced them:
 
     - "series": truncated products of the factor series.  Up to
       K = DIRECT_CONV_MAX these are direct convolutions of nonnegative
@@ -259,9 +261,9 @@ class TruncatedPmf:
     """
 
     probs: np.ndarray
-    K: int = field(default=-1)
-    deficit: float = field(default=-1.0)
-    path: str = field(default="series")
+    path: str = "series"
+    K: int = field(init=False)
+    deficit: float = field(init=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -270,8 +272,7 @@ class TruncatedPmf:
         if np.any(probs < -1e-9):
             raise ValueError("negative probability in truncated pmf")
         self.probs = np.maximum(probs, 0.0)
-        if self.K < 0:
-            self.K = self.probs.shape[0] - 1
+        self.K = self.probs.shape[0] - 1
         self.deficit = max(0.0, 1.0 - math.fsum(self.probs.tolist()))
 
     def cdf(self) -> np.ndarray:
@@ -279,6 +280,19 @@ class TruncatedPmf:
 
     def __getitem__(self, k: int) -> float:
         return float(self.probs[k]) if 0 <= k <= self.K else 0.0
+
+
+def full_law_truncation(model: Model, n: int, tail: float) -> int:
+    """Truncation bound for the full law of Y_n: 64 past the point x B n / 2
+    beyond which the gamma limit law of 2 Y_n / (B n) keeps mass ``tail``,
+    so the deficit at K is of the order of ``tail``."""
+    x_hi = float(special.gammainccinv(model.gamma, tail))
+    return int(x_hi * model.B * n / 2.0) + 64
+
+
+def _check_generation(n: int, name: str = "n") -> None:
+    if n < 0:
+        raise ValueError(f"generation count must be >= 0, got {name}={n}")
 
 
 # The series chain steps this many generations per block: one call for the
@@ -366,19 +380,24 @@ class _ChainStore:
 _CHAINS: dict[tuple[Model, int], _ChainStore] = {}
 
 
+def _closed_form(model: Model) -> bool:
+    """Whether both laws are vectorised_pgf laws: those whose pgf is a
+    closed form on complex arrays (so a full law can take the circle path)
+    and whose apply_to_series and iterate_series are exact in the
+    truncated ring at any order (closed forms, bounded support, the
+    Poisson exponential)."""
+    return model.offspring.vectorised_pgf and model.immigration.vectorised_pgf
+
+
 def _chain_order(model: Model, K: int) -> int:
     """Order of the stored chain that serves windows at K.
 
-    The vectorised_pgf laws are exactly those whose apply_to_series and
-    iterate_series are exact in the truncated ring at any order (closed
-    forms, bounded support, the Poisson exponential), so coefficients
-    0..K of their chain at a higher order are the same numbers up to
-    rounding and one chain at CIRCLE_WINDOW serves every K below it.
-    Log-heavy laws are cut at K, so their chain must run at K itself.
+    For closed-form models, coefficients 0..K of the chain at a higher
+    order are the same numbers up to rounding, so one chain at
+    CIRCLE_WINDOW serves every K below it.  Log-heavy laws are cut at K,
+    so their chain must run at K itself.
     """
-    if model.offspring.vectorised_pgf and model.immigration.vectorised_pgf:
-        return max(K, CIRCLE_WINDOW)
-    return K
+    return max(K, CIRCLE_WINDOW) if _closed_form(model) else K
 
 
 def _chain_store(model: Model, K: int) -> _ChainStore:
@@ -411,11 +430,6 @@ def _series_cohort(model: Model, m: int, K: int) -> np.ndarray:
     return model.immigration.apply_to_series(g, K)
 
 
-def _on_circle(model: Model, K: int) -> bool:
-    return (K > DIRECT_CONV_MAX and model.offspring.vectorised_pgf
-            and model.immigration.vectorised_pgf)
-
-
 def _circle_points(K: int):
     """(N, r, z): z the N // 2 + 1 points r e^{-2 pi i j / N}, the half
     circle a real inverse FFT of length N reads."""
@@ -429,20 +443,22 @@ def _circle_coefficients(values: np.ndarray, N: int, r: float, K: int) -> np.nda
     return sp_fft.irfft(values, N)[: K + 1] * r ** -np.arange(K + 1.0)
 
 
-def _circle_products(model: Model, z: np.ndarray, targets):
+def _circle_products(model: Model, z: np.ndarray, targets, products: bool = True):
     """Yield (n, H_n(z), f_n(z)) for n in the sorted targets, where
     H_n(z) = prod_{m<n} h(f_m(z)): each generation multiplies in h(z),
-    then steps z <- f(z)."""
+    then steps z <- f(z).  With products=False only z steps and H_n is
+    None."""
     imm, off = model.immigration, model.offspring
     # the first generation goes through Law.pgf, which checks that the start
     # points lie in the closed disk; a pgf maps the disk into itself, so
     # later generations call _pgf and skip the check
     h, f = imm.pgf, off.pgf
-    w = np.ones_like(z)
+    w = np.ones_like(z) if products else None
     done = 0
     for n in targets:
         for _ in range(n - done):
-            w = w * h(z)
+            if products:
+                w = w * h(z)
             z = f(z)
             h, f = imm._pgf, off._pgf
         done = n
@@ -460,6 +476,49 @@ def _circle_pmfs(model: Model, targets: list[int], K: int, initial: int) -> dict
             w = w * fz**initial
         out[n] = _circle_coefficients(w, N, r, K)
         out[n][: CIRCLE_WINDOW + 1] = window[n]
+    return out
+
+
+def _circle_cohort(model: Model, m: int, K: int) -> np.ndarray:
+    """As _series_cohort, from h(f_m(z)) on a damped circle; coefficients
+    0..CIRCLE_WINDOW from _series_cohort at K = CIRCLE_WINDOW."""
+    N, r, z = _circle_points(K)
+    _, _, fz = next(_circle_products(model, z, [m], products=False))
+    probs = _circle_coefficients(model.immigration.pgf(fz), N, r, K)
+    probs[: CIRCLE_WINDOW + 1] = _series_cohort(model, m, CIRCLE_WINDOW)
+    return probs
+
+
+def _exact_laws(model: Model, ns, K: int, initial: int, deficit_ceiling: float,
+                cohort: bool = False) -> dict[int, TruncatedPmf]:
+    """Truncated laws at the generations ns, validated, routed and guarded:
+    the laws of Y_n (exact_pmf_Y_multi) or, with cohort=True, of one
+    cohort's line after m generations (exact_pmf_Z)."""
+    targets = sorted(set(int(n) for n in ns))
+    if targets:
+        _check_generation(targets[0], "m" if cohort else "n")
+    if initial < 0:
+        raise ValueError("initial population must be >= 0")
+    if K < 0:
+        raise ValueError(f"truncation bound must be >= 0, got K={K}")
+    if not targets:
+        return {}
+    path = "circle" if K > DIRECT_CONV_MAX and _closed_form(model) else "series"
+    if cohort:
+        engine = _circle_cohort if path == "circle" else _series_cohort
+        laws = {m: engine(model, m, K) for m in targets}
+    else:
+        engine = _circle_pmfs if path == "circle" else _series_pmfs
+        laws = engine(model, targets, K, initial)
+    out = {}
+    for m, probs in laws.items():
+        pmf = TruncatedPmf(probs, path=path)
+        if pmf.deficit > deficit_ceiling:
+            where = (f"for cohort law at m={m}; increase K={K}" if cohort
+                     else f"at n={m}; increase the truncation bound K={K}")
+            raise DeficitError(
+                f"deficit {pmf.deficit:.3e} exceeds ceiling {deficit_ceiling:.3e} {where}")
+        out[m] = pmf
     return out
 
 
@@ -493,27 +552,7 @@ def exact_pmf_Y_multi(
       at K = CIRCLE_WINDOW and keep full relative accuracy, the rest are
       within about 1e-13 absolute of the true probabilities.
     """
-    targets = sorted(set(int(n) for n in ns))
-    if targets and targets[0] < 0:
-        raise ValueError("generation count must be >= 0")
-    if initial < 0:
-        raise ValueError("initial population must be >= 0")
-    if K < 0:
-        raise ValueError(f"truncation bound must be >= 0, got K={K}")
-    if not targets:
-        return {}
-    path = "circle" if _on_circle(model, K) else "series"
-    engine = _circle_pmfs if path == "circle" else _series_pmfs
-    out: dict[int, TruncatedPmf] = {}
-    for m, probs in engine(model, targets, K, initial).items():
-        pmf = TruncatedPmf(probs, K, path=path)
-        if pmf.deficit > deficit_ceiling:
-            raise DeficitError(
-                f"deficit {pmf.deficit:.3e} exceeds ceiling {deficit_ceiling:.3e} "
-                f"at n={m}; increase the truncation bound K={K}"
-            )
-        out[m] = pmf
-    return out
+    return _exact_laws(model, ns, K, initial, deficit_ceiling)
 
 
 def exact_pmf_Y(
@@ -540,32 +579,13 @@ def exact_pmf_Z(
     pgfs, h(f_m(z)) on a damped circle with coefficients
     0..CIRCLE_WINDOW from the series composition at K = CIRCLE_WINDOW.
     """
-    if m < 0:
-        raise ValueError("generation count must be >= 0")
-    if K < 0:
-        raise ValueError(f"truncation bound must be >= 0, got K={K}")
-    if _on_circle(model, K):
-        N, r, z = _circle_points(K)
-        f = model.offspring.pgf  # domain check on the first step only, as above
-        for _ in range(m):
-            z = f(z)
-            f = model.offspring._pgf
-        probs = _circle_coefficients(model.immigration.pgf(z), N, r, K)
-        probs[: CIRCLE_WINDOW + 1] = _series_cohort(model, m, CIRCLE_WINDOW)
-        pmf = TruncatedPmf(probs, K, path="circle")
-    else:
-        pmf = TruncatedPmf(_series_cohort(model, m, K), K)
-    if pmf.deficit > deficit_ceiling:
-        raise DeficitError(
-            f"deficit {pmf.deficit:.3e} exceeds ceiling {deficit_ceiling:.3e} "
-            f"for cohort law at m={m}; increase K={K}"
-        )
-    return pmf
+    return _exact_laws(model, [m], K, 0, deficit_ceiling, cohort=True)[m]
 
 
 def charfn_modulus(model: Model, n: int, t_grid) -> np.ndarray:
     """|H_n(exp(it))| on a grid of real t, via the complex iteration
     z <- f(z) with the immigration factor accumulated each generation."""
+    _check_generation(n)
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     _, w, _ = next(_circle_products(model, np.exp(1j * t), [n]))
     return np.abs(w)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Model
-from .pgf import DEFAULT_DEFICIT_CEILING, IterateCache, _chain_store
+from .pgf import DEFAULT_DEFICIT_CEILING, IterateCache, _chain_store, _check_generation
 
 
 @dataclass
@@ -35,9 +35,11 @@ class ThetaLaw:
         return math.fsum(self.pmf.tolist()) + self.atom_none
 
 
-def theta_survival(cache: IterateCache, n: int, l: int) -> float:
-    """P(theta_n > l) = F(n)/F(n-l)."""
-    if not (0 <= l <= n):
+def theta_survival(cache: IterateCache, n: int, l):
+    """P(theta_n > l) = F(n)/F(n-l); elementwise over an array of l, a
+    float for an int."""
+    ls = np.asarray(l)
+    if np.any((ls < 0) | (ls > n)):
         raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
     if n > cache.N:
         raise ValueError(f"cache horizon {cache.N} < n={n}")
@@ -46,12 +48,12 @@ def theta_survival(cache: IterateCache, n: int, l: int) -> float:
 
 def theta_pmf(cache: IterateCache, n: int) -> ThetaLaw:
     """Full law of theta_n from the iterate cache."""
+    _check_generation(n)
     if n > cache.N:
         raise ValueError(f"cache horizon {cache.N} < n={n}")
     pmf = np.zeros(n + 1)
-    if n >= 1:
-        m = n - np.arange(1, n + 1)  # cohort age at the horizon
-        pmf[1:] = cache.one_minus_hfj0[m] * cache.F_ratio(n, m + 1)
+    m = n - np.arange(1, n + 1)  # cohort age at the horizon
+    pmf[1:] = cache.one_minus_hfj0[m] * cache.F_ratio(n, m + 1)
     return ThetaLaw(n=n, pmf=pmf, atom_none=float(cache.F[n]))
 
 
@@ -78,8 +80,7 @@ def joint_Y_theta_window(
         raise ValueError(f"k={k} exceeds truncation bound K={K}")
     if n > cache.N:
         raise ValueError(f"cache horizon {cache.N} < n={n}")
-    if n < 0:
-        raise ValueError(f"generation count must be >= 0, got n={n}")
+    _check_generation(n)
     if m_max is None:
         m_max = n - 1
     elif m_max < 0:

@@ -21,7 +21,8 @@ from . import montecarlo as mc
 from .asymptotics import gw_llt_eval, lemma5_sandwich, main2_eval
 from .models import Model, make_law, make_model
 from .oracles import enumerate_population_pmf
-from .pgf import charfn_modulus, exact_pmf_Y, exact_pmf_Y_multi, exact_pmf_Z, extinction_iterates
+from .pgf import (charfn_modulus, exact_pmf_Y, exact_pmf_Y_multi, exact_pmf_Z,
+                  extinction_iterates, full_law_truncation)
 from .reporting import serialize
 from .theta import joint_Y_theta_window, theta_pmf
 
@@ -96,8 +97,7 @@ def check_normalization(scale: str) -> CheckResult:
 
 
 def _gamma_limit_distance(model: Model, n: int) -> tuple[float, float]:
-    x_hi = float(special.gammainccinv(model.gamma, 1e-9))
-    K = int(x_hi * model.B * n / 2.0) + 64
+    K = full_law_truncation(model, n, 1e-9)
     pmf = exact_pmf_Y(model, n, K, deficit_ceiling=1e-8)
     cum = np.cumsum(pmf.probs)
     xs = 2.0 * np.arange(K + 1) / (model.B * n)
@@ -333,7 +333,7 @@ def check_lemma5_sandwich(scale: str) -> CheckResult:
     else:
         ns, ks = [256, 1024], [8, 16]
     cache = extinction_iterates(model, max(ns))
-    lo, hi = lemma5_sandwich(model, cache, ns, ks, max(ks), deficit_ceiling=1.0)
+    lo, hi = lemma5_sandwich(model, cache, ns, ks, max(ks))
     passed = (lo > 0.05) and (hi < 20.0)
     return CheckResult("lemma5-sandwich", passed, lo, 0.05,
                        f"observed ratio band [{lo:.4f}, {hi:.4f}] over n={ns}, k={ks}")

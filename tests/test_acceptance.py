@@ -9,18 +9,14 @@ via the CLI: `gwimm verify --scale full`.
 import json
 import subprocess
 import sys
-import time
 
 import pytest
 
-from gwimm.verify import CHECKS
+from gwimm.verify import run_checks
 
 
-def _run(name: str, scale: str = "full"):
-    start = time.perf_counter()
-    res = CHECKS[name](scale)
-    res.seconds = time.perf_counter() - start
-    return res
+def _run(name: str):
+    return run_checks([name], "full")[0]
 
 
 def _report(criterion: str, res) -> None:

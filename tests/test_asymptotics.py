@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gwimm import exact_pmf_Z, extinction_iterates
+from gwimm import exact_pmf_Y, exact_pmf_Z, extinction_iterates
 from gwimm.asymptotics import (
     build_report_row,
     conjecture_sup,
@@ -17,6 +17,7 @@ from gwimm.asymptotics import (
     mellein_local,
 )
 from gwimm.oracles import gamma_cdf_by_quadrature
+from gwimm.pgf import full_law_truncation
 
 
 class TestGammaLimitCdf:
@@ -141,20 +142,16 @@ class TestGwLocalLimit:
 class TestConjecture:
     @pytest.mark.slow
     def test_sup_decreases_in_n(self, bin_bern, geo_bern):
-        from scipy.special import gammainccinv
-
         for model in (bin_bern, geo_bern):
             sups = []
             for n in (128, 256, 512):
-                K = int(float(gammainccinv(model.gamma, 1e-8))
-                        * model.B * n / 2) + 64
-                sups.append(conjecture_sup(model, n, 0.25, K,
-                                           deficit_ceiling=1e-6))
+                K = full_law_truncation(model, n, 1e-8)
+                sups.append(conjecture_sup(model, n, 0.25, K))
             assert sups[0] > sups[1] > sups[2]
             assert all(s >= 0.0 for s in sups)
 
     def test_empty_range_is_zero(self, bin_bern):
-        assert conjecture_sup(bin_bern, 64, 10.0, 128, deficit_ceiling=1.0) == 0.0
+        assert conjecture_sup(bin_bern, 64, 10.0, 128) == 0.0
 
     def test_requires_K_at_least_n(self, bin_bern):
         with pytest.raises(ValueError):
@@ -164,20 +161,29 @@ class TestConjecture:
 class TestLemma5:
     def test_sweep_stays_in_fixed_band(self, geo_bern):
         cache = extinction_iterates(geo_bern, 4096)
-        lo, hi = lemma5_sandwich(geo_bern, cache, [256, 1024, 4096],
-                                 [8, 16, 32], 32, deficit_ceiling=1.0)
+        lo, hi = lemma5_sandwich(geo_bern, cache, [256, 1024, 4096], [8, 16, 32], 32)
         assert lo > 0.05
         assert hi < 20.0
 
     def test_k_equals_n_is_positive(self, geo_bern):
         cache = extinction_iterates(geo_bern, 64)
-        r = lemma5_ratio(geo_bern, cache, 64, 64, 512, deficit_ceiling=1.0)
+        r = lemma5_ratio(geo_bern, cache, 64, 64, 512)
         assert r > 0.0
 
     def test_positivity_pointwise(self, bin_bern):
         cache = extinction_iterates(bin_bern, 256)
-        assert lemma5_ratio(bin_bern, cache, 256, 16, 64,
-                            deficit_ceiling=1.0) > 0.0
+        assert lemma5_ratio(bin_bern, cache, 256, 16, 64) > 0.0
+
+    @pytest.mark.parametrize("n, k, K", [(256, 16, 16), (1024, 8, 32), (64, 3, 8)])
+    def test_window_needs_no_deficit_knob(self, geo_bern, n, k, K):
+        # P(Y_n <= k) is exact at any K >= k; a window this narrow loses
+        # most of the mass, which used to raise DeficitError
+        cache = extinction_iterates(geo_bern, 1024)
+        window = exact_pmf_Y(geo_bern, n, K, deficit_ceiling=1.0)
+        assert window.deficit > 1e-6
+        expected = float(window.cdf()[k]) / cache.F_ratio(n, k)
+        assert lemma5_ratio(geo_bern, cache, n, k, K) == expected
+        assert lemma5_sandwich(geo_bern, cache, n, k, K) == (expected, expected)
 
 
 class TestReportRows:

@@ -10,6 +10,7 @@ import pytest
 
 from gwimm import extinction_iterates, make_law, make_model
 from gwimm.cli import main
+from gwimm.pgf import full_law_truncation
 from gwimm.montecarlo import (
     SimConfig,
     estimate_lower_tail_stratified,
@@ -89,6 +90,21 @@ class TestExact:
         err = capsys.readouterr().err
         assert code == 3
         assert "increase" in err
+
+    @pytest.mark.parametrize("offspring, immigration, n", [
+        ("geometric-critical", {"family": "bernoulli01", "params": {"q1": 0.5}}, 40),
+        ("binary", {"family": "poisson", "params": {"mean": 2.0}}, 16),
+        ("binary", {"family": "geometric-critical"}, 24),
+    ])
+    def test_default_truncation_is_the_engine_rule(self, offspring, immigration, n,
+                                                   tmp_path, capsys):
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps({"offspring": {"family": offspring},
+                                    "immigration": immigration}))
+        code, out = run_cli(["exact", "--model", str(spec), "--n", str(n)], capsys)
+        assert code == 0
+        K = full_law_truncation(make_model(offspring, immigration), n, 1e-8)
+        assert len(list(csv.DictReader(io.StringIO(out)))) == K + 1
 
     def test_negative_truncation_usage_error(self, bin_bern_spec, capsys):
         code, out = run_cli(

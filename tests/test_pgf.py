@@ -19,7 +19,6 @@ from gwimm import (
     make_law,
     make_model,
 )
-from gwimm.cli import _default_trunc
 from gwimm.models import PGF_DOMAIN_TOL
 from gwimm.oracles import enumerate_population_pmf, step_pmf
 from gwimm.pgf import (
@@ -29,6 +28,7 @@ from gwimm.pgf import (
     ITER_BLOCK,
     _chain_store,
     _circle_products,
+    full_law_truncation,
 )
 from gwimm.series import identity_series, series_mul, series_mul_direct
 
@@ -332,6 +332,8 @@ class TestExactEngine:
             exact_pmf_Y_multi(geo_bern, [4], -5)
         with pytest.raises(ValueError, match="K=-5"):
             exact_pmf_Z(geo_bern, 4, -5)
+        with pytest.raises(ValueError, match="m=-1"):
+            exact_pmf_Z(geo_bern, -1, 8)
 
     def test_normalization_invariant(self, geo_bern, bin_bern):
         for model, n, K in ((geo_bern, 40, 512), (bin_bern, 25, 256)):
@@ -364,7 +366,7 @@ class TestLowerTailFullLaw:
     @pytest.mark.parametrize("n, K", [(128, None), (512, 4096)])
     def test_zero_coefficient_equals_F(self, n, K):
         model = _bpo4()
-        K = _default_trunc(model, n) if K is None else K
+        K = full_law_truncation(model, n, 1e-8) if K is None else K
         pmf = exact_pmf_Y(model, n, K, deficit_ceiling=math.inf)
         F = extinction_iterates(model, n).F[n]
         assert pmf.path == "circle"
@@ -373,7 +375,7 @@ class TestLowerTailFullLaw:
     @pytest.mark.parametrize("n, K", [(128, None), (512, 4096)])
     def test_low_coefficients_equal_window(self, n, K):
         model = _bpo4()
-        K = _default_trunc(model, n) if K is None else K
+        K = full_law_truncation(model, n, 1e-8) if K is None else K
         full = exact_pmf_Y(model, n, K, deficit_ceiling=math.inf).probs[:17]
         window = exact_pmf_Y(model, n, 64, deficit_ceiling=math.inf).probs[:17]
         assert np.all(window > 0.0)
@@ -679,6 +681,10 @@ class TestCharfn:
                 assert np.max(np.abs(fz)) <= 1.0 + PGF_DOMAIN_TOL
                 assert np.max(np.abs(w)) <= 1.0 + PGF_DOMAIN_TOL
 
+    def test_rejects_negative_n(self, geo_bern):
+        with pytest.raises(ValueError, match="n=-3"):
+            charfn_modulus(geo_bern, -3, [0.0, 1.0])
+
     def test_at_zero(self, geo_bern):
         assert charfn_modulus(geo_bern, 17, [0.0])[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -705,6 +711,14 @@ class TestTruncatedPmf:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(FloatingPointError, match="non-finite"):
             TruncatedPmf(np.array([0.5, bad]))
+
+    def test_K_and_deficit_come_from_probs(self):
+        pmf = TruncatedPmf(np.array([0.5, 0.25]))
+        assert pmf.K == 1 and pmf.deficit == 0.25
+        assert pmf[5] == 0.0 and pmf[1] == 0.25
+        for knob in ({"K": 7}, {"deficit": 0.0}):
+            with pytest.raises(TypeError):
+                TruncatedPmf(np.array([0.5, 0.25]), **knob)
 
     def test_clips_fft_noise(self):
         pmf = TruncatedPmf(np.array([1.0, -1e-18]))

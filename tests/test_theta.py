@@ -31,9 +31,22 @@ class TestSurvival:
             theta_survival(cache, 4, 5)
         with pytest.raises(ValueError):
             theta_survival(cache, 9, 1)
+        with pytest.raises(ValueError):
+            theta_survival(cache, 4, np.array([0, 5]))
+
+    def test_array_of_l_is_elementwise(self, geo_bern):
+        cache = extinction_iterates(geo_bern, 64)
+        ls = np.arange(0, 65)
+        assert np.array_equal(theta_survival(cache, 64, ls),
+                              [theta_survival(cache, 64, int(l)) for l in ls])
 
 
 class TestPmf:
+    def test_rejects_negative_n(self, geo_bern):
+        cache = extinction_iterates(geo_bern, 4)
+        with pytest.raises(ValueError, match="n=-2"):
+            theta_pmf(cache, -2)
+
     def test_spec_example_n2(self, geo_bern):
         cache = extinction_iterates(geo_bern, 4)
         law = theta_pmf(cache, 2)
