@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_legendre
 
 from .series import series_compose_poly, series_exp, series_recip, series_square, trim
 
@@ -45,16 +45,22 @@ EXPLICIT_MASS_TOL = 1e-12
 PGF_DOMAIN_TOL = 1e-12
 
 # Head length for direct summation of log-heavy pmfs; beyond this the
-# tail is handled by quadrature (see _HeavyTail).
+# tail is handled by quadrature (see _HeavyTailKernel).  A square, so the
+# head sum splits into sqrt(head) baby steps and as many giant steps.
 _HEAVY_HEAD = 4096
-# Direct-summation horizon for the one-off series constants.
+_HEAD_STEP = math.isqrt(_HEAVY_HEAD)
+# Points per block of an array head sum: 128 KB of powers at a time.
+_HEAD_ROWS = 128
+# Direct-summation horizon for the one-off series constants, summed in
+# blocks of _CONST_BLOCK terms.
 _CONST_HEAD = 1 << 20
+_CONST_BLOCK = 1 << 16
 # Inverse-cdf table length for sampling unbounded laws.
 _SAMPLE_TABLE = 1 << 16
-# Largest beta of the log-heavy laws.  Their tail table holds values down to
-# about 4096**-a (log 4096)**-beta, 7e-293 at beta = 300 for a = 3.  From
-# beta ~ 317 it is subnormal, so the log-log spline loses its digits and then
-# fails (from ~335); from ~1940 the head terms overflow to nan.
+# Largest beta of the log-heavy laws.  Their tail values go down to about
+# 4096**-a (log 4096)**-beta, 7e-293 at beta = 300 for a = 3.  From beta ~ 317
+# they are subnormal and lose their digits; from ~1940 the head terms
+# overflow to nan.
 HEAVY_BETA_MAX = 300.0
 
 FINITE = "finite"
@@ -121,6 +127,19 @@ class Law:
         and each element's value does not depend on the array's length.
         """
         raise NotImplementedError
+
+    def one_minus_iterates(self, u: float, start: int, count: int) -> np.ndarray:
+        """u_{start+1}..u_{start+count} of u_{j+1} = one_minus_pgf(u_j), the
+        extinction iterates u_j = 1 - f_j(0) from u_0 = 1, given u =
+        u_start.
+
+        Default: one scalar one_minus_pgf per generation; a family with a
+        closed form for 1 - f_j(0) overrides.
+        """
+        out = np.empty(count)
+        for i in range(count):
+            u = out[i] = self.one_minus_pgf(u)
+        return out
 
     # -- pmf --------------------------------------------------------------
 
@@ -284,6 +303,10 @@ class GeometricCriticalLaw(Law):
 
     def one_minus_pgf(self, u):
         return u / (1.0 + u)
+
+    def one_minus_iterates(self, u, start, count):
+        # f_j(0) = j/(j+1), so u_j = 1/(j+1), correctly rounded at every j
+        return 1.0 / np.arange(start + 2, start + count + 2)
 
     def pmf_array(self, K):
         return 0.5 ** (np.arange(K + 1, dtype=float) + 1.0)
@@ -480,13 +503,32 @@ def _heavy_tail_integral(A: float, a: int, beta: float) -> float:
     return val
 
 
+def _heavy_head_sum(a: int, beta: float) -> float:
+    """sum_{2 <= k <= _CONST_HEAD} k**-a (log k)**-beta, within an ulp, in
+    blocks of _CONST_BLOCK terms.
+
+    Every term splits exactly into a multiple of q = 2**-37 times a power
+    of two above the largest term (k = 2), plus a remainder below q/2
+    (error-free extraction; Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
+    2008).  A block's multiples sum without rounding in any order, its
+    remainders with an error far below the result's ulp, and math.fsum
+    adds the parts of all blocks.
+    """
+    q = 2.0 ** (math.frexp(_heavy_term(2.0, a, beta))[1] - 37)
+    parts = []
+    for lo in range(0, _CONST_HEAD, _CONST_BLOCK):
+        terms = _heavy_term(np.arange(max(lo + 1, 2), lo + _CONST_BLOCK + 1, dtype=float), a, beta)
+        hi = np.round(terms / q) * q
+        parts += [float(np.sum(hi)), float(np.sum(terms - hi))]
+    return math.fsum(parts)
+
+
 @lru_cache(maxsize=None)
 def _heavy_series_sum(a: int, beta: float) -> float:
     """sum_{k >= 2} k**-a (log k)**-beta, head summation plus midpoint
     Euler-Maclaurin tail (the first correction term is included; the next
     one is O(K**-(a+3)) and far below double precision here)."""
-    k = np.arange(2, _CONST_HEAD + 1, dtype=float)
-    head = float(np.sum(_heavy_term(k, a, beta)))
+    head = _heavy_head_sum(a, beta)
     A = _CONST_HEAD + 0.5
     tail = _heavy_tail_integral(A, a, beta)
     la = math.log(A)
@@ -506,12 +548,97 @@ def _heavy_tail_cumulative(a: int, beta: float) -> np.ndarray:
     return out
 
 
+# Tail-table quadrature: Gauss-Legendre with _GL_POINTS points on every
+# panel; the finite piece has _LOW_PANELS equal panels (each under 1.5 units
+# of log x), each semi-infinite piece _INF_PANELS panels of doubling width.
+# _TABLE_ROWS nodes are evaluated at a time (under 0.2 MB per array).
+_GL_POINTS = 10
+_LOW_PANELS = 12
+_INF_PANELS = 10
+_TABLE_ROWS = 128
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre():
+    """The _GL_POINTS-point Gauss-Legendre rule on [0, 1]."""
+    x, w = roots_legendre(_GL_POINTS)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+def _gauss_panels(edges: np.ndarray):
+    """Points and weights of Gauss-Legendre on each panel between
+    consecutive edges, flattened panel by panel."""
+    x, w = _gauss_legendre()
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    return (lo + width * x).ravel(), (width * w).ravel()
+
+
+def _heavy_tail_table(a: int, beta: float, theta: np.ndarray) -> np.ndarray:
+    """log of sum_{k > head} k**-a (log k)**-beta (1 - e**-(k t)) at every
+    t = exp(theta), theta a 1-D array.
+
+    The sum is the integral over x > A = head + 1/2 plus the midpoint
+    Euler-Maclaurin correction.  With z = log x >= L = log A, zc =
+    max(L, log(2/t)) and y = t e**z, the integral is low + pure - expo:
+
+        low  = int_L^zc  -expm1(-y) e**(-(a-1) z) z**-beta dz,
+        pure = int_zc^oo e**(-(a-1) z) z**-beta dz,
+        expo = int_zc^oo e**-y e**(-(a-1) z) z**-beta dz   (taken in y),
+
+    every integrand positive and expo below e**-2 pure.  Each piece is one
+    fixed panel rule, the same for every node, evaluated on a 2-D array of
+    nodes by points in units of e**ref, the low and pure integrands' bound
+    at z = L.  The rule follows the decay rate r = (a-1) + beta/z: low's
+    first panel is halved until r * width <= 4, and the doubling panels of
+    pure and expo start at width 2/r of the piece's start, so they run on
+    until the integrand has dropped by e**-99 or more for every beta.
+    """
+    A = _HEAVY_HEAD + 0.5
+    L = math.log(A)
+    ref = -(a - 1.0) * L - beta * math.log(L)
+    # low: equal panels of [L, zc], the first split by halving
+    D = np.maximum(math.log(2.0 / A) - theta, 0.0)
+    width = float(np.max(D)) / _LOW_PANELS
+    halvings = math.ceil(math.log2(max(((a - 1.0) + beta / L) * width / 4.0, 1.0)))
+    fracs = np.concatenate(([0.0], 0.5 ** np.arange(halvings, 0, -1),
+                            np.arange(1.0, _LOW_PANELS + 1.0))) / _LOW_PANELS
+    low_x, low_w = _gauss_panels(fracs)
+    # pure and expo: doubling panels from the piece's start
+    inf_x, inf_w = _gauss_panels(2.0 ** np.arange(_INF_PANELS + 1) - 1.0)
+    out = np.empty(theta.shape)
+    for rows in range(0, theta.size, _TABLE_ROWS):
+        lt = theta[rows : rows + _TABLE_ROWS, None]
+        d = D[rows : rows + _TABLE_ROWS, None]
+        z = L + d * low_x
+        f = np.log(-np.expm1(-np.exp(z + lt))) - (a - 1.0) * z - beta * np.log(z)
+        low = d[:, 0] * (np.exp(f - ref) @ low_w)
+        zc = L + d
+        h = 2.0 / ((a - 1.0) + beta / zc)
+        z = zc + h * inf_x
+        pure = h[:, 0] * (np.exp(-(a - 1.0) * z - beta * np.log(z) - ref) @ inf_w)
+        yc = np.exp(zc + lt)
+        h = 2.0 / (1.0 + a / yc + beta / (yc * zc))
+        y = yc + h * inf_x
+        f = -y - a * np.log(y) - beta * np.log(np.log(y) - lt) + (a - 1.0) * lt
+        expo = h[:, 0] * (np.exp(f - ref) @ inf_w)
+        # Euler-Maclaurin: psi'(A)/24 for psi(x) = (1 - e**-(x t)) x**-a
+        # (log x)**-beta, with A**-a L**-beta = e**ref / A
+        t = np.exp(lt[:, 0])
+        psi = t * np.exp(-A * t) + np.expm1(-A * t) * (a + beta / L) / A
+        out[rows : rows + _TABLE_ROWS] = ref + np.log(low + pure - expo + psi / (24.0 * A))
+    return out
+
+
 class _HeavyTailKernel:
     """Shared numerics for laws with pmf c * k**-a (log k)**-beta, k >= 2.
 
-    Evaluates t |-> sum_{k > head} k**-a (log k)**-beta (1 - e**-(k t))
-    through a one-off quadrature table splined in log-log coordinates;
-    the head is summed directly.  See one_minus_tail for the contract.
+    Evaluates u |-> sum_{k >= 2} k**-a (log k)**-beta (1 - (1-u)**k) as a
+    head k <= _HEAVY_HEAD, summed exactly by baby-step giant-step (see
+    one_minus_head), plus the tail beyond it, a cubic spline in log-log
+    coordinates through a table built once by fixed-order quadrature (see
+    _build_spline and one_minus_tail).  Scalar and array arguments go
+    through the same operations, so a point's value has the same bits
+    alone and inside any array.
     """
 
     T_LO = 1e-11
@@ -519,106 +646,78 @@ class _HeavyTailKernel:
 
     def __init__(self, a: int, beta: float):
         # Only function-level scipy imports: these log-heavy ones, oracles.py's quad.
-        # Loaded at construction, so no timed spline build pays the import.
+        # Loaded at construction, as is the tail table's quadrature rule, so
+        # no timed spline build pays the import or the rule's eigensolver.
         import scipy.integrate  # noqa: F401
         import scipy.interpolate  # noqa: F401
 
+        _gauss_legendre()
+
         self.a = a
         self.beta = beta
-        kk = np.arange(2, _HEAVY_HEAD + 1, dtype=float)
-        self.head_k = kk
-        self.head_terms = _heavy_term(kk, a, beta)
-        self.head_mass = float(np.sum(self.head_terms))
+        head_terms = _heavy_term(np.arange(2, _HEAVY_HEAD + 1, dtype=float), a, beta)
+        self.head_mass = float(np.sum(head_terms))
         self.total_mass = _heavy_series_sum(a, beta)
         self.tail_mass_const = self.total_mass - self.head_mass
-        # T_i = sum_{i < k <= head} of the head terms, i = 0..head-1, listed
-        # from i = head-1 down: the Horner coefficients of one_minus_head_array
-        rest = np.cumsum(self.head_terms[::-1])
-        self._head_tail_sums = np.concatenate((rest, rest[-1:]))
+        # T_i = sum_{i < k <= head} of the head terms, i = 0..head-1 (T_0 =
+        # T_1), as a matrix with T_{64 g + b} in row g, column b
+        rest = np.cumsum(head_terms[::-1])[::-1]
+        self._head_matrix = np.concatenate((rest[:1], rest)).reshape(_HEAD_STEP, _HEAD_STEP)
+        # exponents of s = e**-t: baby steps 0..63, then giant steps 64 g
+        steps = np.arange(_HEAD_STEP, dtype=float)
+        self._powers = -np.concatenate((steps, _HEAD_STEP * steps))
         self._spline = None
 
-    def _tail_integral(self, t: float) -> float:
-        """integral_A^inf (1 - e**-(x t)) x**-a (log x)**-beta dx plus the
-        midpoint Euler-Maclaurin correction, A = head + 1/2.
-
-        Computed in y = x t coordinates as three well-conditioned pieces:
-        a finite piece below y0 = 2 in w = log y coordinates, and above y0
-        the split integral of (1 - e**-y) with the pure power part again in
-        log coordinates (exponentially decaying integrands throughout).
-        """
-        from scipy import integrate
-
-        A = _HEAVY_HEAD + 0.5
-        a, beta = self.a, self.beta
-        lt = math.log(t)
-        y0 = 2.0
-        lo = A * t
-        scale = t ** (a - 1)
-
-        pieces = 0.0
-        if lo < y0:
-            low, _ = integrate.quad(
-                lambda w: -math.expm1(-math.exp(w))
-                * math.exp(-(a - 1.0) * w)
-                * (w - lt) ** (-beta),
-                math.log(lo),
-                math.log(y0),
-                epsabs=0.0,
-                epsrel=1e-11,
-                limit=500,
-            )
-            pieces += low
-            ycut = y0
-        else:
-            ycut = lo
-        pure, _ = integrate.quad(
-            lambda w: math.exp(-(a - 1.0) * w) * (w - lt) ** (-beta),
-            math.log(ycut),
-            np.inf,
-            epsabs=0.0,
-            epsrel=1e-11,
-            limit=300,
-        )
-        expo, _ = integrate.quad(
-            lambda y: math.exp(-y) * y ** (-a) * (math.log(y) - lt) ** (-beta),
-            ycut,
-            np.inf,
-            epsabs=0.0,
-            epsrel=1e-11,
-            limit=300,
-        )
-        pieces += pure - expo
-        val = scale * pieces
-        la = math.log(A)
-        g = A ** (-a) * la ** (-beta)
-        psi_prime = t * math.exp(-A * t) * g + math.expm1(-A * t) * g * (a / A + beta / (A * la))
-        return val + psi_prime / 24.0
-
     def _build_spline(self):
+        """Cubic spline of log tail(t) in log t through 929 nodes from T_LO
+        to T_HI, their values from one vectorised quadrature over all nodes
+        (_heavy_tail_table)."""
         from scipy.interpolate import CubicSpline
 
         n_nodes = int(math.log(self.T_HI / self.T_LO) / math.log(10.0) * 80) + 1
         theta = np.linspace(math.log(self.T_LO), math.log(self.T_HI), n_nodes)
-        vals = np.array([self._tail_integral(math.exp(th)) for th in theta])
-        self._spline = CubicSpline(theta, np.log(vals))
-        self._knots = theta.tolist()
+        self._spline = CubicSpline(theta, _heavy_tail_table(self.a, self.beta, theta))
+        self._knots = theta
+        self._knot_list = theta.tolist()
         self._pieces = np.ascontiguousarray(self._spline.c.T)  # one row per piece
+        self._piece_list = self._pieces.tolist()
         # tail value at T_LO, the slope of the linear regime below it
-        self._base = math.exp(self._log_tail(self._knots[0]))
+        self._base = float(np.exp(self._log_tail(self._knot_list[0])))
 
     def _log_tail(self, x: float) -> float:
         """The spline at one point x = log t in [log T_LO, log T_HI]: the
-        piece found by bisection, then its cubic summed with the same
-        operations in the same order as CubicSpline.__call__, which gives
-        the same bits without that call's per-point overhead."""
-        i = min(bisect_right(self._knots, x) - 1, len(self._knots) - 2)
-        c3, c2, c1, c0 = self._pieces[i].tolist()
-        d = x - self._knots[i]
+        piece found by bisection, then its cubic c0 + c1 d + c2 d**2 +
+        c3 d**3 summed in the order of CubicSpline.__call__ (and of
+        _log_tail_array)."""
+        i = min(max(bisect_right(self._knot_list, x) - 1, 0), len(self._knot_list) - 2)
+        c3, c2, c1, c0 = self._piece_list[i]
+        d = x - self._knot_list[i]
         z = d * d
         return c0 + c1 * d + c2 * z + c3 * (z * d)
 
-    def one_minus_tail(self, t: float) -> float:
-        """sum_{k > head} c-free tail of sum p_k (1 - e**-(k t)) at t = -log s."""
+    def _log_tail_array(self, x: np.ndarray) -> np.ndarray:
+        """_log_tail elementwise, with the same operations per point."""
+        i = np.clip(np.searchsorted(self._knots, x, side="right") - 1, 0, self._knots.size - 2)
+        c = self._pieces[i]
+        d = x - self._knots[i]
+        z = d * d
+        return c[:, 3] + c[:, 2] * d + c[:, 1] * z + c[:, 0] * (z * d)
+
+    def one_minus_tail(self, t):
+        """sum_{k > head} c-free tail of sum p_k (1 - e**-(k t)) at t = -log s,
+        t a float or an array (elementwise)."""
+        if _is_array(t):
+            out = np.full(t.shape, self.tail_mass_const)
+            below = t < self.T_HI
+            if not np.any(below):
+                return out
+            if self._spline is None:
+                self._build_spline()
+            low = t < self.T_LO
+            out[low] = self._base * t[low] / self.T_LO
+            mid = below & ~low
+            out[mid] = np.exp(self._log_tail_array(np.log(t[mid])))
+            return out
         if t >= self.T_HI:
             return self.tail_mass_const
         if self._spline is None:
@@ -626,42 +725,31 @@ class _HeavyTailKernel:
         if t < self.T_LO:
             # linear regime: the tail behaves like t * integral x p(x)
             return self._base * t / self.T_LO
-        return math.exp(self._log_tail(math.log(t)))
+        return float(np.exp(self._log_tail(float(np.log(t)))))
 
-    def one_minus_tail_array(self, t: np.ndarray) -> np.ndarray:
-        """one_minus_tail elementwise, with one spline call for all points."""
-        out = np.full(t.shape, self.tail_mass_const)
-        below = t < self.T_HI
-        if not np.any(below):
-            return out
-        if self._spline is None:
-            self._build_spline()
-        low = t < self.T_LO
-        out[low] = self._base * t[low] / self.T_LO
-        mid = below & ~low
-        out[mid] = np.exp(self._spline(np.log(t[mid])))
-        return out
+    def one_minus_head(self, u, t):
+        """sum_{2 <= k <= head} c-free p_k (1 - (1-u)**k) at t = -log(1-u),
+        u and t floats or 1-D arrays (elementwise).
 
-    def one_minus_head(self, t: float) -> float:
-        """sum_{2 <= k <= head} c-free p_k (1 - e**-(k t)) at one point."""
-        buf = self.head_k * -t
-        np.expm1(buf, out=buf)
-        return -float(np.dot(self.head_terms, buf))
-
-    def one_minus_head_array(self, u: np.ndarray) -> np.ndarray:
-        """one_minus_head elementwise, at t = -log(1 - u).
-
-        With s = 1 - u, 1 - s**k = u (1 + s + ... + s**(k-1)), so the sum
-        is u * sum_{i < head} T_i s**i with the nonnegative tail sums T_i,
-        evaluated by Horner across all points at once.
+        With s = 1 - u = e**-t, 1 - s**k = u (1 + s + ... + s**(k-1)), so the
+        sum is u * sum_{i < head} T_i s**i with the nonnegative tail sums T_i.
+        Baby-step giant-step (Paterson and Stockmeyer, SIAM J. Comput. 2,
+        1973) with i = 64 g + b: u * sum_g s**(64 g) (sum_b T_{64g+b} s**b),
+        one 64 x 64 matrix-vector product and one dot product per point, the
+        128 powers from exp.  Every term is nonnegative, so the sum keeps its
+        relative accuracy.  For an array, numpy's stacked matmul makes per
+        point the two BLAS calls of the scalar form (a gemv, then a dot),
+        so each point gets the bits of the scalar call.
         """
-        s = 1.0 - u
-        coeffs = self._head_tail_sums
-        acc = np.full(s.shape, coeffs[0])
-        for T in coeffs[1:]:
-            acc *= s
-            acc += T
-        return u * acc
+        if _is_array(t):
+            out = np.empty(t.shape)
+            for lo in range(0, t.size, _HEAD_ROWS):
+                e = np.exp(np.multiply.outer(t[lo : lo + _HEAD_ROWS], self._powers))
+                inner = self._head_matrix @ e[:, :_HEAD_STEP, None]
+                out[lo : lo + _HEAD_ROWS] = (e[:, None, _HEAD_STEP:] @ inner)[:, 0, 0]
+            return u * out
+        e = np.exp(t * self._powers)
+        return u * float(e[_HEAD_STEP:] @ (self._head_matrix @ e[:_HEAD_STEP]))
 
     def tail_mass_beyond(self, k: int) -> float:
         """sum_{i > k} i**-a (log i)**-beta (c-free)."""
@@ -723,13 +811,13 @@ class _HeavyLawBase(Law):
             return self._one_minus_pgf_array(u)
         if u <= 0.0:
             return 0.0
-        t = -math.log1p(-u) if u < 1.0 else math.inf
         head = self.atom1 * u
-        if math.isinf(t):
+        if u >= 1.0:
             return head + self.c * self.kernel.total_mass
-        return head + self.c * (
-            self.kernel.one_minus_head(t) + self.kernel.one_minus_tail(t)
-        )
+        # np.log1p, not math.log1p: the two differ in the last bit at some
+        # points, and the array form uses numpy's
+        t = float(-np.log1p(-u))
+        return head + self.c * (self.kernel.one_minus_head(u, t) + self.kernel.one_minus_tail(t))
 
     def _one_minus_pgf_array(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -738,7 +826,7 @@ class _HeavyLawBase(Law):
         ui = u[inner]
         t = -np.log1p(-ui)
         out[inner] = self.atom1 * ui + self.c * (
-            self.kernel.one_minus_head_array(ui) + self.kernel.one_minus_tail_array(t)
+            self.kernel.one_minus_head(ui, t) + self.kernel.one_minus_tail(t)
         )
         full = u >= 1.0
         out[full] = self.atom1 * u[full] + self.c * self.kernel.total_mass

@@ -138,13 +138,14 @@ ITER_BLOCK = 8192
 class _IterStore:
     """Grow-on-demand backing arrays shared by every cache on one model.
 
-    Only u_{j+1} = 1 - f(1 - u_j) is sequential.  v_j = 1 - h(1 - u_j) is
-    one array call per block, and log F accumulates by Sum2 (Ogita, Rump
-    and Oishi, SIAM J. Sci. Comput. 26, 2005): a running float sum of the
-    log factors, plus a running sum of the exact error of each of its
-    additions.  Every step is elementwise or a sequential cumsum continued
-    from stored totals, so a store grown in any sequence of steps holds
-    the same bits as a fresh one.
+    Only u_{j+1} = 1 - f(1 - u_j) is sequential, one Law.one_minus_iterates
+    call per block (a scalar loop, or the family's closed form).  v_j = 1 -
+    h(1 - u_j) is one array call per block, and log F accumulates by Sum2
+    (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005): a running float
+    sum of the log factors, plus a running sum of the exact error of each
+    of its additions.  Every step is elementwise or a sequential cumsum
+    continued from stored totals, so a store grown in any sequence of steps
+    holds the same bits as a fresh one.
     """
 
     def __init__(self, model: Model):
@@ -177,12 +178,8 @@ class _IterStore:
     def _fill(self, b: int):
         """Generations filled+1..b; the store stays consistent if it raises."""
         a = self.filled
-        off = self.model.offspring.one_minus_pgf
         u = self.u
-        uj = float(u[a])
-        for j in range(a + 1, b + 1):
-            uj = off(uj)
-            u[j] = uj
+        u[a + 1 : b + 1] = self.model.offspring.one_minus_iterates(float(u[a]), a, b - a)
         self.v[a + 1 : b + 1] = self.model.immigration.one_minus_pgf(u[a + 1 : b + 1])
         v = self.v[a:b]
         zero = v >= 1.0

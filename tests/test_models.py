@@ -7,11 +7,18 @@ from hypothesis import strategies as st
 
 from gwimm import classify_xlogx, extinction_iterates, make_law, make_model
 from gwimm.models import (
+    _CONST_HEAD,
+    _HEAVY_HEAD,
     FINITE,
     HEAVY_BETA_MAX,
     INFINITE,
     LogHeavyImmigrationLaw,
     LogHeavyOffspringLaw,
+    _heavy_head_sum,
+    _heavy_series_sum,
+    _heavy_tail_table,
+    _heavy_term,
+    _HeavyTailKernel,
 )
 
 
@@ -243,27 +250,33 @@ class TestOneMinusPgfArrays:
         scalar = np.array([law.one_minus_pgf(u) for u in self.US])
         assert isinstance(arr, np.ndarray) and arr.shape == (len(self.US),)
         assert all(isinstance(law.one_minus_pgf(u), float) for u in self.US)
-        if isinstance(law, (LogHeavyOffspringLaw, LogHeavyImmigrationLaw)):
-            # Horner head and vectorised spline against the per-point form
-            assert arr[0] == scalar[0] == 0.0
-            assert np.max(np.abs(arr[1:] / scalar[1:] - 1.0)) <= 1e-14
-        else:
-            assert np.array_equal(arr, scalar)
+        assert np.array_equal(arr, scalar)
         # each element is independent of the array it sits in
         for i, u in enumerate(self.US):
             assert law.one_minus_pgf(np.array([u]))[0] == arr[i]
 
     @pytest.mark.parametrize("law", [LogHeavyOffspringLaw(1.5), LogHeavyImmigrationLaw(1.5)],
                              ids=["offspring", "immigration"])
-    def test_heavy_horner_head_against_mpmath(self, law):
+    def test_heavy_point_keeps_its_bits_in_a_block(self, law):
+        # the head's BLAS products on one point give that point's bits in
+        # an 8192-point block, and so does the scalar form
+        us = np.geomspace(1e-12, 0.999, 8192)
+        block = law.one_minus_pgf(us)
+        for i in list(range(0, us.size, 97)) + [us.size - 1]:
+            assert law.one_minus_pgf(us[i : i + 1])[0] == block[i]
+            assert law.one_minus_pgf(float(us[i])) == block[i]
+
+    @pytest.mark.parametrize("law", [LogHeavyOffspringLaw(1.5), LogHeavyImmigrationLaw(1.5)],
+                             ids=["offspring", "immigration"])
+    def test_heavy_head_against_mpmath(self, law):
         mpmath = pytest.importorskip("mpmath")
         kernel = law.kernel
-        us = [1e-12, 1e-7, 1e-4, 0.05, 0.9]
-        got = kernel.one_minus_head_array(np.array(us))
+        us = np.geomspace(1e-12, 0.999, 25)
+        got = kernel.one_minus_head(us, -np.log1p(-us))
         with mpmath.workdps(40):
-            ks = range(2, int(kernel.head_k[-1]) + 1)
+            ks = range(2, _HEAVY_HEAD + 1)
             weights = [mpmath.mpf(k) ** -kernel.a * mpmath.log(k) ** -kernel.beta for k in ks]
-            for u, g in zip(us, got):
+            for u, g in zip(us.tolist(), got):
                 s = 1 - mpmath.mpf(u)
                 ref = mpmath.fsum(w * (1 - s**k) for w, k in zip(weights, ks))
                 assert abs(g / ref - 1) <= 1e-14
@@ -284,6 +297,117 @@ class TestOneMinusPgfArrays:
 
         ref = np.array([via_cubic_spline(float(t)) for t in ts])
         assert np.max(np.abs(got / ref - 1.0)) <= 1e-15
+
+
+def _adaptive_tail_integral(a, beta, t):
+    """Reference for the tail table: integral_A^inf (1 - e**-(x t)) x**-a
+    (log x)**-beta dx plus the midpoint Euler-Maclaurin correction, A =
+    head + 1/2, by three adaptive quad calls at epsrel 1e-11 (a finite
+    piece below y = x t = 2 in log y, then the split integral of 1 - e**-y,
+    the pure power part again in log coordinates)."""
+    from scipy import integrate
+
+    A = 4096 + 0.5
+    lt = math.log(t)
+    lo = A * t
+    pieces = 0.0
+    if lo < 2.0:
+        low, _ = integrate.quad(
+            lambda w: -math.expm1(-math.exp(w)) * math.exp(-(a - 1.0) * w) * (w - lt) ** (-beta),
+            math.log(lo), math.log(2.0), epsabs=0.0, epsrel=1e-11, limit=500)
+        pieces += low
+        ycut = 2.0
+    else:
+        ycut = lo
+    pure, _ = integrate.quad(lambda w: math.exp(-(a - 1.0) * w) * (w - lt) ** (-beta),
+                             math.log(ycut), np.inf, epsabs=0.0, epsrel=1e-11, limit=300)
+    expo, _ = integrate.quad(lambda y: math.exp(-y) * y ** (-a) * (math.log(y) - lt) ** (-beta),
+                             ycut, np.inf, epsabs=0.0, epsrel=1e-11, limit=300)
+    la = math.log(A)
+    g = A ** (-a) * la ** (-beta)
+    psi_prime = t * math.exp(-A * t) * g + math.expm1(-A * t) * g * (a / A + beta / (A * la))
+    return t ** (a - 1) * (pieces + pure - expo) + psi_prime / 24.0
+
+
+def _mpmath_log_tail(mpmath, a, beta, t):
+    """The same quantity to 30 digits, integrated in z = log x over panels
+    that follow the decay near z = log A and the turn near y = 2, scaled by
+    the integrand's bound at z = log A (mpmath.quad drops terms that are
+    tiny in absolute terms)."""
+    with mpmath.workdps(30):
+        A = mpmath.mpf(4096) + mpmath.mpf(1) / 2
+        t, b, L = mpmath.mpf(t), mpmath.mpf(beta), mpmath.log(A)
+        ref = -(a - 1) * L - b * mpmath.log(L)
+        rate, zc = (a - 1) + b / L, max(L, mpmath.log(2 / t))
+        pts = [L + k / rate for k in (0, 0.125, 0.25, 0.5, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96)]
+        pts += [zc + k for k in (-4, -2, -1, -0.5, 0, 0.5, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 80)]
+        pts = sorted({p for p in pts if L <= p <= zc + 80})
+        val = mpmath.quad(lambda z: -mpmath.expm1(-t * mpmath.exp(z))
+                          * mpmath.exp(-(a - 1) * z - b * mpmath.log(z) - ref), pts)
+        psi = t * mpmath.exp(-A * t) + mpmath.expm1(-A * t) * (a + b / L) / A
+        return ref + mpmath.log(val + psi / (24 * A))
+
+
+class TestHeavyKernel:
+    """The one-off numbers of a log-heavy law: its tail table and series
+    constants, and the iterates that its head sum drives."""
+
+    @pytest.mark.parametrize("a", [2, 3])
+    @pytest.mark.parametrize("beta", [1.5, 2.5, 3.0, 50.0, HEAVY_BETA_MAX])
+    def test_tail_table_matches_adaptive_quad(self, a, beta):
+        kernel = _HeavyTailKernel(a, beta)
+        kernel._build_spline()
+        theta = kernel._knots
+        table = _heavy_tail_table(a, beta, theta)
+        # the spline goes through the table
+        assert np.array_equal(kernel._pieces[:, 3], table[:-1])
+        ref = np.log([_adaptive_tail_integral(a, beta, t) for t in np.exp(theta).tolist()])
+        assert np.max(np.abs(np.expm1(table - ref))) <= 1e-11
+        mpmath = pytest.importorskip("mpmath")
+        for i in (0, theta.size // 2, theta.size - 1):
+            exact = _mpmath_log_tail(mpmath, a, beta, math.exp(theta[i]))
+            assert abs(float(mpmath.expm1(table[i] - exact))) <= 1e-12
+
+    def test_offspring_iterates_match_the_expm1_head(self):
+        # the old scalar head, sum_k p_k (1 - e**-(k t)) by one expm1 dot,
+        # in the same recursion: the baby-step giant-step head moves u_j by
+        # rounding only
+        model = make_model({"family": "log-heavy-offspring", "params": {"beta": 1.5}},
+                           {"family": "bernoulli01", "params": {"q1": 0.5}})
+        law, n = model.offspring, 20000
+        kernel = law.kernel
+        got = extinction_iterates(model, n).one_minus_fj0
+        ks = np.arange(2, _HEAVY_HEAD + 1, dtype=float)
+        terms = _heavy_term(ks, kernel.a, kernel.beta)
+        u = law.one_minus_pgf(1.0)  # u_1 = 1 - p_0, no head sum
+        ref = [1.0, u]
+        for _ in range(n - 1):
+            t = float(-np.log1p(-u))
+            head = -float(np.dot(terms, np.expm1(ks * -t)))
+            u = law.atom1 * u + law.c * (head + kernel.one_minus_tail(t))
+            ref.append(u)
+        assert np.max(np.abs(got / np.array(ref) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("a,beta", [(1, 1.5), (2, 1.5), (3, 1.5), (2, 2.5), (3, 50.0)])
+    def test_head_sum_within_an_ulp_of_fsum(self, a, beta):
+        k = np.arange(2, _CONST_HEAD + 1, dtype=float)
+        exact = math.fsum(_heavy_term(k, a, beta).tolist())
+        assert abs(_heavy_head_sum(a, beta) - exact) <= math.ulp(exact)
+
+    def test_construction_peak_memory(self):
+        import tracemalloc
+
+        import scipy.integrate  # noqa: F401  (module memory is not the law's)
+        import scipy.interpolate  # noqa: F401
+
+        _heavy_series_sum.cache_clear()
+        tracemalloc.start()
+        try:
+            make_law({"family": "log-heavy-immigration", "params": {"beta": 1.5}})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestPgfEval:

@@ -128,8 +128,9 @@ _BERN = {"family": "bernoulli01", "params": {"q1": 0.4}}
 
 
 class TestIterStore:
-    """The store runs one scalar recursion per generation; the rest is on
-    arrays, one block of ITER_BLOCK generations at a time."""
+    """The store runs the offspring recursion through one_minus_iterates
+    (a scalar loop or a closed form); the rest is on arrays, one block of
+    ITER_BLOCK generations at a time."""
 
     @pytest.mark.parametrize("model", [
         make_model("geometric-critical", _BERN),
@@ -170,6 +171,13 @@ class TestIterStore:
         fresh = extinction_iterates(model, 3 * ITER_BLOCK)
         assert np.array_equal(resumed.logF, fresh.logF)
         assert np.array_equal(resumed.one_minus_hfj0, fresh.one_minus_hfj0)
+
+    def test_geometric_iterates_are_the_closed_form(self):
+        # f_j(0) = j/(j+1): the store holds 1/(j+1), correctly rounded
+        model = make_model("geometric-critical", {"family": "poisson", "params": {"mean": 2.0}})
+        n = 300000
+        got = extinction_iterates(model, n).one_minus_fj0
+        assert np.array_equal(got, 1.0 / np.arange(1, n + 2))
 
     def test_log_F_matches_harmonic_number(self):
         # geometric offspring: u_j = 1/(j+1); poisson(2) immigration:
