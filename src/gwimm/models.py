@@ -749,7 +749,7 @@ class _HeavyTailKernel:
                 out[lo : lo + _HEAD_ROWS] = (e[:, None, _HEAD_STEP:] @ inner)[:, 0, 0]
             return u * out
         e = np.exp(t * self._powers)
-        return u * float(e[_HEAD_STEP:] @ (self._head_matrix @ e[:_HEAD_STEP]))
+        return u * float(np.dot(e[_HEAD_STEP:], np.dot(self._head_matrix, e[:_HEAD_STEP])))
 
     def tail_mass_beyond(self, k: int) -> float:
         """sum_{i > k} i**-a (log i)**-beta (c-free)."""

@@ -307,7 +307,7 @@ def _adaptive_tail_integral(a, beta, t):
     the pure power part again in log coordinates)."""
     from scipy import integrate
 
-    A = 4096 + 0.5
+    A = _HEAVY_HEAD + 0.5
     lt = math.log(t)
     lo = A * t
     pieces = 0.0
@@ -335,7 +335,7 @@ def _mpmath_log_tail(mpmath, a, beta, t):
     the integrand's bound at z = log A (mpmath.quad drops terms that are
     tiny in absolute terms)."""
     with mpmath.workdps(30):
-        A = mpmath.mpf(4096) + mpmath.mpf(1) / 2
+        A = mpmath.mpf(_HEAVY_HEAD) + mpmath.mpf(1) / 2
         t, b, L = mpmath.mpf(t), mpmath.mpf(beta), mpmath.log(A)
         ref = -(a - 1) * L - b * mpmath.log(L)
         rate, zc = (a - 1) + b / L, max(L, mpmath.log(2 / t))
