@@ -153,6 +153,11 @@ def cmd_estimate(args, model: Model):
         raise UsageError("--jobs must be >= 1")
     sim = mc.SimConfig(samples=args.samples, seed=args.seed, streams=args.streams)
     methods = ["naive", "stratified"] if args.method == "both" else [args.method]
+    # checked before any method samples, so no pass runs only to be discarded
+    if args.k < 0:
+        raise UsageError("--k must be >= 0")
+    if args.k < 1 and "stratified" in methods:
+        raise UsageError("the stratified estimator needs --k >= 1")
     rows = []
     for method in methods:
         if method == "naive":

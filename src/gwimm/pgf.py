@@ -245,12 +245,11 @@ class TruncatedPmf:
     deficit = 1 - sum(probs) are derived from the coefficients.  ``path``
     names the engine that produced them:
 
-    - "series": truncated products of the factor series.  Up to
-      K = DIRECT_CONV_MAX these are direct convolutions of nonnegative
-      series, so each coefficient is a certified lower bound on the true
-      probability, to relative rounding (exact for laws whose series are
-      exact; log-heavy laws are cut at K).  Above that the products go
-      through FFTs and small coefficients carry absolute FFT noise.
+    - "series": truncated products of the factor series, direct
+      convolutions of nonnegative series at every K, so each coefficient
+      is a certified lower bound on the true probability, to relative
+      rounding (exact for laws whose series are exact; log-heavy laws are
+      cut at K).
     - "circle": coefficients 0..CIRCLE_WINDOW as on "series" at
       K = CIRCLE_WINDOW, with the same guarantee; the rest from the pgf
       on a damped circle, within about 1e-13 absolute of the true value
@@ -533,10 +532,12 @@ def exact_pmf_Y_multi(
     factor f_n(s)**initial.  Two routes, recorded in ``path``:
 
     - "series" (K <= DIRECT_CONV_MAX, or a log-heavy law): one truncated
-      series multiply per generation.  Coefficients are exact up to
-      roundoff whenever the factor series are: bounded-support families,
-      the geometric closed form, and Poisson immigration (composed by the
-      exponential recurrence, with no pmf cut-off).  Log-heavy laws are
+      direct convolution per generation, of nonnegative series at every
+      K.  Coefficients are exact up to relative roundoff whenever the
+      factor series are: bounded-support families, the geometric closed
+      form and geometric immigration (a nonnegative reciprocal
+      recurrence), and Poisson immigration (composed by the exponential
+      recurrence, with no pmf cut-off).  Log-heavy laws are
       cut at K and give lower bounds.  The chain is stored per model and
       order and continued by later calls: closed-form models run one
       chain at max(K, CIRCLE_WINDOW), so every window K <= CIRCLE_WINDOW

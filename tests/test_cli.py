@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gwimm import extinction_iterates, make_law, make_model
+from gwimm import montecarlo as mc
 from gwimm.cli import main
 from gwimm.pgf import full_law_truncation
 from gwimm.montecarlo import (
@@ -347,6 +348,23 @@ class TestSimulateEstimate:
         code = main(["estimate", "--model", bin_bern_spec, "--n", "8",
                      "--k", "2", "--samples", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("k, method", [
+        ("-1", "naive"), ("-1", "both"), ("0", "both"), ("0", "stratified"),
+    ])
+    def test_bad_k_usage_error_before_sampling(self, k, method, bin_bern_spec,
+                                               capsys, monkeypatch):
+        def sampled(*args, **kwargs):
+            raise AssertionError("an estimator ran before --k was checked")
+
+        monkeypatch.setattr(mc, "estimate_lower_tail_naive", sampled)
+        monkeypatch.setattr(mc, "estimate_lower_tail_stratified", sampled)
+        code = main(["estimate", "--model", bin_bern_spec, "--n", "8", "--k", k,
+                     "--samples", "100", "--method", method])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--k" in captured.err
 
     def test_simulate_empirical_close_to_exact(self, bin_bern_spec, capsys):
         code, out = run_cli(

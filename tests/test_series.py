@@ -1,10 +1,9 @@
 import math
-from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwimm.series import (
@@ -12,7 +11,6 @@ from gwimm.series import (
     series_compose_poly,
     series_exp,
     series_mul,
-    series_mul_direct,
     series_pow,
     series_recip,
     series_square,
@@ -24,31 +22,29 @@ coeff_arrays = st.lists(
 ).map(np.array)
 
 
-@given(coeff_arrays, coeff_arrays, st.integers(min_value=1, max_value=2200))
-@settings(max_examples=60, deadline=None)
-def test_mul_direct_and_fft_agree(a, b, K):
-    # pad so K straddles the direct/FFT switchover with real content
-    a = np.resize(a, K + 1)
-    b = np.resize(b, K + 1)
-    fast = series_mul(a, b, K)
-    slow = series_mul_direct(a, b, K)
-    assert np.max(np.abs(fast - slow)) < 1e-12
+def _geometric_products_mp(x, y, K):
+    """[s^k] of 1/((1 - xs)(1 - ys)), sum_{i<=k} x**i y**(k-i), in 50 digits."""
+    with mpmath.workdps(50):
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        if x == y:
+            return [float((k + 1) * x**k) for k in range(K + 1)]
+        return [float((x ** (k + 1) - y ** (k + 1)) / (x - y)) for k in range(K + 1)]
 
 
-@pytest.mark.parametrize("x, y, K", [
-    (0.90039062, 0.90039062, 1981),  # falsified the 1e-12 agreement above
-    (1.0, 0.95727793, 1077),
-    (1.0, -1.0, 2200),
-])
-def test_products_of_constant_series_round_correctly(x, y, K):
-    # coefficient k is (k + 1) x y exactly; a running sum drifts by several ulps
-    a, b = np.full(K + 1, x), np.full(K + 1, y)
-    exact = np.array([float((k + 1) * Fraction(x) * Fraction(y)) for k in range(K + 1)])
-    ulp = np.spacing(np.abs(exact))
-    for got in (series_mul(a, b, K), series_mul_direct(a, b, K)):
-        assert np.all(np.abs(got - exact) <= ulp)
-    if x == y:
-        assert np.all(np.abs(series_square(a, K) - exact) <= ulp)
+@given(st.floats(min_value=20.0, max_value=200.0),
+       st.floats(min_value=20.0, max_value=200.0),
+       st.integers(min_value=256, max_value=1024))
+@example(200.0, 150.0, 600)
+@example(200.0, 200.0, 1024)
+@settings(max_examples=20, deadline=None)
+def test_products_keep_relative_accuracy_of_tiny_coefficients(dx, dy, K):
+    # x**K = 10**-dx: coefficients fall by up to 200 decades across 0..K
+    x, y = 10.0 ** (-dx / K), 10.0 ** (-dy / K)
+    a, b = x ** np.arange(K + 1.0), y ** np.arange(K + 1.0)
+    want = np.array(_geometric_products_mp(x, y, K))
+    assert np.max(np.abs(series_mul(a, b, K) / want - 1.0)) <= 1e-13
+    square = np.array(_geometric_products_mp(x, x, K))
+    assert np.max(np.abs(series_square(a, K) / square - 1.0)) <= 1e-13
 
 
 def test_mul_truncates_exactly():
@@ -83,6 +79,30 @@ def test_recip_is_multiplicative_inverse():
         unit = np.zeros(K + 1)
         unit[0] = 1.0
         assert np.max(np.abs(prod - unit)) < 1e-12
+
+
+def _recip_recurrence_mp(a, K):
+    """x_0 = 1/a_0, a_0 x_k = -sum_i a_i x_{k-i}, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(float(v)) for v in a]
+        x = [1 / a[0]]
+        for k in range(1, K + 1):
+            x.append(-mpmath.fsum(a[i] * x[k - i] for i in range(1, k + 1)) / a[0])
+        return [float(v) for v in x]
+
+
+@pytest.mark.parametrize("K", [64, 150, 300])
+def test_recip_keeps_relative_accuracy_of_tiny_coefficients(K):
+    # 1/(2 - g) for a pgf g whose coefficients fall from about 1 to 1e-200
+    rng = np.random.default_rng(K)
+    g = rng.uniform(0.2, 1.0, K + 1) * 10.0 ** (-200.0 * np.arange(K + 1) / K)
+    g /= g.sum()
+    a = -g
+    a[0] += 2.0
+    want = np.array(_recip_recurrence_mp(a, K))
+    assert g[-1] < 1e-190 and want[-1] < 1e-100
+    got = series_recip(a, K)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-13
 
 
 def test_recip_rejects_zero_constant_term():
