@@ -89,6 +89,11 @@ class Law:
     # series hooks exact at every order, so the engine shares one series
     # chain across orders (see gwimm.pgf._chain_order)
     vectorised_pgf: bool = True
+    # sample_generations draws Z_m in one step from a closed form for the
+    # m-generation law, so the simulator draws Y_m cohort by cohort instead
+    # of stepping it generation by generation (see
+    # gwimm.montecarlo.simulate_Y_batch)
+    closed_form_generations: bool = False
 
     # -- identity ---------------------------------------------------------
 
@@ -207,6 +212,33 @@ class Law:
         """Entrywise sums of `counts[i]` iid draws (one array per call)."""
         raise NotImplementedError
 
+    def sample_generations(self, counts, gens, rng) -> np.ndarray:
+        """Entrywise sums of `counts[i]` iid copies of Z_{gens[i]}, the
+        population `gens[i]` offspring-only generations after one ancestor
+        (`gens` an int or one per entry).
+
+        Default: one generation loop over all entries.  Each generation is
+        one sample_sum over the entries still running, in input order; an
+        entry stops when it dies or finishes.  Entries with count 0 or 0
+        generations draw nothing.  A family with a closed form for Z_m
+        overrides and sets closed_form_generations.
+        """
+        vals = np.asarray(counts, dtype=np.int64)
+        out = np.zeros_like(vals)
+        idx = np.flatnonzero(vals > 0)
+        rem = np.broadcast_to(np.asarray(gens, dtype=np.int64), vals.shape)[idx]
+        vals = vals[idx]
+        while True:
+            done = rem == 0
+            out[idx[done]] = vals[done]
+            vals, idx, rem = vals[~done], idx[~done], rem[~done]
+            if idx.shape[0] == 0:
+                return out
+            vals = self.sample_sum(vals, rng)
+            rem -= 1
+            alive = vals > 0
+            vals, idx, rem = vals[alive], idx[alive], rem[alive]
+
 
 class ExplicitLaw(Law):
     kind = "explicit"
@@ -290,6 +322,7 @@ class GeometricCriticalLaw(Law):
     """p_k = 2**-(k+1); pgf 1/(2-s); the linear-fractional critical law."""
 
     kind = "geometric-critical"
+    closed_form_generations = True
 
     def __init__(self):
         self.mean = 1.0
@@ -339,6 +372,24 @@ class GeometricCriticalLaw(Law):
         pos = counts > 0
         if np.any(pos):
             out[pos] = rng.negative_binomial(counts[pos], 0.5)
+        return out
+
+    def sample_generations(self, counts, gens, rng):
+        # f_m(s) = m/(m+1) + (1/(m+1)) s/(m+1 - m s): one ancestor leaves
+        # no one with probability m/(m+1), else a Geometric(1/(m+1)) count
+        # on 1, 2, ...  So c ancestors leave B ~ Bin(c, 1/(m+1)) surviving
+        # lines and B + NegBin(B, 1/(m+1)) descendants.
+        counts = np.asarray(counts, dtype=np.int64)
+        gens = np.broadcast_to(np.asarray(gens, dtype=np.int64), counts.shape)
+        out = counts.copy()
+        run = np.flatnonzero((counts > 0) & (gens > 0))
+        if run.shape[0]:
+            p = 1.0 / (gens[run] + 1.0)
+            alive = rng.binomial(counts[run], p)
+            out[run] = alive
+            pos = alive > 0
+            if np.any(pos):
+                out[run[pos]] += rng.negative_binomial(alive[pos], p[pos])
         return out
 
 

@@ -100,18 +100,27 @@ def _fan_out(run_stream, streams: int, jobs: int) -> list:
 
 def simulate_Y_batch(model, horizons, initial: int, rng,
                      max_population: int = MAX_POPULATION):
-    """One draw of Y_m given Y_0 = initial per entry m of `horizons`.
+    """One draw of Y_m given Y_0 = initial per entry m of `horizons`, as
+    (draws in input order, guard trips).  Horizon-0 lines draw nothing.
 
-    All lines share one generation loop: a line with horizon m joins it m
+    An offspring law with closed_form_generations takes the cohort route
+    (_simulate_Y_cohorts): Y_m is drawn as a sum of cohorts, each in one
+    sample_generations draw.  That route has no intermediate populations
+    to cap: only a final Y_m above `max_population` is capped and counted
+    as a guard trip.
+
+    Other laws share one generation loop: a line with horizon m joins it m
     steps before the end, so each generation is one vectorized
     offspring-sum draw plus one immigration draw over the lines joined so
-    far (the longest horizons first, ties in input order).  Horizon-0
-    lines draw nothing.  Populations crossing the guard are capped and
-    counted; the trajectory continues on the capped value (reported, not
-    fatal).  Returns (draws in input order, guard trips).
+    far (the longest horizons first, ties in input order).  Populations
+    crossing the guard are capped and counted each generation; the
+    trajectory continues on the capped value (reported, not fatal).
     """
     offspring, immigration = _resolve_laws(model)
     horizons = np.asarray(horizons, dtype=np.int64)
+    if offspring.closed_form_generations:
+        return _simulate_Y_cohorts(offspring, immigration, horizons, initial, rng,
+                                   max_population)
     order = np.argsort(-horizons, kind="stable")
     steps = int(horizons.max(initial=0))
     # lines joined by step s: those with horizon >= steps - s
@@ -128,6 +137,43 @@ def simulate_Y_batch(model, horizons, initial: int, rng,
     out = np.empty_like(pops)
     out[order] = pops
     return out, trips
+
+
+# (line, age) pairs drawn per block on the cohort route: each block's
+# arrays stay near 128 KB, so a batch's memory does not grow with its
+# total number of generations
+_COHORT_BLOCK = 1 << 14
+
+
+def _simulate_Y_cohorts(offspring: Law, immigration: Law, horizons: np.ndarray,
+                        initial: int, rng, max_population: int):
+    """simulate_Y_batch by cohorts: Y_m = Z_m(initial) + sum_{a<m} Z_a(I_a),
+    with I_a the immigrants that are a generations old at time m.
+
+    Draws come in a fixed order: the initial populations first, then the
+    (line, age) pairs, lines in input order and ages ascending, in blocks
+    of _COHORT_BLOCK pairs (the block's immigrants, then their cohorts).
+    """
+    y = offspring.sample_generations(np.full(horizons.shape[0], initial, dtype=np.int64),
+                                     horizons, rng)
+    # line i owns the pairs starts[i] .. ends[i] - 1, age = pair - starts[i]
+    ends = np.cumsum(horizons)
+    starts = ends - horizons
+    total = int(ends[-1]) if ends.shape[0] else 0
+    for lo in range(0, total, _COHORT_BLOCK):
+        hi = min(lo + _COHORT_BLOCK, total)
+        pair = np.arange(lo, hi)
+        line = np.searchsorted(ends, pair, side="right")
+        z = offspring.sample_generations(immigration.sample(hi - lo, rng),
+                                         pair - starts[line], rng)
+        # each line sums its pairs in this block between two cumsum edges
+        lines = np.arange(line[0], line[-1] + 1)
+        csum = np.concatenate(([0], np.cumsum(z)))
+        y[lines] += (csum[np.minimum(ends[lines], hi) - lo]
+                     - csum[np.maximum(starts[lines], lo) - lo])
+    over = y > max_population
+    y[over] = max_population
+    return y, int(np.count_nonzero(over))
 
 
 def simulate_Y_streams(model, n: int, initial: int, cfg: SimConfig, jobs: int = 1,
@@ -147,32 +193,14 @@ def simulate_Y_streams(model, n: int, initial: int, cfg: SimConfig, jobs: int = 
 
 def _run_lines(offspring: Law, starts, gens, rng):
     """Branch each start count for its own number `gens` (an int or one per
-    line) of offspring-only generations, all lines in one loop.
-
-    Each generation is one sample_sum over the lines still running, in
-    input order; lines stop when they die or finish.  Returns (surviving
-    values, their indices into `starts`), by index.
+    line) of offspring-only generations, all lines in one
+    offspring.sample_generations call (one draw for a law with a closed
+    form, one generation loop otherwise).  Returns (surviving values, their
+    indices into `starts`), by index.
     """
-    vals = np.asarray(starts, dtype=np.int64)
+    vals = offspring.sample_generations(starts, gens, rng)
     idx = np.flatnonzero(vals > 0)
-    rem = np.broadcast_to(np.asarray(gens, dtype=np.int64), vals.shape)[idx]
-    vals = vals[idx]
-    done_vals, done_idx = [vals[:0]], [idx[:0]]
-    while True:
-        done = rem == 0
-        if np.any(done):
-            done_vals.append(vals[done])
-            done_idx.append(idx[done])
-            vals, idx, rem = vals[~done], idx[~done], rem[~done]
-        if idx.shape[0] == 0:
-            break
-        vals = offspring.sample_sum(vals, rng)
-        rem -= 1
-        alive = vals > 0
-        vals, idx, rem = vals[alive], idx[alive], rem[alive]
-    vals, idx = np.concatenate(done_vals), np.concatenate(done_idx)
-    order = np.argsort(idx)
-    return vals[order], idx[order]
+    return vals[idx], idx
 
 
 def simulate_theta_batch(model, n: int, size: int, rng) -> np.ndarray:

@@ -366,6 +366,23 @@ class TestSimulateEstimate:
         assert captured.out == ""
         assert "--k" in captured.err
 
+    @pytest.mark.parametrize("epsilon, method", [
+        ("0", "both"), ("-0.5", "both"), ("nan", "both"), ("0", "stratified"),
+    ])
+    def test_bad_epsilon_usage_error_before_sampling(self, epsilon, method, bin_bern_spec,
+                                                     capsys, monkeypatch):
+        def sampled(*args, **kwargs):
+            raise AssertionError("an estimator ran before --epsilon was checked")
+
+        monkeypatch.setattr(mc, "estimate_lower_tail_naive", sampled)
+        monkeypatch.setattr(mc, "estimate_lower_tail_stratified", sampled)
+        code = main(["estimate", "--model", bin_bern_spec, "--n", "8", "--k", "2",
+                     "--samples", "100", "--method", method, "--epsilon", epsilon])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--epsilon" in captured.err
+
     def test_simulate_empirical_close_to_exact(self, bin_bern_spec, capsys):
         code, out = run_cli(
             ["simulate", "--model", bin_bern_spec, "--n", "2",

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gwimm import exact_pmf_Y, exact_pmf_Z, extinction_iterates, make_law, make_model
 from gwimm import montecarlo as mc
+from gwimm.models import Law
 from gwimm.theta import theta_pmf
 
 
@@ -58,16 +61,161 @@ class TestSimulateY:
             assert p > 0.001
 
     def test_zero_horizon_lines_draw_nothing(self, bin_bern):
-        rng = mc.substream(2, 0)
-        values, _ = mc.simulate_Y_batch(bin_bern, [0, 0, 0], 5, rng)
-        assert values.tolist() == [5, 5, 5]
-        assert rng.random() == mc.substream(2, 0).random()
-        # in a mixed batch they leave the other lines' draws unchanged
-        mixed_rng, plain_rng = mc.substream(2, 1), mc.substream(2, 1)
-        mixed, _ = mc.simulate_Y_batch(bin_bern, [6, 0, 6], 5, mixed_rng)
-        plain, _ = mc.simulate_Y_batch(bin_bern, [6, 6], 5, plain_rng)
-        assert mixed[1] == 5 and mixed[[0, 2]].tolist() == plain.tolist()
-        assert mixed_rng.random() == plain_rng.random()
+        _check_zero_horizon_lines_draw_nothing(bin_bern)
+
+
+def _check_zero_horizon_lines_draw_nothing(model):
+    rng = mc.substream(2, 0)
+    values, _ = mc.simulate_Y_batch(model, [0, 0, 0], 5, rng)
+    assert values.tolist() == [5, 5, 5]
+    assert rng.random() == mc.substream(2, 0).random()
+    # in a mixed batch they leave the other lines' draws unchanged
+    mixed_rng, plain_rng = mc.substream(2, 1), mc.substream(2, 1)
+    mixed, _ = mc.simulate_Y_batch(model, [6, 0, 6], 5, mixed_rng)
+    plain, _ = mc.simulate_Y_batch(model, [6, 6], 5, plain_rng)
+    assert mixed[1] == 5 and mixed[[0, 2]].tolist() == plain.tolist()
+    assert mixed_rng.random() == plain_rng.random()
+
+
+def _chisquare_p(values, probs):
+    """Chi-square p-value of integer draws against a law given by its pmf
+    `probs` on 0..K, the rest of its mass lumped beyond K; cells expecting
+    fewer than 5 draws are pooled into one."""
+    K = probs.shape[0] - 1
+    observed = np.bincount(np.minimum(values, K + 1), minlength=K + 2)
+    expected = np.append(probs, max(0.0, 1.0 - float(probs.sum()))) * values.shape[0]
+    small = expected < 5.0
+    if expected[small].sum() > 0.0:
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    else:
+        assert observed[small].sum() == 0
+        observed, expected = observed[~small], expected[~small]
+    return stats.chisquare(observed, expected * observed.sum() / expected.sum()).pvalue
+
+
+def _two_sample_p(a, b):
+    """Chi-square p-value that two integer samples share one law, on about
+    20 cells cut at the pooled sample's quantiles."""
+    edges = np.unique(np.quantile(np.concatenate([a, b]), np.linspace(0, 1, 21)))[1:-1]
+    table = [np.bincount(np.searchsorted(edges, x, side="right"), minlength=edges.shape[0] + 1)
+             for x in (a, b)]
+    return stats.chi2_contingency(np.array(table)).pvalue
+
+
+_GEO_POISSON = make_model("geometric-critical", {"family": "poisson", "params": {"mean": 2.0}})
+
+
+class _Scaling(Law):
+    """Deterministic stand-in with the closed-form hook: c ancestors leave
+    c (m + 1)**2 after m generations, so a cohort route sums to a known
+    value and any misplaced pair shows."""
+
+    kind = "scaling"
+    closed_form_generations = True
+
+    def __init__(self):
+        self.sizes = []
+
+    def sample_generations(self, counts, gens, rng):
+        counts = np.asarray(counts, dtype=np.int64)
+        self.sizes.append(counts.shape[0])
+        return counts * (np.asarray(gens, dtype=np.int64) + 1) ** 2
+
+
+class TestSampleGenerations:
+    """The geometric law's one-draw Z_m against the exact cohort law and
+    against the generation loop it replaces."""
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 64])
+    @pytest.mark.parametrize("which", ["geo_bern", "geo_poisson"])
+    def test_cohort_draws_match_exact_law(self, which, m, request):
+        model = _GEO_POISSON if which == "geo_poisson" else request.getfixturevalue(which)
+        N, K = 200_000, 8 * (m + 1)
+        rng = mc.substream(12, m)
+        z = model.offspring.sample_generations(model.immigration.sample(N, rng), m, rng)
+        probs = exact_pmf_Z(model, m, K, deficit_ceiling=1.0).probs
+        assert _chisquare_p(z, probs) > 0.001
+
+    @pytest.mark.parametrize("m", [1, 7, 64])
+    def test_matches_generation_loop(self, m, geo_bern):
+        geo = geo_bern.offspring
+        counts = _GEO_POISSON.immigration.sample(100_000, mc.substream(13, 0))
+        closed = geo.sample_generations(counts, m, mc.substream(13, 1))
+        loop = Law.sample_generations(geo, counts, m, mc.substream(13, 2))
+        assert _two_sample_p(closed, loop) > 0.001
+
+    @pytest.mark.parametrize("which", ["closed-form", "loop"])
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 300)), max_size=12),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_identity_cases_and_sign(self, which, pairs, seed):
+        geo = make_law({"family": "geometric-critical"})
+        draw = geo.sample_generations if which == "closed-form" else (
+            lambda *args: Law.sample_generations(geo, *args))
+        counts = np.array([c for c, _ in pairs], dtype=np.int64)
+        gens = np.array([g for _, g in pairs], dtype=np.int64)
+        rng, untouched = mc.substream(seed, 0), mc.substream(seed, 0)
+        out = draw(counts, gens, rng)
+        assert out.dtype == np.int64 and out.shape == counts.shape
+        assert np.all(out >= 0)
+        assert np.array_equal(out[gens == 0], counts[gens == 0])
+        assert np.all(out[counts == 0] == 0)
+        if not np.any((counts > 0) & (gens > 0)):
+            assert rng.random() == untouched.random()
+
+
+class TestCohortRoute:
+    """simulate_Y_batch on an offspring law with a closed-form hook."""
+
+    def test_mixed_horizons_with_initial_match_exact(self, geo_bern):
+        per, K = 40_000, 64
+        horizons = np.tile([0, 1, 5, 17, 40], per)
+        values, trips = mc.simulate_Y_batch(geo_bern, horizons, 3, mc.substream(14, 0))
+        assert trips == 0
+        assert np.all(values[horizons == 0] == 3)
+        for m in (1, 5, 17, 40):
+            probs = exact_pmf_Y(geo_bern, m, K, initial=3, deficit_ceiling=1.0).probs
+            assert _chisquare_p(values[horizons == m], probs) > 0.001
+
+    def test_blocks_sum_every_pair_once(self):
+        law = _Scaling()
+        one = make_law({"family": "explicit", "probs": [0.0, 1.0]})
+        horizons = mc.substream(15, 0).integers(0, 700, size=1000)
+        horizons[[3, 4, 500]] = 0
+        total = int(horizons.sum())
+        assert total >= 3 * mc._COHORT_BLOCK
+        values, trips = mc.simulate_Y_batch((law, one), horizons, 2, mc.substream(15, 1))
+        # Y_m = 2 (m + 1)**2 + sum_{a < m} (a + 1)**2
+        m = horizons
+        assert values.tolist() == (2 * (m + 1) ** 2 + m * (m + 1) * (2 * m + 1) // 6).tolist()
+        assert trips == 0
+        # one call for the initial populations, then one per block
+        assert law.sizes[0] == horizons.shape[0]
+        assert law.sizes[1:] == [min(mc._COHORT_BLOCK, total - lo)
+                                 for lo in range(0, total, mc._COHORT_BLOCK)]
+
+    def test_batch_over_blocks_matches_exact(self, geo_bern):
+        horizons = np.tile([0, 3, 64, 200], 1000)
+        assert horizons.sum() >= 3 * mc._COHORT_BLOCK
+        values, trips = mc.simulate_Y_batch(geo_bern, horizons, 0, mc.substream(16, 0))
+        assert trips == 0
+        assert np.all(values[horizons == 0] == 0)
+        for m in (3, 64, 200):
+            probs = exact_pmf_Y(geo_bern, m, 4 * m, deficit_ceiling=1.0).probs
+            assert _chisquare_p(values[horizons == m], probs) > 0.001
+
+    def test_zero_horizon_lines_draw_nothing(self, geo_bern):
+        _check_zero_horizon_lines_draw_nothing(geo_bern)
+
+    def test_guard_caps_final_value(self, geo_bern):
+        horizons = np.full(2000, 50)
+        free, free_trips = mc.simulate_Y_batch(geo_bern, horizons, 0, mc.substream(17, 0))
+        capped, trips = mc.simulate_Y_batch(geo_bern, horizons, 0, mc.substream(17, 0),
+                                            max_population=3)
+        assert free_trips == 0
+        assert trips == int(np.count_nonzero(free > 3)) > 0
+        assert np.array_equal(capped, np.minimum(free, 3))
 
 
 class TestRunLines:
