@@ -45,16 +45,13 @@ EXPLICIT_MASS_TOL = 1e-12
 PGF_DOMAIN_TOL = 1e-12
 
 # Head length for direct summation of log-heavy pmfs; beyond this the
-# tail is handled by quadrature (see _HeavyTailKernel).  A square, so the
-# head sum splits into sqrt(head) baby steps and as many giant steps.
+# tail is handled by quadrature (see _heavy_tail_sum and _HeavyTailKernel).
+# A square, so the head sum splits into sqrt(head) baby steps and as many
+# giant steps.
 _HEAVY_HEAD = 4096
 _HEAD_STEP = math.isqrt(_HEAVY_HEAD)
 # Points per block of an array head sum: 128 KB of powers at a time.
 _HEAD_ROWS = 128
-# Direct-summation horizon for the one-off series constants, summed in
-# blocks of _CONST_BLOCK terms.
-_CONST_HEAD = 1 << 20
-_CONST_BLOCK = 1 << 16
 # Inverse-cdf table length for sampling unbounded laws.
 _SAMPLE_TABLE = 1 << 16
 # Largest beta of the log-heavy laws.  Their tail values go down to about
@@ -250,6 +247,8 @@ class ExplicitLaw(Law):
                              f"got {probs.ndim} dimensions")
         if probs.size == 0:
             raise ValueError("explicit law needs a nonempty probability vector")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError(f"key 'probs' must hold finite probabilities, got {probs.tolist()}")
         if np.any(probs < 0):
             raise ValueError("negative probability in explicit law")
         total = math.fsum(probs.tolist())
@@ -531,78 +530,10 @@ def _heavy_term(x, a, beta):
     return x ** (-a) * np.log(x) ** (-beta)
 
 
-def _heavy_tail_integral(A: float, a: int, beta: float) -> float:
-    """integral_A^inf x**-a (log x)**-beta dx.
-
-    a = 1 has the closed form (log A)**(1-beta)/(beta-1); otherwise the
-    substitution w = log x turns the slowly decaying integrand into
-    exp(-(a-1) w) w**-beta, which quadrature handles comfortably.
-    """
-    la = math.log(A)
-    if a == 1:
-        return la ** (1.0 - beta) / (beta - 1.0)
-    from scipy import integrate
-
-    val, _ = integrate.quad(
-        lambda w: math.exp(-(a - 1.0) * w) * w ** (-beta),
-        la,
-        np.inf,
-        epsabs=0.0,
-        epsrel=1e-12,
-        limit=300,
-    )
-    return val
-
-
-def _heavy_head_sum(a: int, beta: float) -> float:
-    """sum_{2 <= k <= _CONST_HEAD} k**-a (log k)**-beta, within an ulp, in
-    blocks of _CONST_BLOCK terms.
-
-    Every term splits exactly into a multiple of q = 2**-37 times a power
-    of two above the largest term (k = 2), plus a remainder below q/2
-    (error-free extraction; Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
-    2008).  A block's multiples sum without rounding in any order, its
-    remainders with an error far below the result's ulp, and math.fsum
-    adds the parts of all blocks.
-    """
-    q = 2.0 ** (math.frexp(_heavy_term(2.0, a, beta))[1] - 37)
-    parts = []
-    for lo in range(0, _CONST_HEAD, _CONST_BLOCK):
-        terms = _heavy_term(np.arange(max(lo + 1, 2), lo + _CONST_BLOCK + 1, dtype=float), a, beta)
-        hi = np.round(terms / q) * q
-        parts += [float(np.sum(hi)), float(np.sum(terms - hi))]
-    return math.fsum(parts)
-
-
-@lru_cache(maxsize=None)
-def _heavy_series_sum(a: int, beta: float) -> float:
-    """sum_{k >= 2} k**-a (log k)**-beta, head summation plus midpoint
-    Euler-Maclaurin tail (the first correction term is included; the next
-    one is O(K**-(a+3)) and far below double precision here)."""
-    head = _heavy_head_sum(a, beta)
-    A = _CONST_HEAD + 0.5
-    tail = _heavy_tail_integral(A, a, beta)
-    la = math.log(A)
-    deriv = -(A ** (-a - 1)) * la ** (-beta) * (a + beta / la)
-    return head + tail + deriv / 24.0
-
-
-@lru_cache(maxsize=None)
-def _heavy_tail_cumulative(a: int, beta: float) -> np.ndarray:
-    """R[k] = sum_{i > k} i**-a (log i)**-beta for k = 0.._SAMPLE_TABLE."""
-    total = _heavy_series_sum(a, beta)
-    k = np.arange(2, _SAMPLE_TABLE + 1, dtype=float)
-    terms = _heavy_term(k, a, beta)
-    out = np.empty(_SAMPLE_TABLE + 1)
-    out[0] = out[1] = total
-    out[2:] = total - np.cumsum(terms)
-    return out
-
-
-# Tail-table quadrature: Gauss-Legendre with _GL_POINTS points on every
-# panel; the finite piece has _LOW_PANELS equal panels (each under 1.5 units
-# of log x), each semi-infinite piece _INF_PANELS panels of doubling width.
-# _TABLE_ROWS nodes are evaluated at a time (under 0.2 MB per array).
+# Tail quadrature: Gauss-Legendre with _GL_POINTS points on every panel;
+# the tail table's finite piece has _LOW_PANELS equal panels (each under 1.5
+# units of log x), every semi-infinite piece _INF_PANELS panels of doubling
+# width.  _TABLE_ROWS nodes are evaluated at a time (under 0.2 MB per array).
 _GL_POINTS = 10
 _LOW_PANELS = 12
 _INF_PANELS = 10
@@ -624,6 +555,47 @@ def _gauss_panels(edges: np.ndarray):
     return (lo + width * x).ravel(), (width * w).ravel()
 
 
+@lru_cache(maxsize=None)
+def _doubling_panels():
+    """The semi-infinite pieces' rule: _INF_PANELS panels with edges 0, 1,
+    3, ..., 2**_INF_PANELS - 1 in units of the first panel's width."""
+    return _gauss_panels(2.0 ** np.arange(_INF_PANELS + 1) - 1.0)
+
+
+def _pure_tail(zc: np.ndarray, a: int, beta: float, ref: float) -> np.ndarray:
+    """int_zc^oo e**(-(a-1) z) z**-beta dz in units of e**ref, a >= 2, for
+    every zc of a column (shape (n, 1)).  The doubling panels start at width
+    2/r, r = (a-1) + beta/zc the integrand's decay rate at zc, so they run on
+    until it has dropped by e**-99 or more for every beta."""
+    x, w = _doubling_panels()
+    h = 2.0 / ((a - 1.0) + beta / zc)
+    z = zc + h * x
+    return h[:, 0] * (np.exp(-(a - 1.0) * z - beta * np.log(z) - ref) @ w)
+
+
+def _heavy_tail_sum(a: int, beta: float, k: int) -> float:
+    """sum_{i > k} i**-a (log i)**-beta for k >= 1.
+
+    The terms up to _HEAVY_HEAD are summed by math.fsum.  Beyond them, from
+    A = max(k, _HEAVY_HEAD) + 1/2, comes the integral of the same function
+    (the closed form (log A)**(1-beta)/(beta-1) at a = 1, _pure_tail in z =
+    log x otherwise) plus the midpoint Euler-Maclaurin correction
+    -psi'(A)/24.  The next correction, 7 psi'''(A)/5760, is about
+    1e-3 (a + beta/log A)**4 / A**4 of the tail: 1e-11 at beta = 300, below
+    1e-16 for beta <= 50.
+    """
+    terms = _heavy_term(np.arange(max(k, 1) + 1, _HEAVY_HEAD + 1, dtype=float), a, beta)
+    A = max(k, _HEAVY_HEAD) + 0.5
+    L = math.log(A)
+    if a == 1:
+        integral = L ** (1.0 - beta) / (beta - 1.0)
+    else:
+        ref = -(a - 1.0) * L - beta * math.log(L)
+        integral = math.exp(ref) * float(_pure_tail(np.array([[L]]), a, beta, ref)[0])
+    deriv = -(A ** (-a - 1)) * L ** (-beta) * (a + beta / L)
+    return math.fsum(terms.tolist()) + (integral + deriv / 24.0)
+
+
 def _heavy_tail_table(a: int, beta: float, theta: np.ndarray) -> np.ndarray:
     """log of sum_{k > head} k**-a (log k)**-beta (1 - e**-(k t)) at every
     t = exp(theta), theta a 1-D array.
@@ -640,9 +612,8 @@ def _heavy_tail_table(a: int, beta: float, theta: np.ndarray) -> np.ndarray:
     fixed panel rule, the same for every node, evaluated on a 2-D array of
     nodes by points in units of e**ref, the low and pure integrands' bound
     at z = L.  The rule follows the decay rate r = (a-1) + beta/z: low's
-    first panel is halved until r * width <= 4, and the doubling panels of
-    pure and expo start at width 2/r of the piece's start, so they run on
-    until the integrand has dropped by e**-99 or more for every beta.
+    first panel is halved until r * width <= 4, and pure (_pure_tail) and
+    expo take the doubling panels from width 2/r of the piece's start.
     """
     A = _HEAVY_HEAD + 0.5
     L = math.log(A)
@@ -654,8 +625,7 @@ def _heavy_tail_table(a: int, beta: float, theta: np.ndarray) -> np.ndarray:
     fracs = np.concatenate(([0.0], 0.5 ** np.arange(halvings, 0, -1),
                             np.arange(1.0, _LOW_PANELS + 1.0))) / _LOW_PANELS
     low_x, low_w = _gauss_panels(fracs)
-    # pure and expo: doubling panels from the piece's start
-    inf_x, inf_w = _gauss_panels(2.0 ** np.arange(_INF_PANELS + 1) - 1.0)
+    inf_x, inf_w = _doubling_panels()
     out = np.empty(theta.shape)
     for rows in range(0, theta.size, _TABLE_ROWS):
         lt = theta[rows : rows + _TABLE_ROWS, None]
@@ -664,9 +634,7 @@ def _heavy_tail_table(a: int, beta: float, theta: np.ndarray) -> np.ndarray:
         f = np.log(-np.expm1(-np.exp(z + lt))) - (a - 1.0) * z - beta * np.log(z)
         low = d[:, 0] * (np.exp(f - ref) @ low_w)
         zc = L + d
-        h = 2.0 / ((a - 1.0) + beta / zc)
-        z = zc + h * inf_x
-        pure = h[:, 0] * (np.exp(-(a - 1.0) * z - beta * np.log(z) - ref) @ inf_w)
+        pure = _pure_tail(zc, a, beta, ref)
         yc = np.exp(zc + lt)
         h = 2.0 / (1.0 + a / yc + beta / (yc * zc))
         y = yc + h * inf_x
@@ -696,20 +664,17 @@ class _HeavyTailKernel:
     T_HI = 4.0
 
     def __init__(self, a: int, beta: float):
-        # Only function-level scipy imports: these log-heavy ones, oracles.py's quad.
-        # Loaded at construction, as is the tail table's quadrature rule, so
-        # no timed spline build pays the import or the rule's eigensolver.
-        import scipy.integrate  # noqa: F401
+        # Only function-level scipy imports: this one, oracles.py's quad.
+        # Loaded at construction, as is the quadrature rule (by
+        # tail_mass_const), so no timed spline build pays the import or the
+        # rule's eigensolver.
         import scipy.interpolate  # noqa: F401
-
-        _gauss_legendre()
 
         self.a = a
         self.beta = beta
+        self.total_mass = _heavy_tail_sum(a, beta, 1)
+        self.tail_mass_const = _heavy_tail_sum(a, beta, _HEAVY_HEAD)
         head_terms = _heavy_term(np.arange(2, _HEAVY_HEAD + 1, dtype=float), a, beta)
-        self.head_mass = float(np.sum(head_terms))
-        self.total_mass = _heavy_series_sum(a, beta)
-        self.tail_mass_const = self.total_mass - self.head_mass
         # T_i = sum_{i < k <= head} of the head terms, i = 0..head-1 (T_0 =
         # T_1), as a matrix with T_{64 g + b} in row g, column b
         rest = np.cumsum(head_terms[::-1])[::-1]
@@ -803,15 +768,8 @@ class _HeavyTailKernel:
         return u * float(np.dot(e[_HEAD_STEP:], np.dot(self._head_matrix, e[:_HEAD_STEP])))
 
     def tail_mass_beyond(self, k: int) -> float:
-        """sum_{i > k} i**-a (log i)**-beta (c-free)."""
-        table = _heavy_tail_cumulative(self.a, self.beta)
-        if k < table.size:
-            return float(table[k])
-        A = k + 0.5
-        val = _heavy_tail_integral(A, self.a, self.beta)
-        la = math.log(A)
-        deriv = -(A ** (-self.a - 1)) * la ** (-self.beta) * (self.a + self.beta / la)
-        return val + deriv / 24.0
+        """sum_{i > k} i**-a (log i)**-beta (c-free), k >= 1."""
+        return _heavy_tail_sum(self.a, self.beta, k)
 
 
 class _HeavyLawBase(Law):
@@ -951,9 +909,9 @@ class LogHeavyOffspringLaw(_HeavyLawBase):
 
     def __init__(self, beta: float):
         super().__init__(beta, a=3)
-        s_mean = _heavy_series_sum(2, self.beta)  # sum k * k^-3 log^-beta
-        s_mass = _heavy_series_sum(3, self.beta)
-        t1 = _heavy_series_sum(1, self.beta)  # sum k(k-1) p_k / c + s_mean
+        s_mean = _heavy_tail_sum(2, self.beta, 1)  # sum k * k^-3 log^-beta
+        s_mass = self.kernel.total_mass
+        t1 = _heavy_tail_sum(1, self.beta, 1)  # sum k(k-1) p_k / c + s_mean
         self.c = 0.5 / s_mean
         self.atom1 = 0.5
         self.atom0 = 0.5 - self.c * s_mass
@@ -966,8 +924,8 @@ class LogHeavyImmigrationLaw(_HeavyLawBase):
 
     def __init__(self, beta: float):
         super().__init__(beta, a=2)
-        t1 = _heavy_series_sum(1, self.beta)  # sum k q_k / c
-        s_mass = _heavy_series_sum(2, self.beta)
+        t1 = _heavy_tail_sum(1, self.beta, 1)  # sum k q_k / c
+        s_mass = self.kernel.total_mass
         self.c = 0.5 / t1
         self.atom1 = 0.0
         self.atom0 = 1.0 - self.c * s_mass

@@ -423,6 +423,18 @@ def test_log_heavy_beta_above_cap_usage_error(family, tmp_path, capsys):
     assert family in err and "beta" in err
 
 
+def test_explicit_nan_probability_usage_error(tmp_path, capsys):
+    # json reads NaN; it reached the model as B=nan or lam=nan
+    spec = tmp_path / "nan.json"
+    spec.write_text(json.dumps({
+        "offspring": {"family": "binary"},
+        "immigration": {"family": "explicit", "probs": [0.5, math.nan, 0.5]},
+    }))
+    assert "NaN" in spec.read_text()
+    assert main(["exact", "--model", str(spec), "--n", "4", "--trunc", "16"]) == 2
+    assert "key 'probs' must hold finite" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_only_filter(self, capsys):
         code, out = run_cli(["verify", "--only", "lemma4-ratio"], capsys)

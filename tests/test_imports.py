@@ -1,5 +1,6 @@
 """Import hygiene, each case in a fresh interpreter: light laws never load
-scipy's quadrature and spline stack; a log-heavy law loads it when built."""
+scipy's quadrature and spline stack; a log-heavy law loads only the spline
+module when built."""
 
 import json
 import os
@@ -48,5 +49,4 @@ print(json.dumps({"spline_built": law.kernel._spline is not None,
                   "loaded": [m for m in ("scipy.integrate", "scipy.interpolate")
                              if m in sys.modules]}))
 """)
-    assert state == {"spline_built": False,
-                     "loaded": ["scipy.integrate", "scipy.interpolate"]}
+    assert state == {"spline_built": False, "loaded": ["scipy.interpolate"]}

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,15 +8,13 @@ from hypothesis import strategies as st
 
 from gwimm import classify_xlogx, extinction_iterates, make_law, make_model
 from gwimm.models import (
-    _CONST_HEAD,
     _HEAVY_HEAD,
     FINITE,
     HEAVY_BETA_MAX,
     INFINITE,
     LogHeavyImmigrationLaw,
     LogHeavyOffspringLaw,
-    _heavy_head_sum,
-    _heavy_series_sum,
+    _heavy_tail_sum,
     _heavy_tail_table,
     _heavy_term,
     _HeavyTailKernel,
@@ -71,6 +70,12 @@ class TestValidation:
     def test_negative_probability(self):
         with pytest.raises(ValueError, match="negative"):
             make_law({"family": "explicit", "probs": [1.1, -0.1]})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_probability_names_the_key(self, bad):
+        # a nan entry passed the mass check and gave a law with mean nan
+        with pytest.raises(ValueError, match="key 'probs' must hold finite"):
+            make_law({"family": "explicit", "probs": [0.5, bad, 0.5]})
 
     def test_mass_off_by_too_much(self):
         with pytest.raises(ValueError, match="sum"):
@@ -348,9 +353,45 @@ def _mpmath_log_tail(mpmath, a, beta, t):
         return ref + mpmath.log(val + psi / (24 * A))
 
 
+def _adaptive_power_tail(A, a, beta):
+    """Reference for the tail sum's integral, a >= 2: integral_A^inf x**-a
+    (log x)**-beta dx by adaptive quad at epsrel 1e-12, in w = log x, where
+    the integrand is exp(-(a-1) w) w**-beta."""
+    from scipy import integrate
+
+    val, _ = integrate.quad(lambda w: math.exp(-(a - 1.0) * w) * w ** (-beta),
+                            math.log(A), np.inf, epsabs=0.0, epsrel=1e-12, limit=300)
+    return val
+
+
+def _mpmath_tail_sum(mpmath, a, beta, k):
+    """sum_{i > k} i**-a (log i)**-beta to 50 digits: the terms up to the
+    head by mpmath.fsum; from A = max(k, head) + 1/2 on, the integral in z =
+    log x, scaled by the integrand's bound at z = log A (mpmath.quad drops
+    terms that are tiny in absolute terms), plus the midpoint
+    Euler-Maclaurin corrections through the fifth derivative."""
+    with mpmath.workdps(50):
+        b = mpmath.mpf(beta)
+
+        def f(x):
+            return x**-a * mpmath.log(x) ** -b
+
+        head = mpmath.fsum(f(mpmath.mpf(i)) for i in range(k + 1, _HEAVY_HEAD + 1))
+        A = mpmath.mpf(max(k, _HEAVY_HEAD)) + mpmath.mpf(1) / 2
+        L = mpmath.log(A)
+        ref = -(a - 1) * L - b * mpmath.log(L)
+        rate = (a - 1) + b / L
+        pts = [L + j / rate for j in (0, 0.25, 0.5, 1, 2, 4, 8, 16, 32, 64, 128, 256)]
+        integral = mpmath.exp(ref) * mpmath.quad(
+            lambda z: mpmath.exp(-(a - 1) * z - b * mpmath.log(z) - ref), pts + [mpmath.inf])
+        em = (mpmath.diff(f, A, 1) / 24 - 7 * mpmath.diff(f, A, 3) / 5760
+              + 31 * mpmath.diff(f, A, 5) / 967680)
+        return head + integral + em
+
+
 class TestHeavyKernel:
-    """The one-off numbers of a log-heavy law: its tail table and series
-    constants, and the iterates that its head sum drives."""
+    """The one-off numbers of a log-heavy law: its tail table and tail sums,
+    and the iterates that its head sum drives."""
 
     @pytest.mark.parametrize("a", [2, 3])
     @pytest.mark.parametrize("beta", [1.5, 2.5, 3.0, 50.0, HEAVY_BETA_MAX])
@@ -388,19 +429,42 @@ class TestHeavyKernel:
             ref.append(u)
         assert np.max(np.abs(got / np.array(ref) - 1.0)) <= 1e-12
 
-    @pytest.mark.parametrize("a,beta", [(1, 1.5), (2, 1.5), (3, 1.5), (2, 2.5), (3, 50.0)])
-    def test_head_sum_within_an_ulp_of_fsum(self, a, beta):
-        k = np.arange(2, _CONST_HEAD + 1, dtype=float)
-        exact = math.fsum(_heavy_term(k, a, beta).tolist())
-        assert abs(_heavy_head_sum(a, beta) - exact) <= math.ulp(exact)
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [1.5, 2.5, 3.0, 50.0, HEAVY_BETA_MAX])
+    def test_tail_sum_against_mpmath(self, a, beta):
+        # at beta = 300 the dropped Euler-Maclaurin term is 1e-11 of the tail
+        mpmath = pytest.importorskip("mpmath")
+        bound = 1e-10 if beta > 50.0 else 1e-13
+        for k in (1, 100, _HEAVY_HEAD, 65536, 10**6):
+            exact = float(_mpmath_tail_sum(mpmath, a, beta, k))
+            if exact < sys.float_info.min:
+                continue  # subnormal: no relative accuracy to keep
+            assert abs(_heavy_tail_sum(a, beta, k) / exact - 1.0) <= bound
+
+    @pytest.mark.parametrize("a", [2, 3])
+    @pytest.mark.parametrize("beta", [1.5, 2.5, 3.0, 50.0, HEAVY_BETA_MAX])
+    def test_tail_sum_matches_adaptive_quad(self, a, beta):
+        for k in (_HEAVY_HEAD, 65536, 10**6):
+            A = k + 0.5
+            la = math.log(A)
+            deriv = -(A ** (-a - 1)) * la ** (-beta) * (a + beta / la)
+            ref = _adaptive_power_tail(A, a, beta) + deriv / 24.0
+            if ref < sys.float_info.min:
+                continue
+            assert abs(_heavy_tail_sum(a, beta, k) / ref - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("k", [_HEAVY_HEAD, 20000, 65536])
+    def test_tail_mass_beyond_keeps_its_relative_accuracy(self, k):
+        # a total - cumsum table lost 1.1e-6, 3.7e-5 and 4.7e-4 of these
+        mpmath = pytest.importorskip("mpmath")
+        got = LogHeavyOffspringLaw(1.5).kernel.tail_mass_beyond(k)
+        assert abs(got / float(_mpmath_tail_sum(mpmath, 3, 1.5, k)) - 1.0) <= 1e-12
 
     def test_construction_peak_memory(self):
         import tracemalloc
 
-        import scipy.integrate  # noqa: F401  (module memory is not the law's)
-        import scipy.interpolate  # noqa: F401
+        import scipy.interpolate  # noqa: F401  (module memory is not the law's)
 
-        _heavy_series_sum.cache_clear()
         tracemalloc.start()
         try:
             make_law({"family": "log-heavy-immigration", "params": {"beta": 1.5}})
