@@ -45,7 +45,7 @@ EXPLICIT_MASS_TOL = 1e-12
 PGF_DOMAIN_TOL = 1e-12
 
 # Head length for direct summation of log-heavy pmfs; beyond this the
-# tail is handled by quadrature (see _heavy_tail_sum and _HeavyTailKernel).
+# tail is handled by quadrature (see _heavy_tail_sum and _HeavyLawBase).
 # A square, so the head sum splits into sqrt(head) baby steps and as many
 # giant steps.
 _HEAVY_HEAD = 4096
@@ -241,7 +241,9 @@ class ExplicitLaw(Law):
     kind = "explicit"
 
     def __init__(self, probs):
-        probs = np.asarray(probs, dtype=float)
+        # a read-only copy: the law's identity (its hash) and moments must not
+        # follow later writes to the caller's array
+        probs = np.array(probs, dtype=float)
         if probs.ndim != 1:
             raise ValueError(f"key 'probs' must be a flat list of probabilities, "
                              f"got {probs.ndim} dimensions")
@@ -256,6 +258,7 @@ class ExplicitLaw(Law):
             raise ValueError(
                 f"explicit probabilities sum to {total!r}, not 1 within {EXPLICIT_MASS_TOL}"
             )
+        probs.flags.writeable = False
         self.probs = probs
         ks = np.arange(probs.size, dtype=float)
         self.mean = float(np.dot(ks, probs))
@@ -295,7 +298,7 @@ class ExplicitLaw(Law):
         return out if _is_array(u) else float(out[0])
 
     def pmf_array(self, K):
-        return trim(self.probs, K)
+        return trim(self.probs, K).copy()
 
     def sample(self, size, rng):
         return rng.choice(self.probs.size, size=size, p=self.probs)
@@ -579,10 +582,8 @@ def _heavy_tail_sum(a: int, beta: float, k: int) -> float:
     The terms up to _HEAVY_HEAD are summed by math.fsum.  Beyond them, from
     A = max(k, _HEAVY_HEAD) + 1/2, comes the integral of the same function
     (the closed form (log A)**(1-beta)/(beta-1) at a = 1, _pure_tail in z =
-    log x otherwise) plus the midpoint Euler-Maclaurin correction
-    -psi'(A)/24.  The next correction, 7 psi'''(A)/5760, is about
-    1e-3 (a + beta/log A)**4 / A**4 of the tail: 1e-11 at beta = 300, below
-    1e-16 for beta <= 50.
+    log x otherwise) plus the midpoint Euler-Maclaurin corrections
+    f'(A)/24 - 7 f'''(A)/5760 of f(x) = x**-a (log x)**-beta.
     """
     terms = _heavy_term(np.arange(max(k, 1) + 1, _HEAVY_HEAD + 1, dtype=float), a, beta)
     A = max(k, _HEAVY_HEAD) + 0.5
@@ -593,7 +594,12 @@ def _heavy_tail_sum(a: int, beta: float, k: int) -> float:
         ref = -(a - 1.0) * L - beta * math.log(L)
         integral = math.exp(ref) * float(_pure_tail(np.array([[L]]), a, beta, ref)[0])
     deriv = -(A ** (-a - 1)) * L ** (-beta) * (a + beta / L)
-    return math.fsum(terms.tolist()) + (integral + deriv / 24.0)
+    # f'''(A) = -A**(-a-3) L**-beta times a cubic in y = 1/L
+    y = 1.0 / L
+    cubic = a * (a + 1) * (a + 2) + beta * y * (
+        3 * a * (a + 2) + 2 + (beta + 1) * y * (3 * (a + 1) + (beta + 2) * y))
+    deriv3 = -(A ** (-a - 3)) * L ** (-beta) * cubic
+    return math.fsum(terms.tolist()) + (integral + (deriv / 24.0 - 7.0 * deriv3 / 5760.0))
 
 
 def _heavy_tail_table(a: int, beta: float, theta: np.ndarray) -> np.ndarray:
@@ -648,22 +654,36 @@ def _heavy_tail_table(a: int, beta: float, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-class _HeavyTailKernel:
-    """Shared numerics for laws with pmf c * k**-a (log k)**-beta, k >= 2.
+class _HeavyLawBase(Law):
+    """A log-heavy law: pmf c * k**-a (log k)**-beta for k >= 2, plus the
+    atoms atom0 and atom1 that each family sets.
 
-    Evaluates u |-> sum_{k >= 2} k**-a (log k)**-beta (1 - (1-u)**k) as a
-    head k <= _HEAVY_HEAD, summed exactly by baby-step giant-step (see
-    one_minus_head), plus the tail beyond it, a cubic spline in log-log
+    total_mass = sum_{k >= 2} k**-a (log k)**-beta and tail_mass_const, the
+    same sum over k > _HEAVY_HEAD, are sums without c.  The c-free sum
+    u |-> sum_{k >= 2} k**-a (log k)**-beta (1 - (1-u)**k) is a head
+    k <= _HEAVY_HEAD, summed exactly by baby-step giant-step (see
+    _one_minus_head), plus the tail beyond it, a cubic spline in log-log
     coordinates through a table built once by fixed-order quadrature (see
-    _build_spline and one_minus_tail).  Scalar and array arguments go
+    _build_spline and _one_minus_tail).  Scalar and array arguments go
     through the same operations, so a point's value has the same bits
     alone and inside any array.
     """
 
     T_LO = 1e-11
     T_HI = 4.0
+    _COMPLEX_HEAD = 1 << 17
+    vectorised_pgf = False  # complex points cost a 2**17-term dot product each
 
-    def __init__(self, a: int, beta: float):
+    def __init__(self, beta: float, a: int):
+        if not (beta > 1.0):
+            raise ValueError(
+                f"{self.kind} requires beta > 1 (got {beta}); the base moment diverges otherwise"
+            )
+        if beta > HEAVY_BETA_MAX:
+            raise ValueError(
+                f"{self.kind} requires beta <= {HEAVY_BETA_MAX:g} (got {beta}); "
+                "its tail table underflows beyond that"
+            )
         # Only function-level scipy imports: this one, oracles.py's quad.
         # Loaded at construction, as is the quadrature rule (by
         # tail_mass_const), so no timed spline build pays the import or the
@@ -671,10 +691,10 @@ class _HeavyTailKernel:
         import scipy.interpolate  # noqa: F401
 
         self.a = a
-        self.beta = beta
-        self.total_mass = _heavy_tail_sum(a, beta, 1)
-        self.tail_mass_const = _heavy_tail_sum(a, beta, _HEAVY_HEAD)
-        head_terms = _heavy_term(np.arange(2, _HEAVY_HEAD + 1, dtype=float), a, beta)
+        self.beta = float(beta)
+        self.total_mass = _heavy_tail_sum(a, self.beta, 1)
+        self.tail_mass_const = _heavy_tail_sum(a, self.beta, _HEAVY_HEAD)
+        head_terms = _heavy_term(np.arange(2, _HEAVY_HEAD + 1, dtype=float), a, self.beta)
         # T_i = sum_{i < k <= head} of the head terms, i = 0..head-1 (T_0 =
         # T_1), as a matrix with T_{64 g + b} in row g, column b
         rest = np.cumsum(head_terms[::-1])[::-1]
@@ -683,6 +703,29 @@ class _HeavyTailKernel:
         steps = np.arange(_HEAD_STEP, dtype=float)
         self._powers = -np.concatenate((steps, _HEAD_STEP * steps))
         self._spline = None
+
+    def _key(self):
+        return (self.kind, self.beta)
+
+    def describe(self):
+        return f"{self.kind}({self.beta})"
+
+    def pmf_array(self, K):
+        out = np.zeros(K + 1)
+        out[0] = self.atom0
+        if K >= 1:
+            out[1] = self.atom1
+        if K >= 2:
+            ks = np.arange(2, K + 1, dtype=float)
+            out[2:] = self.c * _heavy_term(ks, self.a, self.beta)
+        return out
+
+    def tail_mass(self, K):
+        if K < 1:
+            return 1.0 - (self.atom0 if K == 0 else 0.0)
+        return self.c * _heavy_tail_sum(self.a, self.beta, K)
+
+    # -- 1 - pgf ----------------------------------------------------------
 
     def _build_spline(self):
         """Cubic spline of log tail(t) in log t through 929 nodes from T_LO
@@ -693,33 +736,23 @@ class _HeavyTailKernel:
         n_nodes = int(math.log(self.T_HI / self.T_LO) / math.log(10.0) * 80) + 1
         theta = np.linspace(math.log(self.T_LO), math.log(self.T_HI), n_nodes)
         self._spline = CubicSpline(theta, _heavy_tail_table(self.a, self.beta, theta))
-        self._knots = theta
         self._knot_list = theta.tolist()
-        self._pieces = np.ascontiguousarray(self._spline.c.T)  # one row per piece
-        self._piece_list = self._pieces.tolist()
+        self._piece_list = self._spline.c.T.tolist()  # one row per piece
         # tail value at T_LO, the slope of the linear regime below it
         self._base = float(np.exp(self._log_tail(self._knot_list[0])))
 
     def _log_tail(self, x: float) -> float:
         """The spline at one point x = log t in [log T_LO, log T_HI]: the
         piece found by bisection, then its cubic c0 + c1 d + c2 d**2 +
-        c3 d**3 summed in the order of CubicSpline.__call__ (and of
-        _log_tail_array)."""
+        c3 d**3 summed in the order of CubicSpline.__call__, which
+        _one_minus_tail calls on arrays."""
         i = min(max(bisect_right(self._knot_list, x) - 1, 0), len(self._knot_list) - 2)
         c3, c2, c1, c0 = self._piece_list[i]
         d = x - self._knot_list[i]
         z = d * d
         return c0 + c1 * d + c2 * z + c3 * (z * d)
 
-    def _log_tail_array(self, x: np.ndarray) -> np.ndarray:
-        """_log_tail elementwise, with the same operations per point."""
-        i = np.clip(np.searchsorted(self._knots, x, side="right") - 1, 0, self._knots.size - 2)
-        c = self._pieces[i]
-        d = x - self._knots[i]
-        z = d * d
-        return c[:, 3] + c[:, 2] * d + c[:, 1] * z + c[:, 0] * (z * d)
-
-    def one_minus_tail(self, t):
+    def _one_minus_tail(self, t):
         """sum_{k > head} c-free tail of sum p_k (1 - e**-(k t)) at t = -log s,
         t a float or an array (elementwise)."""
         if _is_array(t):
@@ -732,7 +765,7 @@ class _HeavyTailKernel:
             low = t < self.T_LO
             out[low] = self._base * t[low] / self.T_LO
             mid = below & ~low
-            out[mid] = np.exp(self._log_tail_array(np.log(t[mid])))
+            out[mid] = np.exp(self._spline(np.log(t[mid])))
             return out
         if t >= self.T_HI:
             return self.tail_mass_const
@@ -743,7 +776,7 @@ class _HeavyTailKernel:
             return self._base * t / self.T_LO
         return float(np.exp(self._log_tail(float(np.log(t)))))
 
-    def one_minus_head(self, u, t):
+    def _one_minus_head(self, u, t):
         """sum_{2 <= k <= head} c-free p_k (1 - (1-u)**k) at t = -log(1-u),
         u and t floats or 1-D arrays (elementwise).
 
@@ -767,54 +800,6 @@ class _HeavyTailKernel:
         e = np.exp(t * self._powers)
         return u * float(np.dot(e[_HEAD_STEP:], np.dot(self._head_matrix, e[:_HEAD_STEP])))
 
-    def tail_mass_beyond(self, k: int) -> float:
-        """sum_{i > k} i**-a (log i)**-beta (c-free), k >= 1."""
-        return _heavy_tail_sum(self.a, self.beta, k)
-
-
-class _HeavyLawBase(Law):
-    """Common plumbing for the two log-heavy families."""
-
-    _COMPLEX_HEAD = 1 << 17
-    vectorised_pgf = False  # complex points cost a 2**17-term dot product each
-
-    def __init__(self, beta: float, a: int):
-        if not (beta > 1.0):
-            raise ValueError(
-                f"{self.kind} requires beta > 1 (got {beta}); the base moment diverges otherwise"
-            )
-        if beta > HEAVY_BETA_MAX:
-            raise ValueError(
-                f"{self.kind} requires beta <= {HEAVY_BETA_MAX:g} (got {beta}); "
-                "its tail table underflows beyond that"
-            )
-        self.beta = float(beta)
-        self.kernel = _HeavyTailKernel(a, self.beta)
-        self.c: float = 0.0  # set by subclass
-        self.atom0: float = 0.0
-        self.atom1: float = 0.0
-
-    def _key(self):
-        return (self.kind, self.beta)
-
-    def describe(self):
-        return f"{self.kind}({self.beta})"
-
-    def pmf_array(self, K):
-        out = np.zeros(K + 1)
-        out[0] = self.atom0
-        if K >= 1:
-            out[1] = self.atom1
-        if K >= 2:
-            ks = np.arange(2, K + 1, dtype=float)
-            out[2:] = self.c * _heavy_term(ks, self.kernel.a, self.beta)
-        return out
-
-    def tail_mass(self, K):
-        if K < 1:
-            return 1.0 - (self.atom0 if K == 0 else 0.0)
-        return self.c * self.kernel.tail_mass_beyond(max(K, 1))
-
     def one_minus_pgf(self, u):
         if _is_array(u):
             return self._one_minus_pgf_array(u)
@@ -822,11 +807,11 @@ class _HeavyLawBase(Law):
             return 0.0
         head = self.atom1 * u
         if u >= 1.0:
-            return head + self.c * self.kernel.total_mass
+            return head + self.c * self.total_mass
         # np.log1p, not math.log1p: the two differ in the last bit at some
         # points, and the array form uses numpy's
         t = float(-np.log1p(-u))
-        return head + self.c * (self.kernel.one_minus_head(u, t) + self.kernel.one_minus_tail(t))
+        return head + self.c * (self._one_minus_head(u, t) + self._one_minus_tail(t))
 
     def _one_minus_pgf_array(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -835,30 +820,30 @@ class _HeavyLawBase(Law):
         ui = u[inner]
         t = -np.log1p(-ui)
         out[inner] = self.atom1 * ui + self.c * (
-            self.kernel.one_minus_head(ui, t) + self.kernel.one_minus_tail(t)
+            self._one_minus_head(ui, t) + self._one_minus_tail(t)
         )
         full = u >= 1.0
-        out[full] = self.atom1 * u[full] + self.c * self.kernel.total_mass
+        out[full] = self.atom1 * u[full] + self.c * self.total_mass
         return out
 
     def _pgf(self, s):
-        flat = np.ravel(np.asarray(s))
-        out = np.empty(flat.shape, dtype=complex)
-        real_path = (flat.imag == 0.0) & (flat.real >= 0.0) if np.iscomplexobj(flat) \
-            else (flat >= 0.0)
-        out[real_path] = 1.0 - self.one_minus_pgf(1.0 - np.real(flat[real_path]))
+        flat = np.ravel(s)
+        out = np.empty(flat.shape, dtype=np.result_type(flat, float))
+        real_path = (flat.imag == 0.0) & (flat.real >= 0.0)
+        out[real_path] = 1.0 - self.one_minus_pgf(1.0 - flat.real[real_path])
         rest = np.nonzero(~real_path)[0]
         if rest.size:
             # direct head sum; the neglected tail has modulus below
-            # c * tail_mass(2**17) ~ 1e-10, fine for modulus diagnostics
+            # tail_mass(2**17): 2.9e-8 for log-heavy-immigration(1.5),
+            # 9.1e-10 at beta = 3, 5.3e-13 for log-heavy-offspring(1.5);
+            # fine for modulus diagnostics
             coeffs = self.pmf_array(self._COMPLEX_HEAD)
             ks = np.arange(self._COMPLEX_HEAD + 1)
             for i in rest:
-                z = complex(flat[i])
-                out[i] = np.dot(coeffs, z**ks)
-        if not np.iscomplexobj(np.asarray(s)) and np.all(real_path):
-            out = out.real
+                out[i] = np.dot(coeffs, flat[i] ** ks)
         return out.reshape(np.shape(s))
+
+    # -- sampling ---------------------------------------------------------
 
     def _cdf_table(self):
         if not hasattr(self, "_cdf"):
@@ -869,28 +854,24 @@ class _HeavyLawBase(Law):
         cdf = self._cdf_table()
         u = rng.random(size)
         out = np.searchsorted(cdf, u, side="right")
-        over = np.nonzero(out > _SAMPLE_TABLE)[0]
-        for idx in over:
-            out[idx] = self._sample_tail_walk(u[idx])
+        for idx in np.nonzero(out > _SAMPLE_TABLE)[0]:
+            out[idx] = self._far_tail_draw(1.0 - u[idx])
         return out.astype(np.int64)
 
-    def _sample_tail_walk(self, u):
-        # walk the analytic pmf beyond the table in blocks
-        k0 = _SAMPLE_TABLE + 1
-        acc = float(self._cdf_table()[-1])
-        block = 4096
-        while True:
-            ks = np.arange(k0, k0 + block, dtype=float)
-            probs = self.c * _heavy_term(ks, self.kernel.a, self.beta)
-            cum = acc + np.cumsum(probs)
-            hit = np.nonzero(cum >= u)[0]
-            if hit.size:
-                return int(k0 + hit[0])
-            acc = float(cum[-1])
-            k0 += block
-            block *= 2
-            if 1.0 - acc < 1e-15:  # u in the last sliver of roundoff
-                return int(k0)
+    def _far_tail_draw(self, r: float) -> int:
+        """The smallest k > _SAMPLE_TABLE with P(X > k) = c * T(k) < r, T
+        the tail sum, by bisection over doubling brackets; r = 1 - u is exact
+        for u from rng.random, so r >= 2**-53."""
+        lo, hi = _SAMPLE_TABLE, 2 * _SAMPLE_TABLE
+        while not self.c * _heavy_tail_sum(self.a, self.beta, hi) < r:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.c * _heavy_tail_sum(self.a, self.beta, mid) < r:
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
     def sample_sum(self, counts, rng):
         counts = np.asarray(counts, dtype=np.int64)
@@ -910,11 +891,10 @@ class LogHeavyOffspringLaw(_HeavyLawBase):
     def __init__(self, beta: float):
         super().__init__(beta, a=3)
         s_mean = _heavy_tail_sum(2, self.beta, 1)  # sum k * k^-3 log^-beta
-        s_mass = self.kernel.total_mass
         t1 = _heavy_tail_sum(1, self.beta, 1)  # sum k(k-1) p_k / c + s_mean
         self.c = 0.5 / s_mean
         self.atom1 = 0.5
-        self.atom0 = 0.5 - self.c * s_mass
+        self.atom0 = 0.5 - self.c * self.total_mass
         self.mean = 1.0
         self.factorial_second_moment = self.c * (t1 - s_mean)
 
@@ -925,10 +905,9 @@ class LogHeavyImmigrationLaw(_HeavyLawBase):
     def __init__(self, beta: float):
         super().__init__(beta, a=2)
         t1 = _heavy_tail_sum(1, self.beta, 1)  # sum k q_k / c
-        s_mass = self.kernel.total_mass
         self.c = 0.5 / t1
         self.atom1 = 0.0
-        self.atom0 = 1.0 - self.c * s_mass
+        self.atom0 = 1.0 - self.c * self.total_mass
         self.mean = 0.5
         # sum k(k-1) q_k has terms ~ c/(log k)^beta: divergent for every beta
         self.factorial_second_moment = math.inf

@@ -125,7 +125,8 @@ def check_main2_ratio(scale: str) -> CheckResult:
     model = _bin_bern()
     grid = [2**10, 2**12, 2**14] if scale == "full" else [2**8, 2**10, 2**12]
     cache = extinction_iterates(model, grid[-1])
-    pmfs = exact_pmf_Y_multi(model, grid, 512, deficit_ceiling=2.0)
+    # only coefficient isqrt(n) is read: a window up to the largest one
+    pmfs = exact_pmf_Y_multi(model, grid, math.isqrt(grid[-1]), deficit_ceiling=2.0)
     ratios = []
     for n in grid:
         k = math.isqrt(n)

@@ -45,7 +45,7 @@ def test_log_heavy_law_loads_stack_when_built():
 import json, sys
 from gwimm import make_law
 law = make_law({"family": "log-heavy-immigration", "params": {"beta": 1.5}})
-print(json.dumps({"spline_built": law.kernel._spline is not None,
+print(json.dumps({"spline_built": law._spline is not None,
                   "loaded": [m for m in ("scipy.integrate", "scipy.interpolate")
                              if m in sys.modules]}))
 """)

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -9,15 +10,16 @@ from hypothesis import strategies as st
 from gwimm import classify_xlogx, extinction_iterates, make_law, make_model
 from gwimm.models import (
     _HEAVY_HEAD,
+    _SAMPLE_TABLE,
     FINITE,
     HEAVY_BETA_MAX,
     INFINITE,
+    ExplicitLaw,
     LogHeavyImmigrationLaw,
     LogHeavyOffspringLaw,
     _heavy_tail_sum,
     _heavy_tail_table,
     _heavy_term,
-    _HeavyTailKernel,
 )
 
 
@@ -40,6 +42,21 @@ class TestFamilies:
         law = make_law({"family": "explicit", "probs": [0.5, 0.5]})
         assert law.mean == 0.5
         assert law.factorial_second_moment == 0.0
+
+    def test_explicit_law_keeps_its_own_copy(self):
+        p = np.array([0.5, 0.0, 0.5])
+        law = ExplicitLaw(p)
+        key = hash(law)
+        p[0] = 0.9
+        assert law.probs.tolist() == [0.5, 0.0, 0.5]
+        assert hash(law) == key and law.mean == 1.0
+
+    def test_explicit_pmf_array_does_not_write_into_the_law(self):
+        law = ExplicitLaw([0.5, 0.0, 0.5])
+        for K in (1, 2, 4):
+            law.pmf_array(K)[0] = 0.75
+        assert law.probs.tolist() == [0.5, 0.0, 0.5]
+        assert law.pmf_array(2).tolist() == [0.5, 0.0, 0.5]
 
     def test_poisson(self):
         law = make_law({"family": "poisson", "params": {"mean": 1.0}})
@@ -197,7 +214,7 @@ class TestHeavyLaws:
         ks = np.arange(2, 10**7, dtype=float)
         pk = law.c / (ks**3 * np.log(ks) ** 1.5)
         mean_head = law.atom1 + float((ks * pk).sum())
-        tail_bound = law.c * law.kernel.tail_mass_beyond(10**7 - 1) * 10**7 * 2
+        tail_bound = law.tail_mass(10**7 - 1) * 10**7 * 2
         assert abs(mean_head - 1.0) < 1e-6 + tail_bound
 
     def test_immigration_construction(self):
@@ -211,14 +228,53 @@ class TestHeavyLaws:
     def test_one_minus_pgf_against_direct_sum(self):
         for law in (LogHeavyOffspringLaw(1.5), LogHeavyImmigrationLaw(2.5)):
             ks = np.arange(2, 10**6, dtype=float)
-            pk = law.c / (ks**law.kernel.a * np.log(ks) ** law.beta)
+            pk = law.c / (ks**law.a * np.log(ks) ** law.beta)
             for u in (0.3, 1e-3):
                 t = -math.log1p(-u)
                 direct = law.atom1 * u + float(np.dot(pk, -np.expm1(-ks * t)))
-                tail = law.c * law.kernel.tail_mass_beyond(10**6 - 1)
+                tail = law.tail_mass(10**6 - 1)
                 got = law.one_minus_pgf(u)
                 assert got == pytest.approx(direct, abs=2 * tail + 1e-13)
 
+    @pytest.mark.parametrize("law", [LogHeavyOffspringLaw(1.5), LogHeavyImmigrationLaw(1.5)],
+                             ids=["offspring", "immigration"])
+    def test_pgf_of_a_real_argument_is_real(self, law):
+        ks = np.arange(law._COMPLEX_HEAD + 1)
+        ref = float(np.dot(law.pmf_array(law._COMPLEX_HEAD), (-0.5) ** ks))
+        got = law.pgf(-0.5)
+        assert isinstance(got, float) and abs(got - ref) <= 1e-15
+        arr = law.pgf(np.array([-0.5, 0.25]))
+        assert arr.dtype == np.float64 and arr[0] == got
+        assert arr[1] == 1.0 - law.one_minus_pgf(0.75)
+        assert isinstance(law.pgf(-0.5 + 0j), complex)
+
+    @pytest.mark.parametrize("law_cls", [LogHeavyOffspringLaw, LogHeavyImmigrationLaw])
+    @pytest.mark.parametrize("beta", [1.5, 3.0])
+    def test_far_tail_draw_is_the_exact_inverse(self, law_cls, beta):
+        # beyond the table a draw is the smallest k with P(X > k) < 1 - u
+        law = law_cls(beta)
+
+        def tail(k):
+            return law.c * _heavy_tail_sum(law.a, law.beta, k)
+
+        for u in (1 - 1e-8, 1 - 1e-9, 1 - 1e-14, 1 - 2.0**-53):
+            r = 1.0 - u
+            if not r < tail(_SAMPLE_TABLE):
+                continue  # the table holds this draw
+            start = time.perf_counter()
+            k = law._far_tail_draw(r)
+            assert time.perf_counter() - start < 0.05
+            assert k > _SAMPLE_TABLE and tail(k) < r <= tail(k - 1)
+
+    def test_sample_draws_beyond_the_table(self):
+        class Stub:
+            def random(self, size):
+                return np.array([0.5, 1 - 1e-9, 1 - 2.0**-53])[:size]
+
+        law = LogHeavyImmigrationLaw(1.5)
+        draws = law.sample(3, Stub())
+        assert draws.dtype == np.int64
+        assert draws.tolist() == [0, 2723603, 8974197910676]
 
     @pytest.mark.parametrize("law_cls", [LogHeavyOffspringLaw, LogHeavyImmigrationLaw])
     @pytest.mark.parametrize("counts", [[2, 0, 3, 0], [0, 4, 0, 0], [3, 0], [0, 0]])
@@ -275,30 +331,29 @@ class TestOneMinusPgfArrays:
                              ids=["offspring", "immigration"])
     def test_heavy_head_against_mpmath(self, law):
         mpmath = pytest.importorskip("mpmath")
-        kernel = law.kernel
         us = np.geomspace(1e-12, 0.999, 25)
-        got = kernel.one_minus_head(us, -np.log1p(-us))
+        got = law._one_minus_head(us, -np.log1p(-us))
         with mpmath.workdps(40):
             ks = range(2, _HEAVY_HEAD + 1)
-            weights = [mpmath.mpf(k) ** -kernel.a * mpmath.log(k) ** -kernel.beta for k in ks]
+            weights = [mpmath.mpf(k) ** -law.a * mpmath.log(k) ** -law.beta for k in ks]
             for u, g in zip(us.tolist(), got):
                 s = 1 - mpmath.mpf(u)
                 ref = mpmath.fsum(w * (1 - s**k) for w, k in zip(weights, ks))
                 assert abs(g / ref - 1) <= 1e-14
 
     def test_scalar_tail_matches_cubic_spline(self):
-        kernel = LogHeavyImmigrationLaw(1.5).kernel
-        lo, hi = kernel.T_LO, kernel.T_HI
+        law = LogHeavyImmigrationLaw(1.5)
+        lo, hi = law.T_LO, law.T_HI
         ts = np.exp(np.linspace(math.log(lo) - 3.0, math.log(hi) + 1.0, 2001))
         ts = np.concatenate((ts, [lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, 0.0)]))
-        got = np.array([kernel.one_minus_tail(float(t)) for t in ts])
+        got = np.array([law._one_minus_tail(float(t)) for t in ts])
 
         def via_cubic_spline(t):
             if t >= hi:
-                return kernel.tail_mass_const
+                return law.tail_mass_const
             if t < lo:
-                return math.exp(float(kernel._spline(math.log(lo)))) * t / lo
-            return math.exp(float(kernel._spline(math.log(t))))
+                return math.exp(float(law._spline(math.log(lo)))) * t / lo
+            return math.exp(float(law._spline(math.log(t))))
 
         ref = np.array([via_cubic_spline(float(t)) for t in ts])
         assert np.max(np.abs(got / ref - 1.0)) <= 1e-15
@@ -396,12 +451,12 @@ class TestHeavyKernel:
     @pytest.mark.parametrize("a", [2, 3])
     @pytest.mark.parametrize("beta", [1.5, 2.5, 3.0, 50.0, HEAVY_BETA_MAX])
     def test_tail_table_matches_adaptive_quad(self, a, beta):
-        kernel = _HeavyTailKernel(a, beta)
-        kernel._build_spline()
-        theta = kernel._knots
+        law = {2: LogHeavyImmigrationLaw, 3: LogHeavyOffspringLaw}[a](beta)
+        law._build_spline()
+        theta = law._spline.x
         table = _heavy_tail_table(a, beta, theta)
         # the spline goes through the table
-        assert np.array_equal(kernel._pieces[:, 3], table[:-1])
+        assert np.array_equal(law._spline.c[3], table[:-1])
         ref = np.log([_adaptive_tail_integral(a, beta, t) for t in np.exp(theta).tolist()])
         assert np.max(np.abs(np.expm1(table - ref))) <= 1e-11
         mpmath = pytest.importorskip("mpmath")
@@ -416,25 +471,25 @@ class TestHeavyKernel:
         model = make_model({"family": "log-heavy-offspring", "params": {"beta": 1.5}},
                            {"family": "bernoulli01", "params": {"q1": 0.5}})
         law, n = model.offspring, 20000
-        kernel = law.kernel
         got = extinction_iterates(model, n).one_minus_fj0
         ks = np.arange(2, _HEAVY_HEAD + 1, dtype=float)
-        terms = _heavy_term(ks, kernel.a, kernel.beta)
+        terms = _heavy_term(ks, law.a, law.beta)
         u = law.one_minus_pgf(1.0)  # u_1 = 1 - p_0, no head sum
         ref = [1.0, u]
         for _ in range(n - 1):
             t = float(-np.log1p(-u))
             head = -float(np.dot(terms, np.expm1(ks * -t)))
-            u = law.atom1 * u + law.c * (head + kernel.one_minus_tail(t))
+            u = law.atom1 * u + law.c * (head + law._one_minus_tail(t))
             ref.append(u)
         assert np.max(np.abs(got / np.array(ref) - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("a", [1, 2, 3])
     @pytest.mark.parametrize("beta", [1.5, 2.5, 3.0, 50.0, HEAVY_BETA_MAX])
     def test_tail_sum_against_mpmath(self, a, beta):
-        # at beta = 300 the dropped Euler-Maclaurin term is 1e-11 of the tail
+        # with f'(A)/24 - 7 f'''(A)/5760 the worst case is 4.4e-14, at beta =
+        # 300 (1.1e-11 without the f''' term)
         mpmath = pytest.importorskip("mpmath")
-        bound = 1e-10 if beta > 50.0 else 1e-13
+        bound = 1e-13
         for k in (1, 100, _HEAVY_HEAD, 65536, 10**6):
             exact = float(_mpmath_tail_sum(mpmath, a, beta, k))
             if exact < sys.float_info.min:
@@ -448,7 +503,11 @@ class TestHeavyKernel:
             A = k + 0.5
             la = math.log(A)
             deriv = -(A ** (-a - 1)) * la ** (-beta) * (a + beta / la)
-            ref = _adaptive_power_tail(A, a, beta) + deriv / 24.0
+            b1, b2 = beta * (beta + 1), beta * (beta + 1) * (beta + 2)
+            deriv3 = -(A ** (-a - 3)) * la ** (-beta) * (
+                a * (a + 1) * (a + 2) + (3 * a * a + 6 * a + 2) * beta / la
+                + 3 * (a + 1) * b1 / la**2 + b2 / la**3)
+            ref = _adaptive_power_tail(A, a, beta) + deriv / 24.0 - 7 * deriv3 / 5760
             if ref < sys.float_info.min:
                 continue
             assert abs(_heavy_tail_sum(a, beta, k) / ref - 1.0) <= 1e-12
@@ -457,8 +516,9 @@ class TestHeavyKernel:
     def test_tail_mass_beyond_keeps_its_relative_accuracy(self, k):
         # a total - cumsum table lost 1.1e-6, 3.7e-5 and 4.7e-4 of these
         mpmath = pytest.importorskip("mpmath")
-        got = LogHeavyOffspringLaw(1.5).kernel.tail_mass_beyond(k)
-        assert abs(got / float(_mpmath_tail_sum(mpmath, 3, 1.5, k)) - 1.0) <= 1e-12
+        law = LogHeavyOffspringLaw(1.5)
+        exact = law.c * float(_mpmath_tail_sum(mpmath, 3, 1.5, k))
+        assert abs(law.tail_mass(k) / exact - 1.0) <= 1e-12
 
     def test_construction_peak_memory(self):
         import tracemalloc
