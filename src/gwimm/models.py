@@ -74,6 +74,54 @@ def _is_array(u) -> bool:
     return isinstance(u, np.ndarray) and u.ndim > 0
 
 
+def _lines_to_run(counts, gens):
+    """counts and gens (an int or one per entry) as int64 arrays of one
+    shape, a copy of counts to start the output from, and the entries with
+    both a positive count and positive generations, the only ones that
+    draw."""
+    counts = np.asarray(counts, dtype=np.int64)
+    gens = np.broadcast_to(np.asarray(gens, dtype=np.int64), counts.shape)
+    return counts, gens, counts.copy(), np.flatnonzero((counts > 0) & (gens > 0))
+
+
+# Tries per round of a rejection draw (_first_positive): a round's arrays
+# stay near 512 KB however small the acceptance.
+_REJECTION_BLOCK = 1 << 16
+
+
+def _first_positive(draw, accept: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per entry i, a positive value of repeated tries draw(who), which
+    makes one try for each entry index in `who`; accept[i] > 0 is the
+    chance that one try of entry i is positive.  Returns (values, tries
+    drawn).
+
+    Each round gives every pending entry ceil(1/accept) tries at once
+    (about e**-1 of the entries stay pending), pending entries in index
+    order up to _REJECTION_BLOCK tries per round, and keeps each entry's
+    first positive try, so every value has the law of one try given that
+    it is positive.
+    """
+    if not np.all(accept > 0.0):
+        raise ValueError("a conditioned draw needs a positive acceptance chance")
+    per = np.minimum(np.ceil(1.0 / accept), _REJECTION_BLOCK).astype(np.int64)
+    out = np.zeros(accept.shape[0], dtype=np.int64)
+    pending = np.arange(accept.shape[0])
+    tries = 0
+    while pending.shape[0]:
+        # the longest prefix of pending entries within one block, at least one
+        take = max(1, int(np.searchsorted(np.cumsum(per[pending]), _REJECTION_BLOCK,
+                                          side="right")))
+        who = np.repeat(pending[:take], per[pending[:take]])
+        vals = draw(who)
+        tries += who.shape[0]
+        hit = np.flatnonzero(vals > 0)
+        # `who` ascends, so np.unique's first index is each entry's first hit
+        done, first = np.unique(who[hit], return_index=True)
+        out[done] = vals[hit[first]]
+        pending = np.setdiff1d(pending, done, assume_unique=True)
+    return out, tries
+
+
 class Law:
     """Base class: a probability law on {0, 1, 2, ...}."""
 
@@ -236,6 +284,47 @@ class Law:
             alive = vals > 0
             vals, idx, rem = vals[alive], idx[alive], rem[alive]
 
+    def sample_survivors(self, counts, gens, u, rng) -> np.ndarray:
+        """Entrywise sums of `counts[i]` iid copies of Z_{gens[i]} given
+        Z_{gens[i]} > 0 (one ancestor each): the population of counts[i]
+        lines that each survive gens[i] generations.  u[j] = 1 - f_j(0) for
+        j = 0..max(gens), the extinction iterates (IterateCache.one_minus_fj0).
+        Entries with count 0 or 0 generations draw nothing and keep their
+        count.
+
+        Default: every line is drawn through sample_generations until it
+        survives (_first_positive, u[gens] the acceptance).
+        """
+        counts, gens, out, run = _lines_to_run(counts, gens)
+        if run.shape[0]:
+            line = np.repeat(run, counts[run])  # entry of each line
+            line_gens = gens[line]
+            z, _ = _first_positive(
+                lambda who: self.sample_generations(np.ones(who.shape[0], dtype=np.int64),
+                                                    line_gens[who], rng),
+                np.asarray(u, dtype=float)[line_gens])
+            out[run] = 0
+            np.add.at(out, line, z)
+        return out
+
+    def sample_thinned(self, u, rng) -> tuple[np.ndarray, int]:
+        """Per entry i, B given B >= 1, where B ~ Bin(I, u[i]) and I is a
+        draw of this law: the immigrants of one batch whose lines survive m
+        generations, given that one does, for u[i] = u_m = 1 - f_m(0) in
+        (0, 1].  Returns (draws, tries), tries the number of (I, B) pairs
+        drawn.
+
+        Default: rejection on (I, Bin(I, u)) (_first_positive), with
+        acceptance P(B >= 1) = one_minus_pgf(u).  A family with a closed
+        form for the thinned law overrides and draws once per entry.
+        """
+        u = np.asarray(u, dtype=float)
+        if u.shape[0] == 0:
+            return np.zeros(0, dtype=np.int64), 0
+        return _first_positive(
+            lambda who: rng.binomial(self.sample(who.shape[0], rng), u[who]),
+            self.one_minus_pgf(u))
+
 
 class ExplicitLaw(Law):
     kind = "explicit"
@@ -380,19 +469,27 @@ class GeometricCriticalLaw(Law):
         # f_m(s) = m/(m+1) + (1/(m+1)) s/(m+1 - m s): one ancestor leaves
         # no one with probability m/(m+1), else a Geometric(1/(m+1)) count
         # on 1, 2, ...  So c ancestors leave B ~ Bin(c, 1/(m+1)) surviving
-        # lines and B + NegBin(B, 1/(m+1)) descendants.
-        counts = np.asarray(counts, dtype=np.int64)
-        gens = np.broadcast_to(np.asarray(gens, dtype=np.int64), counts.shape)
-        out = counts.copy()
-        run = np.flatnonzero((counts > 0) & (gens > 0))
+        # lines, and those B lines their sample_survivors.
+        counts, gens, out, run = _lines_to_run(counts, gens)
         if run.shape[0]:
-            p = 1.0 / (gens[run] + 1.0)
-            alive = rng.binomial(counts[run], p)
-            out[run] = alive
-            pos = alive > 0
-            if np.any(pos):
-                out[run[pos]] += rng.negative_binomial(alive[pos], p[pos])
+            out[run] = self.sample_survivors(
+                rng.binomial(counts[run], 1.0 / (gens[run] + 1.0)), gens[run], None, rng)
         return out
+
+    def sample_survivors(self, counts, gens, u, rng):
+        # c lines alive after m generations leave c + NegBin(c, 1/(m+1));
+        # 1/(m+1) is u_m in closed form, so the table u is not read
+        counts, gens, out, run = _lines_to_run(counts, gens)
+        if run.shape[0]:
+            out[run] += rng.negative_binomial(counts[run], 1.0 / (gens[run] + 1.0))
+        return out
+
+    def sample_thinned(self, u, rng):
+        # Bin(I, u) of a Geometric(1/2) count on 0, 1, ... has pgf
+        # 1/(1 + u - u s): a Geometric(1/(1+u)) count, which given >= 1 is
+        # one on 1, 2, ...
+        u = np.asarray(u, dtype=float)
+        return rng.geometric(1.0 / (1.0 + u)), u.shape[0]
 
 
 class BinaryLaw(Law):
@@ -437,6 +534,25 @@ class BinaryLaw(Law):
     def sample_sum(self, counts, rng):
         return 2 * rng.binomial(np.asarray(counts, dtype=np.int64), 0.5)
 
+    def sample_survivors(self, counts, gens, u, rng):
+        # the reduced tree (Fleischmann and Siegmund-Schultze, Math. Nachr.
+        # 79, 1977): a line that survives r more generations has two
+        # children that do so for r - 1 more with chance u_{r-1}/(2 -
+        # u_{r-1}), else one.  Lines are aligned to end together, as in
+        # gwimm.montecarlo.simulate_Y_batch: each generation is one binomial
+        # over the entries joined so far, the most generations first.
+        counts, gens, out, run = _lines_to_run(counts, gens)
+        order = run[np.argsort(-gens[run], kind="stable")]
+        steps = int(gens[order[0]]) if order.shape[0] else 0
+        joined = np.searchsorted(-gens[order], np.arange(steps) - steps, side="right")
+        pops = counts[order]
+        u = np.asarray(u, dtype=float)
+        for step, width in enumerate(joined):
+            q = u[steps - step - 1]
+            pops[:width] += rng.binomial(pops[:width], q / (2.0 - q))
+        out[order] = pops
+        return out
+
 
 class PoissonLaw(Law):
     kind = "poisson"
@@ -478,6 +594,15 @@ class PoissonLaw(Law):
 
     def sample_sum(self, counts, rng):
         return rng.poisson(self.rate * np.asarray(counts, dtype=np.float64))
+
+    def sample_thinned(self, u, rng):
+        # Bin(I, u) of a Poisson(rate) count is Poisson(mu), mu = rate u: the
+        # arrivals of a rate-mu process on [0, 1].  Given one, the first
+        # arrival T is drawn by its inverse cdf on [0, 1), then
+        # Poisson(mu (1 - T)) more arrive after it.
+        mu = self.rate * np.asarray(u, dtype=float)
+        first = -np.log1p(rng.random(mu.shape) * np.expm1(-mu)) / mu
+        return 1 + rng.poisson(mu * np.maximum(1.0 - first, 0.0)), mu.shape[0]
 
 
 class Bernoulli01Law(Law):
@@ -523,6 +648,11 @@ class Bernoulli01Law(Law):
 
     def sample_sum(self, counts, rng):
         return rng.binomial(np.asarray(counts, dtype=np.int64), self.q1)
+
+    def sample_thinned(self, u, rng):
+        # at most one immigrant: given that one survives, it is the one
+        size = np.shape(u)[0]
+        return np.ones(size, dtype=np.int64), size
 
 
 # ---------------------------------------------------------------------------
@@ -845,17 +975,23 @@ class _HeavyLawBase(Law):
 
     # -- sampling ---------------------------------------------------------
 
-    def _cdf_table(self):
-        if not hasattr(self, "_cdf"):
-            self._cdf = np.cumsum(self.pmf_array(_SAMPLE_TABLE))
-        return self._cdf
+    def _survival_table(self):
+        """-P(X > k) for k = 0.._SAMPLE_TABLE, ascending: the tail sum
+        c * T(_SAMPLE_TABLE) plus the table's pmf beyond k, summed from the
+        far end, so the last entry is the tail sum itself."""
+        if not hasattr(self, "_neg_sf"):
+            far = self.c * _heavy_tail_sum(self.a, self.beta, _SAMPLE_TABLE)
+            p = self.pmf_array(_SAMPLE_TABLE)
+            self._neg_sf = -np.cumsum(np.concatenate(([far], p[:0:-1])))[::-1]
+        return self._neg_sf
 
     def sample(self, size, rng):
-        cdf = self._cdf_table()
-        u = rng.random(size)
-        out = np.searchsorted(cdf, u, side="right")
+        # the smallest k with P(X > k) < r, r = 1 - u exact for u from
+        # rng.random
+        r = 1.0 - rng.random(size)
+        out = np.searchsorted(self._survival_table(), -r, side="right")
         for idx in np.nonzero(out > _SAMPLE_TABLE)[0]:
-            out[idx] = self._far_tail_draw(1.0 - u[idx])
+            out[idx] = self._far_tail_draw(r[idx])
         return out.astype(np.int64)
 
     def _far_tail_draw(self, r: float) -> int:

@@ -8,9 +8,10 @@ are always merged in stream-index order.
 
 The stratified estimator conditions on the first surviving cohort.  Each
 stratum weight P(theta_n = l) is exact from the iterate cache; the
-conditional factor P(Z + Y' <= k | Z > 0) is estimated by rejection
-sampling of the surviving cohort plus an independent copy of the younger
-process.  Strata outside the sampling window (cohort age m = n - l above
+conditional factor P(Z + Y' <= k | Z > 0) is estimated from surviving
+cohorts drawn directly from their conditioned law (Law.sample_thinned, then
+Law.sample_survivors) plus an independent copy of the younger process.
+Strata outside the sampling window (cohort age m = n - l above
 k/epsilon), or allocated no samples by the budget, are not simulated;
 their total possible contribution, bounded through the computable Markov
 product bound
@@ -62,7 +63,10 @@ class EstimateResult:
     bracket_low: float = 0.0
     bracket_high: float = 0.0
     guard_trips: int = 0
-    attempts: int = 0  # paths simulated: one per sample (naive), cohort lines (stratified)
+    # paths simulated: one per sample (naive); immigrant batches drawn
+    # (stratified), one per sample when the immigration law thins in closed
+    # form, more when its sample_thinned rejects
+    attempts: int = 0
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -266,6 +270,17 @@ def _age_bins(window: int, k: int) -> list[np.ndarray]:
     return bins
 
 
+def _largest_remainder(total: int, scores: np.ndarray) -> np.ndarray:
+    """Integer shares of `total` in proportion to `scores` (nonnegative,
+    not all zero) that sum to `total`: the floors of the quotas, plus one
+    each for the largest remainders, ties to the lower index."""
+    quota = total * scores / scores.sum()
+    out = np.floor(quota).astype(np.int64)
+    extra = total - int(out.sum())
+    out[np.argsort(out - quota, kind="stable")[:extra]] += 1
+    return out
+
+
 def estimate_lower_tail_stratified(
     model,
     cache: IterateCache,
@@ -281,12 +296,17 @@ def estimate_lower_tail_stratified(
              + sum over strata of P(theta_n in stratum) * p_hat,
     where a stratum is a single cohort age near the k-sized window and a
     geometric band of ages deeper in; weights are the exact law of theta_n
-    (theta_pmf), within-band ages are drawn proportionally to their exact
-    weights, and the conditional indicator is estimated by rejection-sampled
-    surviving cohorts plus independent younger-process copies.  Strata beyond the
-    epsilon-window or allocated no samples are bracketed, not sampled.
-    The sample budget splits across cfg.streams substreams merged in
-    stream-index order; `jobs` threads only fan the streams out.
+    (theta_pmf).  Neyman targets, rounded by largest remainder, give every
+    stratum its draws, so samples_used >= cfg.samples whenever a stratum has
+    weight; each stream draws exactly its share of a stratum's ages from the
+    theta_n law.  The conditional indicator is estimated from surviving
+    cohorts drawn from their conditioned law (Law.sample_thinned for the
+    surviving immigrants, Law.sample_survivors for their descendants; no
+    rejection for the families with closed forms) plus independent
+    younger-process copies.  Strata beyond the epsilon-window or allocated
+    no samples are bracketed, not sampled.  The sample budget splits across
+    cfg.streams substreams merged in stream-index order; `jobs` threads
+    only fan the streams out.
     """
     if not isinstance(model, Model):
         raise TypeError("stratified estimator needs a full Model")
@@ -300,7 +320,6 @@ def estimate_lower_tail_stratified(
     atom = law.atom_none
     ages = np.arange(0, n)
     weights = law.pmf[n - ages]
-    f_ratios = cache.F_ratio(n, ages + 1)
     bounds = _markov_tail_bounds(cache, ages, k - 1)
     window = int(min(n - 1, math.floor(k / epsilon)))
     bracket = float(np.dot(weights[window + 1:], bounds[window + 1:]))
@@ -310,58 +329,35 @@ def estimate_lower_tail_stratified(
     for b, bin_ages in enumerate(bins):
         bin_of_age[bin_ages] = b
     bin_w = np.array([float(weights[b].sum()) for b in bins])
-    bin_f = np.array([float(f_ratios[b].sum()) for b in bins])
-    bin_accept = np.divide(bin_w, bin_f, out=np.zeros_like(bin_w),
-                           where=bin_f > 0)
     bin_bound = np.array([float(bounds[b[0]]) for b in bins])  # decreasing in m
     # Neyman allocation with the Markov bound as the sigma proxy; every bin
     # with weight gets at least one draw so nothing silently drops out
     sigma_proxy = np.sqrt(bin_bound * (1.0 - bin_bound / 2.0))
     alloc_score = bin_w * sigma_proxy
-    total_score = float(alloc_score.sum())
     targets = np.zeros(len(bins), dtype=np.int64)
-    if total_score > 0.0:
-        targets[:] = np.round(cfg.samples * alloc_score / total_score).astype(np.int64)
+    if alloc_score.sum() > 0.0:
+        targets = _largest_remainder(cfg.samples, alloc_score)
         targets[(targets == 0) & (alloc_score > 0)] = 1
+    u = cache.one_minus_fj0
 
     def run_stream(idx: int):
         rng = substream(cfg.seed, _STRATUM_STREAM, idx)
-        shares = np.array([split_budget(int(t), cfg.streams)[idx] for t in targets])
-        accepted = np.zeros(len(bins), dtype=np.int64)
-        empty = np.zeros(0, dtype=np.int64)
-        z_parts, age_parts = [empty], [empty]
-        attempts = 0
-        for _round in range(4):
-            final = _round == 3
-            plan = np.zeros(window + 1, dtype=np.int64)
-            for b in np.flatnonzero((shares > accepted) & (bin_accept > 0.0)):
-                short = int(shares[b] - accepted[b])
-                # early rounds aim straight at the shortfall (keeping the
-                # accepted count near the budget); the last round adds a
-                # margin to close out with high probability; cohort ages
-                # inside a bin are drawn from the pre-acceptance measure so
-                # accepted draws follow the exact within-bin mixture
-                margin = 3.0 * math.sqrt(short) + 5.0 if final else 0.0
-                tries = int(math.ceil((short + margin) / bin_accept[b]))
-                q = f_ratios[bins[b]]
-                plan[bins[b]] += rng.multinomial(tries, q / q.sum())
-            if not plan.any():
-                break
-            attempts += int(plan.sum())
-            # a line of cohort age m: an immigration draw branched m
-            # generations, kept if it survives
-            line_age = np.repeat(np.arange(window + 1), plan)
-            starts = model.immigration.sample(line_age.shape[0], rng)
-            z, alive = _run_lines(model.offspring, starts, line_age, rng)
-            z_parts.append(z)
-            age_parts.append(line_age[alive])
-            accepted += np.bincount(bin_of_age[age_parts[-1]], minlength=len(bins))
-        z, age = np.concatenate(z_parts), np.concatenate(age_parts)
-        # each accepted cohort plus an independent younger process Y_m
+        # the stream's share of each bin, ages drawn from the theta_n law
+        plan = np.zeros(window + 1, dtype=np.int64)
+        for b in np.flatnonzero(targets):
+            share = split_budget(int(targets[b]), cfg.streams)[idx]
+            w = weights[bins[b]]
+            plan[bins[b]] = rng.multinomial(share, w / w.sum())
+        age = np.repeat(np.arange(window + 1), plan)
+        # a line of cohort age m: the surviving immigrants of a batch given
+        # that one survives, their population after m generations given
+        # survival, and an independent younger process Y_m
+        alive, tries = model.immigration.sample_thinned(u[age], rng)
+        z = model.offspring.sample_survivors(alive, age, u, rng)
         y, trips = simulate_Y_batch(model, age, 0, rng)
         line_bin = bin_of_age[age]
         return (np.bincount(line_bin[z + y <= k], minlength=len(bins)),
-                np.bincount(line_bin, minlength=len(bins)), attempts, trips)
+                np.bincount(line_bin, minlength=len(bins)), tries, trips)
 
     per_stream = _fan_out(run_stream, cfg.streams, jobs)
     hits, draws, attempts_total, trips_total = (sum(col) for col in zip(*per_stream))

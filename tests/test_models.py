@@ -277,6 +277,28 @@ class TestHeavyLaws:
         assert draws.tolist() == [0, 2723603, 8974197910676]
 
     @pytest.mark.parametrize("law_cls", [LogHeavyOffspringLaw, LogHeavyImmigrationLaw])
+    @pytest.mark.parametrize("beta", [1.5, 3.0, 50.0])
+    def test_survival_table_ends_at_the_tail_sum(self, law_cls, beta):
+        # the table's last entry, the chance of a draw beyond it, is the tail
+        # sum itself, not the rounding left by a cumulative sum
+        law = law_cls(beta)
+        neg_sf = law._survival_table()
+        assert neg_sf.shape == (_SAMPLE_TABLE + 1,) and np.all(np.diff(neg_sf) >= 0.0)
+        tail = law.c * _heavy_tail_sum(law.a, law.beta, _SAMPLE_TABLE)
+        assert abs(-neg_sf[-1] / tail - 1.0) <= 1e-14
+        assert abs(-neg_sf[0] - (1.0 - law.atom0)) <= 1e-15
+
+    def test_last_uniform_below_one_stays_in_the_table(self):
+        # P(X > 2**16) = 1.7e-66 < 2**-53 for log-heavy-immigration(50), so
+        # no uniform from rng.random reaches beyond the table
+        class Stub:
+            def random(self, size):
+                return np.full(size, 1 - 2.0**-53)
+
+        draws = LogHeavyImmigrationLaw(50.0).sample(2, Stub())
+        assert np.all(draws <= _SAMPLE_TABLE)
+
+    @pytest.mark.parametrize("law_cls", [LogHeavyOffspringLaw, LogHeavyImmigrationLaw])
     @pytest.mark.parametrize("counts", [[2, 0, 3, 0], [0, 4, 0, 0], [3, 0], [0, 0]])
     def test_sample_sum_with_zero_counts(self, law_cls, counts):
         # each entry sums its own block of one draw sequence; a zero count,

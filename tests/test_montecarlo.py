@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,7 @@ def _two_sample_p(a, b):
 
 
 _GEO_POISSON = make_model("geometric-critical", {"family": "poisson", "params": {"mean": 2.0}})
+_ZERO_FACTOR_MODEL = make_model("binary", {"family": "explicit", "probs": [0.0, 0.5, 0.5]})
 
 
 class _Scaling(Law):
@@ -162,6 +164,133 @@ class TestSampleGenerations:
         assert np.array_equal(out[gens == 0], counts[gens == 0])
         assert np.all(out[counts == 0] == 0)
         if not np.any((counts > 0) & (gens > 0)):
+            assert rng.random() == untouched.random()
+
+
+_BERN = {"family": "bernoulli01", "params": {"q1": 0.5}}
+_POISSON_1 = {"family": "poisson", "params": {"mean": 1.0}}
+# offspring law, immigration law; explicit immigration and offspring run
+# the base-class hooks
+_COHORT_PAIRS = {
+    "geo+bern": ("geometric-critical", _BERN),
+    "geo+poisson(2)": ("geometric-critical", {"family": "poisson", "params": {"mean": 2.0}}),
+    "binary+bern": ("binary", _BERN),
+    "binary+poisson(1)": ("binary", _POISSON_1),
+    "binary+explicit(q0=0)": ("binary", {"family": "explicit", "probs": [0.0, 0.5, 0.5]}),
+    "explicit+poisson(1)": ({"family": "explicit", "probs": [0.1, 0.8, 0.1]}, _POISSON_1),
+}
+
+
+def _one_minus_iterates(law, m):
+    """u_0 = 1, u_1, ..., u_m of the law's extinction iterates."""
+    return np.concatenate(([1.0], law.one_minus_iterates(1.0, 0, m)))
+
+
+class TestConditionedCohorts:
+    """Law.sample_thinned and Law.sample_survivors draw a cohort given that
+    it survives, with no rejection for the closed-form families."""
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 64, 300])
+    @pytest.mark.parametrize("pair", list(_COHORT_PAIRS))
+    def test_cohort_draws_match_exact_law(self, pair, m):
+        # B | B >= 1 from the immigration hook, then its lines given survival
+        # from the offspring hook: Z_m | Z_m > 0 of one immigrant batch
+        model = make_model(*_COHORT_PAIRS[pair])
+        N, K = (10_000 if pair.startswith("explicit+") else 100_000), 4 * (m + 1)
+        cache = extinction_iterates(model, max(m, 1))
+        rng = mc.substream(18, m)
+        alive, tries = model.immigration.sample_thinned(np.full(N, cache.one_minus_fj0[m]), rng)
+        z = model.offspring.sample_survivors(alive, m, cache.one_minus_fj0, rng)
+        assert np.all(alive >= 1) and np.all(z >= alive)
+        # rejection (explicit immigration): a batch of one may die once u_m < 1
+        rejects = model.immigration.kind == "explicit" and m > 0
+        assert tries > N if rejects else tries == N
+        probs = exact_pmf_Z(model, m, K, deficit_ceiling=1.0).probs
+        conditioned = np.concatenate(([0.0], probs[1:] / cache.one_minus_hfj0[m]))
+        if np.count_nonzero(conditioned > 1e-12) == 1:  # one atom
+            assert np.all(z == np.argmax(conditioned))
+        else:
+            assert _chisquare_p(z, conditioned) > 0.001
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 64, 300])
+    def test_heavy_thinned_draws_match_exact_law(self, m):
+        # the base-class hook on log-heavy-immigration(1.5).  exact_pmf_Z cuts
+        # an unbounded immigration law at p_K and undercounts every
+        # coefficient, so the reference is the thinned law itself, P(B = b) =
+        # sum_i q_i P(Bin(i, u_m) = b) over i <= 2**16; the mass left out is
+        # below P(I > 2**16) = 6.2e-8
+        model = make_model("binary", {"family": "log-heavy-immigration",
+                                      "params": {"beta": 1.5}})
+        law, N, K = model.immigration, 10_000, 40
+        cache = extinction_iterates(model, max(m, 1))
+        u = cache.one_minus_fj0[m]
+        alive, tries = law.sample_thinned(np.full(N, u), mc.substream(22, m))
+        assert np.all(alive >= 1) and tries > N
+        q, i = law.pmf_array(2**16), np.arange(2**16 + 1)
+        thinned = np.array([float(q @ stats.binom.pmf(b, i, u)) for b in range(K + 1)])
+        conditioned = np.concatenate(([0.0], thinned[1:] / cache.one_minus_hfj0[m]))
+        assert _chisquare_p(alive, conditioned) > 0.001
+
+    @pytest.mark.parametrize("u", [1.0, 0.3, 0.02])
+    @pytest.mark.parametrize("spec", ["geometric-critical", {"family": "poisson",
+                                                            "params": {"mean": 2.0}}])
+    def test_thinned_closed_form_matches_rejection(self, spec, u):
+        law = make_law(spec)
+        closed, tries = law.sample_thinned(np.full(50_000, u), mc.substream(19, 0))
+        rejected, rej_tries = Law.sample_thinned(law, np.full(50_000, u), mc.substream(19, 1))
+        assert tries == 50_000 <= rej_tries
+        assert _two_sample_p(closed, rejected) > 0.001
+
+    @pytest.mark.parametrize("m", [1, 7, 64])
+    @pytest.mark.parametrize("family", ["geometric-critical", "binary"])
+    def test_survivors_closed_form_matches_redraw(self, family, m):
+        law = make_law(family)
+        u = _one_minus_iterates(law, m)
+        counts = 1 + mc.substream(20, 0).poisson(1.0, size=20_000)
+        closed = law.sample_survivors(counts, m, u, mc.substream(20, 1))
+        redrawn = Law.sample_survivors(law, counts, m, u, mc.substream(20, 2))
+        assert _two_sample_p(closed, redrawn) > 0.001
+
+    @pytest.mark.parametrize("which", ["geometric-critical", "binary", "redraw"])
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 300)), max_size=12),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_survivors_identity_cases(self, which, pairs, seed):
+        law = make_law("binary" if which == "redraw" else which)
+        draw = (lambda *args: Law.sample_survivors(law, *args)) if which == "redraw" else (
+            law.sample_survivors)
+        counts = np.array([c for c, _ in pairs], dtype=np.int64)
+        gens = np.array([g for _, g in pairs], dtype=np.int64)
+        rng, untouched = mc.substream(seed, 0), mc.substream(seed, 0)
+        out = draw(counts, gens, _one_minus_iterates(law, 300), rng)
+        assert out.dtype == np.int64 and out.shape == counts.shape
+        assert np.all(out >= counts)
+        assert np.array_equal(out[gens == 0], counts[gens == 0])
+        assert np.all(out[counts == 0] == 0)
+        if law.kind == "binary":
+            assert np.all(out[gens > 0] % 2 == 0)
+        if not np.any((counts > 0) & (gens > 0)):
+            assert rng.random() == untouched.random()
+
+    @pytest.mark.parametrize("spec", [
+        "geometric-critical", {"family": "poisson", "params": {"mean": 2.0}}, _BERN,
+        {"family": "explicit", "probs": [0.0, 0.5, 0.5]},
+        {"family": "explicit", "probs": [0.4, 0.0, 0.6]},
+    ])
+    @given(st.lists(st.floats(0.01, 1.0), max_size=12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_thinned_identity_cases(self, spec, us, seed):
+        law = make_law(spec)
+        u = np.array(us, dtype=float)
+        rng, untouched = mc.substream(seed, 0), mc.substream(seed, 0)
+        out, tries = law.sample_thinned(u, rng)
+        assert out.dtype == np.int64 and out.shape == u.shape and tries >= u.shape[0]
+        assert np.all(out >= 1)
+        if law.support_bound is not None:
+            assert np.all(out <= law.support_bound)
+        if law.kind == "bernoulli01" or u.shape[0] == 0:
+            # one immigrant at most, or no entry: nothing is drawn
+            assert np.all(out == 1) and tries == u.shape[0]
             assert rng.random() == untouched.random()
 
 
@@ -327,6 +456,33 @@ class TestStratifiedEstimator:
             geo_bern, cache, 256, 8, mc.SimConfig(samples=5000, seed=2))
         assert 5000 <= res.samples_used <= 6500
 
+    @pytest.mark.parametrize("which", ["geo_bern", "bin_bern"])
+    @pytest.mark.parametrize("samples,streams", [(4000, 1), (4000, 3), (777, 2), (5, 1)])
+    def test_budget_met_with_no_rejection(self, which, samples, streams, request):
+        # largest-remainder targets sum to the budget, and each stream draws
+        # exactly its share; a tiny budget still gives every bin one draw
+        model = request.getfixturevalue(which)
+        cache = extinction_iterates(model, 256)
+        res = mc.estimate_lower_tail_stratified(
+            model, cache, 256, 8, mc.SimConfig(samples=samples, seed=6, streams=streams))
+        assert res.samples_used >= samples
+        assert res.attempts == res.samples_used
+        if samples >= 4000:
+            assert res.samples_used <= samples + 8
+
+    def test_memory_follows_the_samples(self, geo_bern):
+        # no attempt arrays: at 2e4 samples the peak was 487 MiB with
+        # rejection-sampled cohorts
+        cache = extinction_iterates(geo_bern, 1024)
+        tracemalloc.start()
+        try:
+            mc.estimate_lower_tail_stratified(
+                geo_bern, cache, 1024, 16, mc.SimConfig(samples=20_000, seed=8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
 
 def _markov_bound_reference(cache, m, k):
     """Upper bound on P(Y_m <= k) for one age, computed in scalars."""
@@ -338,9 +494,6 @@ def _markov_bound_reference(cache, m, k):
     if cache.zero_factors[m] != cache.zero_factors[k]:
         return 0.0
     return min(1.0, math.exp(cache.logF_pos[m] - cache.logF_pos[k] - k * math.log(fk)))
-
-
-_ZERO_FACTOR_MODEL = make_model("binary", {"family": "explicit", "probs": [0.0, 0.5, 0.5]})
 
 
 class TestStratifiedSetup:
