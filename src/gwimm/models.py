@@ -122,6 +122,48 @@ def _first_positive(draw, accept: np.ndarray) -> tuple[np.ndarray, int]:
     return out, tries
 
 
+def _redraw_survivors(law, counts, gens, u, rng) -> np.ndarray:
+    """Law.sample_survivors by rejection: every line is drawn through
+    law.sample_generations until it survives (_first_positive, u[gens] the
+    acceptance)."""
+    counts, gens, out, run = _lines_to_run(counts, gens)
+    if run.shape[0]:
+        line = np.repeat(run, counts[run])  # entry of each line
+        line_gens = gens[line]
+        z, _ = _first_positive(
+            lambda who: law.sample_generations(np.ones(who.shape[0], dtype=np.int64),
+                                               line_gens[who], rng),
+            np.asarray(u, dtype=float)[line_gens])
+        out[run] = 0
+        np.add.at(out, line, z)
+    return out
+
+
+# Steps of the reduced tree whose split chances are computed at once
+# (Law._reduced_splits): the tables stay near 64 KB per atom of the law.
+_SPLIT_BLOCK = 4096
+
+
+def _reduced_step(lines: np.ndarray, go: list, stay: list, rng) -> np.ndarray:
+    """Entrywise sum over lines[i] lines of their children J >= 1, by
+    sequential binomial splits: of the lines with J >= j, go[j-1] is the
+    chance of J > j and stay[j-1] that of J = j (j = 1..d-1).  Each split
+    draws the rarer side, so no chance is formed as 1 - x, and the splits
+    stop once no line is left to split."""
+    out = rem = lines
+    for j, (g, s) in enumerate(zip(go, stay)):
+        if j and not rem.any():
+            break
+        if g <= 0.5:
+            if g == 0.0:
+                break
+            rem = rng.binomial(rem, g)
+        elif s > 0.0:
+            rem = rem - rng.binomial(rem, s)
+        out = out + rem
+    return out
+
+
 class Law:
     """Base class: a probability law on {0, 1, 2, ...}."""
 
@@ -292,20 +334,80 @@ class Law:
         Entries with count 0 or 0 generations draw nothing and keep their
         count.
 
-        Default: every line is drawn through sample_generations until it
-        survives (_first_positive, u[gens] the acceptance).
+        Default: a bounded law steps the reduced tree (sample_reduced, no
+        immigration); an unbounded one redraws every line through
+        sample_generations until it survives (_redraw_survivors).
         """
-        counts, gens, out, run = _lines_to_run(counts, gens)
-        if run.shape[0]:
-            line = np.repeat(run, counts[run])  # entry of each line
-            line_gens = gens[line]
-            z, _ = _first_positive(
-                lambda who: self.sample_generations(np.ones(who.shape[0], dtype=np.int64),
-                                                    line_gens[who], rng),
-                np.asarray(u, dtype=float)[line_gens])
-            out[run] = 0
-            np.add.at(out, line, z)
+        if self.support_bound is not None:
+            return self.sample_reduced(counts, gens, u, rng)
+        return _redraw_survivors(self, counts, gens, u, rng)
+
+    def sample_reduced(self, counts, gens, u, rng, immigration=None) -> np.ndarray:
+        """The reduced tree of a bounded law (support_bound set; Fleischmann
+        and Siegmund-Schultze, Math. Nachr. 79, 1977): entrywise, the
+        population after gens[i] generations of counts[i] lines that each
+        survive them, plus, given an `immigration` law, the descendants
+        then alive of one immigrant batch per generation.  u is the table of
+        extinction iterates as for sample_survivors.  Entries with 0
+        generations draw nothing and keep their count, as do entries with
+        count 0 when there is no immigration.
+
+        Only lines with descendants at the end are drawn.  Lines are aligned
+        to end together: an entry with g generations joins g steps before
+        the end (the most generations first, ties in input order), so at a
+        step every joined line has the same r generations left and v = u_r
+        is one scalar.  A step replaces each line by its children that
+        survive r more generations, J given J >= 1 for J ~ Bin(X, v), X a
+        draw of this law (_reduced_splits, _reduced_step), then adds the
+        step's immigrants that survive, immigration.sample_thinned_count.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        gens = np.broadcast_to(np.asarray(gens, dtype=np.int64), counts.shape)
+        out = counts.copy()
+        run = np.flatnonzero((gens > 0) if immigration is not None else (counts > 0) & (gens > 0))
+        order = run[np.argsort(-gens[run], kind="stable")]
+        steps = int(gens[order[0]]) if order.shape[0] else 0
+        # entries joined by step s: those with gens >= steps - s
+        joined = np.searchsorted(-gens[order], np.arange(steps) - steps, side="right")
+        pops = counts[order]
+        u = np.asarray(u, dtype=float)
+        for lo in range(0, steps, _SPLIT_BLOCK):
+            # v at steps lo, lo+1, ...: u_r for r = steps-1-lo, steps-2-lo, ...
+            v = u[max(steps - lo - _SPLIT_BLOCK, 0):steps - lo][::-1]
+            go, stay = (rows.tolist() for rows in self._reduced_splits(v))
+            for i, (width, v_i) in enumerate(zip(joined[lo:lo + _SPLIT_BLOCK].tolist(),
+                                                 v.tolist())):
+                head = _reduced_step(pops[:width], go[i], stay[i], rng)
+                if immigration is not None:
+                    head += immigration.sample_thinned_count(width, v_i, rng)
+                pops[:width] = head
+        out[order] = pops
         return out
+
+    def _reduced_splits(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Split chances of J given J >= 1, J ~ Bin(X, v) for X a draw of
+        this bounded law, at every point of v: two (len(v), d-1) arrays, d
+        the support bound, holding per j = 1..d-1 the chance that J > j and
+        the chance that J = j, each given J >= j.
+
+        Both are ratios of sums of nonnegative terms: the weights w_j =
+        sum_{i>=j} p_i C(i, j) v**j (1-v)**(i-j) and their suffix sums S_j =
+        w_j + ... + w_d, so S_{j+1}/S_j and w_j/S_j (0 where S_j = 0) carry
+        no cancellation.  S_1 is one_minus_pgf(v) up to rounding.
+        """
+        d = self.support_bound
+        p = self.pmf_array(d)
+        # coef[t, j-1] = p_{j+t} C(j+t, j): w_j is v**j times a polynomial in 1-v
+        coef = np.array([[p[j + t] * math.comb(j + t, j) if j + t <= d else 0.0
+                          for j in range(1, d + 1)] for t in range(d)])
+        v = np.asarray(v, dtype=float)[:, None]
+        w = ((1.0 - v) ** np.arange(d) @ coef) * v ** np.arange(1, d + 1)
+        suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+        head, tail = suffix[:, :-1], suffix[:, 1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            go = np.where(head > 0.0, tail / head, 0.0)
+            stay = np.where(head > 0.0, w[:, :-1] / head, 0.0)
+        return go, stay
 
     def sample_thinned(self, u, rng) -> tuple[np.ndarray, int]:
         """Per entry i, B given B >= 1, where B ~ Bin(I, u[i]) and I is a
@@ -324,6 +426,18 @@ class Law:
         return _first_positive(
             lambda who: rng.binomial(self.sample(who.shape[0], rng), u[who]),
             self.one_minus_pgf(u))
+
+    def sample_thinned_count(self, size: int, v: float, rng) -> np.ndarray:
+        """`size` iid draws of Bin(I, v), I a draw of this law and v in (0,
+        1]: the immigrants of one batch whose lines survive r generations,
+        for v = u_r.
+
+        Default: Bin(sample, v), with no binomial at v = 1; a family whose
+        thinned law has a closed form overrides.  At v = 1 every family
+        draws what sample(size, rng) draws.
+        """
+        draws = self.sample(size, rng)
+        return rng.binomial(draws, v) if v < 1.0 else draws
 
 
 class ExplicitLaw(Law):
@@ -491,6 +605,11 @@ class GeometricCriticalLaw(Law):
         u = np.asarray(u, dtype=float)
         return rng.geometric(1.0 / (1.0 + u)), u.shape[0]
 
+    def sample_thinned_count(self, size, v, rng):
+        # 1/(1 + v - v s), as in sample_thinned: a Geometric(1/(1+v)) count
+        # on 0, 1, ...
+        return rng.geometric(1.0 / (1.0 + v), size=size) - 1
+
 
 class BinaryLaw(Law):
     """p_0 = p_2 = 1/2; pgf (1 + s**2)/2."""
@@ -533,25 +652,6 @@ class BinaryLaw(Law):
 
     def sample_sum(self, counts, rng):
         return 2 * rng.binomial(np.asarray(counts, dtype=np.int64), 0.5)
-
-    def sample_survivors(self, counts, gens, u, rng):
-        # the reduced tree (Fleischmann and Siegmund-Schultze, Math. Nachr.
-        # 79, 1977): a line that survives r more generations has two
-        # children that do so for r - 1 more with chance u_{r-1}/(2 -
-        # u_{r-1}), else one.  Lines are aligned to end together, as in
-        # gwimm.montecarlo.simulate_Y_batch: each generation is one binomial
-        # over the entries joined so far, the most generations first.
-        counts, gens, out, run = _lines_to_run(counts, gens)
-        order = run[np.argsort(-gens[run], kind="stable")]
-        steps = int(gens[order[0]]) if order.shape[0] else 0
-        joined = np.searchsorted(-gens[order], np.arange(steps) - steps, side="right")
-        pops = counts[order]
-        u = np.asarray(u, dtype=float)
-        for step, width in enumerate(joined):
-            q = u[steps - step - 1]
-            pops[:width] += rng.binomial(pops[:width], q / (2.0 - q))
-        out[order] = pops
-        return out
 
 
 class PoissonLaw(Law):
@@ -604,6 +704,9 @@ class PoissonLaw(Law):
         first = -np.log1p(rng.random(mu.shape) * np.expm1(-mu)) / mu
         return 1 + rng.poisson(mu * np.maximum(1.0 - first, 0.0)), mu.shape[0]
 
+    def sample_thinned_count(self, size, v, rng):
+        return rng.poisson(self.rate * v, size=size)
+
 
 class Bernoulli01Law(Law):
     """Mass q1 at 1 and 1-q1 at 0."""
@@ -653,6 +756,9 @@ class Bernoulli01Law(Law):
         # at most one immigrant: given that one survives, it is the one
         size = np.shape(u)[0]
         return np.ones(size, dtype=np.int64), size
+
+    def sample_thinned_count(self, size, v, rng):
+        return rng.binomial(1, self.q1 * v, size=size)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,20 @@ Randomness comes from counter-based Philox streams keyed by
 are reproducible and independent of how work is scheduled: contributions
 are always merged in stream-index order.
 
+Y_m is drawn on one of three routes, by the offspring law (see
+simulate_Y_batch): a sum of cohorts for a closed-form law (geometric), the
+reduced tree of the lines with descendants at time m for a bounded law
+(binary, explicit; Law.sample_reduced), or one generation loop (log-heavy).
+Neither the cohort nor the reduced route has intermediate populations, so
+they cap and count only the final Y_m.
+
 The stratified estimator conditions on the first surviving cohort.  Each
 stratum weight P(theta_n = l) is exact from the iterate cache; the
 conditional factor P(Z + Y' <= k | Z > 0) is estimated from surviving
 cohorts drawn directly from their conditioned law (Law.sample_thinned, then
-Law.sample_survivors) plus an independent copy of the younger process.
+Law.sample_survivors) plus an independent copy of the younger process; on
+a bounded offspring law the cohort and the younger process are one reduced
+tree.
 Strata outside the sampling window (cohort age m = n - l above
 k/epsilon), or allocated no samples by the budget, are not simulated;
 their total possible contribution, bounded through the computable Markov
@@ -107,23 +116,33 @@ def simulate_Y_batch(model, horizons, initial: int, rng,
     """One draw of Y_m given Y_0 = initial per entry m of `horizons`, as
     (draws in input order, guard trips).  Horizon-0 lines draw nothing.
 
-    An offspring law with closed_form_generations takes the cohort route
-    (_simulate_Y_cohorts): Y_m is drawn as a sum of cohorts, each in one
-    sample_generations draw.  That route has no intermediate populations
-    to cap: only a final Y_m above `max_population` is capped and counted
-    as a guard trip.
+    Three routes, by the offspring law:
 
-    Other laws share one generation loop: a line with horizon m joins it m
-    steps before the end, so each generation is one vectorized
-    offspring-sum draw plus one immigration draw over the lines joined so
-    far (the longest horizons first, ties in input order).  Populations
-    crossing the guard are capped and counted each generation; the
-    trajectory continues on the capped value (reported, not fatal).
+    - closed_form_generations (geometric): the cohort route
+      (_simulate_Y_cohorts), Y_m drawn as a sum of cohorts, each in one
+      sample_generations draw;
+    - bounded support (binary, explicit): the reduced route
+      (_simulate_Y_reduced), which steps only the lines with descendants
+      at time m;
+    - otherwise (log-heavy): one generation loop.  A line with horizon m
+      joins it m steps before the end, so each generation is one
+      vectorized offspring-sum draw plus one immigration draw over the
+      lines joined so far (the longest horizons first, ties in input
+      order).  Populations crossing the guard are capped and counted each
+      generation; the trajectory continues on the capped value (reported,
+      not fatal).
+
+    The cohort and reduced routes have no intermediate populations to cap:
+    only a final Y_m above `max_population` is capped and counted as a
+    guard trip.
     """
     offspring, immigration = _resolve_laws(model)
     horizons = np.asarray(horizons, dtype=np.int64)
     if offspring.closed_form_generations:
         return _simulate_Y_cohorts(offspring, immigration, horizons, initial, rng,
+                                   max_population)
+    if offspring.support_bound is not None:
+        return _simulate_Y_reduced(offspring, immigration, horizons, initial, rng,
                                    max_population)
     order = np.argsort(-horizons, kind="stable")
     steps = int(horizons.max(initial=0))
@@ -141,6 +160,35 @@ def simulate_Y_batch(model, horizons, initial: int, rng,
     out = np.empty_like(pops)
     out[order] = pops
     return out, trips
+
+
+def _cap(y: np.ndarray, max_population: int) -> tuple[np.ndarray, int]:
+    """y with its entries above max_population capped, and how many were."""
+    over = y > max_population
+    y[over] = max_population
+    return y, int(np.count_nonzero(over))
+
+
+def _simulate_Y_reduced(offspring: Law, immigration: Law, horizons: np.ndarray,
+                        initial: int, rng, max_population: int):
+    """simulate_Y_batch on the reduced tree of a bounded offspring law: of
+    the `initial` ancestors of a line with horizon m, Bin(initial, u_m)
+    have descendants at time m, and Law.sample_reduced steps those lines,
+    with the surviving immigrants of every generation, to Y_m.
+
+    Draws come in a fixed order: the initial survivors first (lines with a
+    positive horizon, in input order), then per step the offspring splits
+    and the step's immigrants.  u_j = 1 - f_j(0) comes from
+    offspring.one_minus_iterates, with the bits of the iterate store.
+    """
+    steps = int(horizons.max(initial=0))
+    u = np.concatenate(([1.0], offspring.one_minus_iterates(1.0, 0, steps)))
+    start = np.full(horizons.shape[0], initial, dtype=np.int64)
+    if initial:
+        live = horizons > 0
+        start[live] = rng.binomial(initial, u[horizons[live]])
+    return _cap(offspring.sample_reduced(start, horizons, u, rng, immigration),
+                max_population)
 
 
 # (line, age) pairs drawn per block on the cohort route: each block's
@@ -175,9 +223,7 @@ def _simulate_Y_cohorts(offspring: Law, immigration: Law, horizons: np.ndarray,
         csum = np.concatenate(([0], np.cumsum(z)))
         y[lines] += (csum[np.minimum(ends[lines], hi) - lo]
                      - csum[np.maximum(starts[lines], lo) - lo])
-    over = y > max_population
-    y[over] = max_population
-    return y, int(np.count_nonzero(over))
+    return _cap(y, max_population)
 
 
 def simulate_Y_streams(model, n: int, initial: int, cfg: SimConfig, jobs: int = 1,
@@ -303,10 +349,11 @@ def estimate_lower_tail_stratified(
     cohorts drawn from their conditioned law (Law.sample_thinned for the
     surviving immigrants, Law.sample_survivors for their descendants; no
     rejection for the families with closed forms) plus independent
-    younger-process copies.  Strata beyond the epsilon-window or allocated
-    no samples are bracketed, not sampled.  The sample budget splits across
-    cfg.streams substreams merged in stream-index order; `jobs` threads
-    only fan the streams out.
+    younger-process copies; on a bounded offspring law both come from one
+    Law.sample_reduced loop started from the surviving immigrants.  Strata
+    beyond the epsilon-window or allocated no samples are bracketed, not
+    sampled.  The sample budget splits across cfg.streams substreams merged
+    in stream-index order; `jobs` threads only fan the streams out.
     """
     if not isinstance(model, Model):
         raise TypeError("stratified estimator needs a full Model")
@@ -351,12 +398,20 @@ def estimate_lower_tail_stratified(
         age = np.repeat(np.arange(window + 1), plan)
         # a line of cohort age m: the surviving immigrants of a batch given
         # that one survives, their population after m generations given
-        # survival, and an independent younger process Y_m
+        # survival, and an independent younger process Y_m.  On a bounded
+        # offspring law the last two are one reduced tree from the
+        # surviving immigrants, the younger process's immigrants joining it.
         alive, tries = model.immigration.sample_thinned(u[age], rng)
-        z = model.offspring.sample_survivors(alive, age, u, rng)
-        y, trips = simulate_Y_batch(model, age, 0, rng)
+        if model.offspring.support_bound is not None:
+            total, trips = _cap(model.offspring.sample_reduced(alive, age, u, rng,
+                                                               model.immigration),
+                                MAX_POPULATION)
+        else:
+            z = model.offspring.sample_survivors(alive, age, u, rng)
+            y, trips = simulate_Y_batch(model, age, 0, rng)
+            total = z + y
         line_bin = bin_of_age[age]
-        return (np.bincount(line_bin[z + y <= k], minlength=len(bins)),
+        return (np.bincount(line_bin[total <= k], minlength=len(bins)),
                 np.bincount(line_bin, minlength=len(bins)), tries, trips)
 
     per_stream = _fan_out(run_stream, cfg.streams, jobs)

@@ -9,7 +9,7 @@ from scipy import stats
 
 from gwimm import exact_pmf_Y, exact_pmf_Z, extinction_iterates, make_law, make_model
 from gwimm import montecarlo as mc
-from gwimm.models import Law
+from gwimm.models import Law, _reduced_step, _redraw_survivors
 from gwimm.theta import theta_pmf
 
 
@@ -169,6 +169,8 @@ class TestSampleGenerations:
 
 _BERN = {"family": "bernoulli01", "params": {"q1": 0.5}}
 _POISSON_1 = {"family": "poisson", "params": {"mean": 1.0}}
+# a critical law on 0..3: the reduced step splits twice
+_EXPLICIT_D3 = {"family": "explicit", "probs": [0.3, 0.5, 0.1, 0.1]}
 # offspring law, immigration law; explicit immigration and offspring run
 # the base-class hooks
 _COHORT_PAIRS = {
@@ -248,16 +250,17 @@ class TestConditionedCohorts:
         u = _one_minus_iterates(law, m)
         counts = 1 + mc.substream(20, 0).poisson(1.0, size=20_000)
         closed = law.sample_survivors(counts, m, u, mc.substream(20, 1))
-        redrawn = Law.sample_survivors(law, counts, m, u, mc.substream(20, 2))
+        redrawn = _redraw_survivors(law, counts, m, u, mc.substream(20, 2))
         assert _two_sample_p(closed, redrawn) > 0.001
 
-    @pytest.mark.parametrize("which", ["geometric-critical", "binary", "redraw"])
+    @pytest.mark.parametrize("which", ["geometric-critical", "binary", "explicit", "redraw"])
     @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 300)), max_size=12),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_survivors_identity_cases(self, which, pairs, seed):
-        law = make_law("binary" if which == "redraw" else which)
-        draw = (lambda *args: Law.sample_survivors(law, *args)) if which == "redraw" else (
+        law = make_law({"binary": "binary", "redraw": "binary", "explicit": _EXPLICIT_D3,
+                        "geometric-critical": "geometric-critical"}[which])
+        draw = (lambda *args: _redraw_survivors(law, *args)) if which == "redraw" else (
             law.sample_survivors)
         counts = np.array([c for c, _ in pairs], dtype=np.int64)
         gens = np.array([g for _, g in pairs], dtype=np.int64)
@@ -345,6 +348,143 @@ class TestCohortRoute:
         assert free_trips == 0
         assert trips == int(np.count_nonzero(free > 3)) > 0
         assert np.array_equal(capped, np.minimum(free, 3))
+
+
+# offspring law, immigration law: bounded offspring take the reduced route
+_REDUCED_PAIRS = {
+    "binary+bern": ("binary", _BERN),
+    "binary+poisson(1)": ("binary", _POISSON_1),
+    "explicit+poisson(1)": ({"family": "explicit", "probs": [0.1, 0.8, 0.1]}, _POISSON_1),
+    "explicit(d=3)+bern": (_EXPLICIT_D3, _BERN),
+}
+
+
+class TestReducedRoute:
+    """simulate_Y_batch and the stratified estimator's cohorts on a bounded
+    offspring law: the reduced tree, with the surviving immigrants of each
+    generation drawn by Law.sample_thinned_count."""
+
+    @pytest.mark.parametrize("pair", list(_REDUCED_PAIRS))
+    def test_mixed_horizons_with_initial_match_exact(self, pair):
+        model = make_model(*_REDUCED_PAIRS[pair])
+        per, K = 40_000, 64
+        horizons = np.tile([0, 1, 5, 17, 40], per)
+        values, trips = mc.simulate_Y_batch(model, horizons, 3, mc.substream(23, 0))
+        assert trips == 0
+        assert np.all(values[horizons == 0] == 3)
+        for m in (1, 5, 17, 40):
+            probs = exact_pmf_Y(model, m, K, initial=3, deficit_ceiling=1.0).probs
+            assert _chisquare_p(values[horizons == m], probs) > 0.001
+
+    @pytest.mark.parametrize("pair", ["binary+poisson(1)", "explicit(d=3)+bern"])
+    def test_long_horizons_match_exact(self, pair):
+        model = make_model(*_REDUCED_PAIRS[pair])
+        horizons = np.tile([0, 3, 64, 200], 20_000)
+        values, trips = mc.simulate_Y_batch(model, horizons, 0, mc.substream(24, 0))
+        assert trips == 0
+        assert np.all(values[horizons == 0] == 0)
+        for m in (3, 64, 200):
+            probs = exact_pmf_Y(model, m, 4 * m, deficit_ceiling=1.0).probs
+            assert _chisquare_p(values[horizons == m], probs) > 0.001
+
+    @pytest.mark.parametrize("pair", ["binary+poisson(1)", "explicit(d=3)+bern"])
+    def test_zero_horizon_lines_draw_nothing(self, pair):
+        _check_zero_horizon_lines_draw_nothing(make_model(*_REDUCED_PAIRS[pair]))
+
+    def test_guard_caps_final_value(self):
+        model = make_model(*_REDUCED_PAIRS["binary+poisson(1)"])
+        horizons = np.full(2000, 50)
+        free, free_trips = mc.simulate_Y_batch(model, horizons, 0, mc.substream(25, 0))
+        capped, trips = mc.simulate_Y_batch(model, horizons, 0, mc.substream(25, 0),
+                                            max_population=3)
+        assert free_trips == 0
+        assert trips == int(np.count_nonzero(free > 3)) > 0
+        assert np.array_equal(capped, np.minimum(free, 3))
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 64, 300])
+    @pytest.mark.parametrize("pair", ["binary+poisson(1)", "explicit+poisson(1)"])
+    def test_merged_cohort_loop_matches_two_draws(self, pair, m):
+        # the stratified estimator's Z + Y' in one reduced tree, against a
+        # conditioned cohort plus an independent younger process
+        model = make_model(*_REDUCED_PAIRS[pair])
+        N = 20_000
+        u = extinction_iterates(model, max(m, 1)).one_minus_fj0
+        alive, _ = model.immigration.sample_thinned(np.full(N, u[m]), mc.substream(26, m))
+        merged = model.offspring.sample_reduced(alive, m, u, mc.substream(27, m),
+                                                model.immigration)
+        rng = mc.substream(28, m)
+        z = model.offspring.sample_survivors(alive, m, u, rng)
+        y, _ = mc.simulate_Y_batch(model, np.full(N, m), 0, rng)
+        if m == 0:
+            assert np.array_equal(merged, alive) and np.array_equal(z + y, alive)
+        else:
+            assert _two_sample_p(merged, z + y) > 0.001
+
+    @pytest.mark.parametrize("spec", ["binary", {"family": "explicit", "probs": [0.1, 0.8, 0.1]},
+                                      _EXPLICIT_D3])
+    def test_splits_are_the_thinned_law(self, spec):
+        # go + stay = 1 at every split, and binary's one split is the closed
+        # form v/(2 - v)
+        law = make_law(spec)
+        v = np.concatenate((np.geomspace(1e-9, 1.0, 50), [0.5, 2.0 / 3.0]))
+        go, stay = law._reduced_splits(v)
+        assert go.shape == stay.shape == (v.shape[0], law.support_bound - 1)
+        np.testing.assert_allclose(go + stay, 1.0, rtol=0, atol=4e-16)
+        if law.kind == "binary":
+            np.testing.assert_allclose(go[:, 0], v / (2.0 - v), rtol=4e-16)
+
+    @pytest.mark.parametrize("spec", ["binary", _EXPLICIT_D3])
+    @given(st.lists(st.integers(0, 40), max_size=12), st.floats(1e-6, 1.0),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_step_identity_cases(self, spec, counts, v, seed):
+        law = make_law(spec)
+        counts = np.array(counts, dtype=np.int64)
+        for at in (v, 1.0):
+            go, stay = (rows[0] for rows in law._reduced_splits(np.array([at])))
+            rng, untouched = mc.substream(seed, 0), mc.substream(seed, 0)
+            out = _reduced_step(counts, go.tolist(), stay.tolist(), rng)
+            assert out.shape == counts.shape
+            assert np.all(counts <= out) and np.all(out <= law.support_bound * counts)
+            if law.kind == "binary" and at == 1.0:
+                # every child survives zero generations: both, no draw
+                assert np.array_equal(out, 2 * counts)
+            if law.kind == "binary" and at == 1.0 or not np.any(counts):
+                assert rng.random() == untouched.random()
+
+    @pytest.mark.parametrize("spec", [
+        "geometric-critical", "binary", _BERN, {"family": "poisson", "params": {"mean": 2.0}},
+        {"family": "explicit", "probs": [0.2, 0.5, 0.3]},
+    ])
+    @given(st.integers(0, 12), st.floats(1e-6, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_thinned_count_identity_cases(self, spec, size, v, seed):
+        law = make_law(spec)
+        rng = mc.substream(seed, 0)
+        out = law.sample_thinned_count(size, v, rng)
+        assert out.dtype == np.int64 and out.shape == (size,) and np.all(out >= 0)
+        if law.support_bound is not None:
+            assert np.all(out <= law.support_bound)
+        # v = 1 keeps every immigrant: the bits of sample, and nothing more drawn
+        rng, plain = mc.substream(seed, 1), mc.substream(seed, 1)
+        assert np.array_equal(law.sample_thinned_count(size, 1.0, rng), law.sample(size, plain))
+        assert rng.random() == plain.random()
+        rng, untouched = mc.substream(seed, 2), mc.substream(seed, 2)
+        assert law.sample_thinned_count(0, v, rng).shape == (0,)
+        assert rng.random() == untouched.random()
+
+    @pytest.mark.parametrize("v", [0.3, 0.02])
+    @pytest.mark.parametrize("spec", ["geometric-critical", _BERN,
+                                      {"family": "poisson", "params": {"mean": 2.0}}])
+    def test_thinned_count_closed_form_matches_default(self, spec, v):
+        law = make_law(spec)
+        closed = law.sample_thinned_count(50_000, v, mc.substream(29, 0))
+        default = Law.sample_thinned_count(law, 50_000, v, mc.substream(29, 1))
+        if closed.max() == default.max() == 1:
+            counts = [np.count_nonzero(x) for x in (closed, default)]
+            assert stats.chi2_contingency([counts, [50_000 - c for c in counts]]).pvalue > 0.001
+        else:
+            assert _two_sample_p(closed, default) > 0.001
 
 
 class TestRunLines:
