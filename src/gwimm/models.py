@@ -139,9 +139,10 @@ def _redraw_survivors(law, counts, gens, u, rng) -> np.ndarray:
     return out
 
 
-# Steps of the reduced tree whose split chances are computed at once
-# (Law._reduced_splits): the tables stay near 64 KB per atom of the law.
-_SPLIT_BLOCK = 4096
+# Steps times atoms of the law per block of split chances computed at once
+# (Law._reduced_splits): each of its tables stays near 128 KB, whatever the
+# support of the law.
+_SPLIT_CELLS = 1 << 14
 
 
 def _reduced_step(lines: np.ndarray, go: list, stay: list, rng) -> np.ndarray:
@@ -371,11 +372,12 @@ class Law:
         joined = np.searchsorted(-gens[order], np.arange(steps) - steps, side="right")
         pops = counts[order]
         u = np.asarray(u, dtype=float)
-        for lo in range(0, steps, _SPLIT_BLOCK):
+        block = max(1, _SPLIT_CELLS // (self.support_bound + 1))
+        for lo in range(0, steps, block):
             # v at steps lo, lo+1, ...: u_r for r = steps-1-lo, steps-2-lo, ...
-            v = u[max(steps - lo - _SPLIT_BLOCK, 0):steps - lo][::-1]
+            v = u[max(steps - lo - block, 0):steps - lo][::-1]
             go, stay = (rows.tolist() for rows in self._reduced_splits(v))
-            for i, (width, v_i) in enumerate(zip(joined[lo:lo + _SPLIT_BLOCK].tolist(),
+            for i, (width, v_i) in enumerate(zip(joined[lo:lo + block].tolist(),
                                                  v.tolist())):
                 head = _reduced_step(pops[:width], go[i], stay[i], rng)
                 if immigration is not None:
@@ -391,17 +393,26 @@ class Law:
         the chance that J = j, each given J >= j.
 
         Both are ratios of sums of nonnegative terms: the weights w_j =
-        sum_{i>=j} p_i C(i, j) v**j (1-v)**(i-j) and their suffix sums S_j =
-        w_j + ... + w_d, so S_{j+1}/S_j and w_j/S_j (0 where S_j = 0) carry
-        no cancellation.  S_1 is one_minus_pgf(v) up to rounding.
+        sum_{i>=j} p_i b_i(j), b_i(j) = C(i, j) v**j (1-v)**(i-j) the
+        Bin(i, v) pmf, and their suffix sums S_j = w_j + ... + w_d, so
+        S_{j+1}/S_j and w_j/S_j (0 where S_j = 0) carry no cancellation.
+        The pmf rows come from b_{i+1}(j) = (1-v) b_i(j) + v b_i(j-1), every
+        term in [0, 1], so no binomial coefficient is formed and nothing
+        overflows at any support.  S_1 is one_minus_pgf(v) up to rounding.
         """
         d = self.support_bound
-        p = self.pmf_array(d)
-        # coef[t, j-1] = p_{j+t} C(j+t, j): w_j is v**j times a polynomial in 1-v
-        coef = np.array([[p[j + t] * math.comb(j + t, j) if j + t <= d else 0.0
-                          for j in range(1, d + 1)] for t in range(d)])
+        p = self.pmf_array(d).tolist()
         v = np.asarray(v, dtype=float)[:, None]
-        w = ((1.0 - v) ** np.arange(d) @ coef) * v ** np.arange(1, d + 1)
+        q = 1.0 - v
+        b = np.zeros((v.shape[0], d + 1))  # b[:, j] = b_i(j), i the row built
+        b[:, 0] = 1.0
+        w = np.zeros_like(b)
+        for i in range(1, d + 1):
+            b[:, 1:i + 1] = b[:, 1:i + 1] * q + b[:, :i] * v
+            b[:, :1] *= q
+            if p[i] > 0.0:
+                w[:, 1:i + 1] += p[i] * b[:, 1:i + 1]
+        w = w[:, 1:]
         suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
         head, tail = suffix[:, :-1], suffix[:, 1:]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -605,11 +616,6 @@ class GeometricCriticalLaw(Law):
         u = np.asarray(u, dtype=float)
         return rng.geometric(1.0 / (1.0 + u)), u.shape[0]
 
-    def sample_thinned_count(self, size, v, rng):
-        # 1/(1 + v - v s), as in sample_thinned: a Geometric(1/(1+v)) count
-        # on 0, 1, ...
-        return rng.geometric(1.0 / (1.0 + v), size=size) - 1
-
 
 class BinaryLaw(Law):
     """p_0 = p_2 = 1/2; pgf (1 + s**2)/2."""
@@ -705,6 +711,7 @@ class PoissonLaw(Law):
         return 1 + rng.poisson(mu * np.maximum(1.0 - first, 0.0)), mu.shape[0]
 
     def sample_thinned_count(self, size, v, rng):
+        # Bin(I, v) of a Poisson(rate) count is Poisson(rate v)
         return rng.poisson(self.rate * v, size=size)
 
 
@@ -756,9 +763,6 @@ class Bernoulli01Law(Law):
         # at most one immigrant: given that one survives, it is the one
         size = np.shape(u)[0]
         return np.ones(size, dtype=np.int64), size
-
-    def sample_thinned_count(self, size, v, rng):
-        return rng.binomial(1, self.q1 * v, size=size)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Law, Model
-from .pgf import IterateCache
+from .pgf import IterateCache, extinction_iterates
 from .theta import theta_pmf
 
 _SIMULATE_STREAM = 0
@@ -112,9 +112,12 @@ def _fan_out(run_stream, streams: int, jobs: int) -> list:
 
 
 def simulate_Y_batch(model, horizons, initial: int, rng,
-                     max_population: int = MAX_POPULATION):
+                     max_population: int = MAX_POPULATION, u=None):
     """One draw of Y_m given Y_0 = initial per entry m of `horizons`, as
     (draws in input order, guard trips).  Horizon-0 lines draw nothing.
+    `u`, read on the reduced route only, holds u_j = 1 - f_j(0) for j = 0
+    up to the longest horizon (IterateCache.one_minus_fj0); when None it is
+    computed by offspring.one_minus_iterates, with the same bits.
 
     Three routes, by the offspring law:
 
@@ -143,7 +146,7 @@ def simulate_Y_batch(model, horizons, initial: int, rng,
                                    max_population)
     if offspring.support_bound is not None:
         return _simulate_Y_reduced(offspring, immigration, horizons, initial, rng,
-                                   max_population)
+                                   max_population, u)
     order = np.argsort(-horizons, kind="stable")
     steps = int(horizons.max(initial=0))
     # lines joined by step s: those with horizon >= steps - s
@@ -170,7 +173,7 @@ def _cap(y: np.ndarray, max_population: int) -> tuple[np.ndarray, int]:
 
 
 def _simulate_Y_reduced(offspring: Law, immigration: Law, horizons: np.ndarray,
-                        initial: int, rng, max_population: int):
+                        initial: int, rng, max_population: int, u):
     """simulate_Y_batch on the reduced tree of a bounded offspring law: of
     the `initial` ancestors of a line with horizon m, Bin(initial, u_m)
     have descendants at time m, and Law.sample_reduced steps those lines,
@@ -178,11 +181,11 @@ def _simulate_Y_reduced(offspring: Law, immigration: Law, horizons: np.ndarray,
 
     Draws come in a fixed order: the initial survivors first (lines with a
     positive horizon, in input order), then per step the offspring splits
-    and the step's immigrants.  u_j = 1 - f_j(0) comes from
-    offspring.one_minus_iterates, with the bits of the iterate store.
+    and the step's immigrants.
     """
-    steps = int(horizons.max(initial=0))
-    u = np.concatenate(([1.0], offspring.one_minus_iterates(1.0, 0, steps)))
+    if u is None:
+        steps = int(horizons.max(initial=0))
+        u = np.concatenate(([1.0], offspring.one_minus_iterates(1.0, 0, steps)))
     start = np.full(horizons.shape[0], initial, dtype=np.int64)
     if initial:
         live = horizons > 0
@@ -233,10 +236,16 @@ def simulate_Y_streams(model, n: int, initial: int, cfg: SimConfig, jobs: int = 
     takes split_budget(cfg.samples, cfg.streams)[i] of them.  `jobs`
     threads only fan the streams out."""
     sizes = split_budget(cfg.samples, cfg.streams)
+    offspring, _ = _resolve_laws(model)
+    # the reduced route's iterates, read from the model's store before the
+    # streams fan out (the store is not safe to grow from two threads)
+    u = None
+    if isinstance(model, Model) and offspring.support_bound is not None and n >= 1:
+        u = extinction_iterates(model, n).one_minus_fj0
 
     def run_stream(idx: int):
         return simulate_Y_batch(model, np.full(sizes[idx], n), initial,
-                                substream(cfg.seed, purpose, idx))
+                                substream(cfg.seed, purpose, idx), u=u)
 
     return _fan_out(run_stream, cfg.streams, jobs)
 
