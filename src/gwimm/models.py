@@ -178,9 +178,10 @@ class Law:
     # chain across orders (see gwimm.pgf._chain_order)
     vectorised_pgf: bool = True
     # sample_generations draws Z_m in one step from a closed form for the
-    # m-generation law, so the simulator draws Y_m cohort by cohort instead
-    # of stepping it generation by generation (see
-    # gwimm.montecarlo.simulate_Y_batch)
+    # m-generation law, and sample_survivors a surviving cohort's
+    # descendants, so the simulator draws Y_m from the immigrant batches
+    # with descendants at time m alone instead of stepping it generation by
+    # generation (see gwimm.montecarlo.simulate_Y_batch)
     closed_form_generations: bool = False
 
     # -- identity ---------------------------------------------------------
@@ -427,16 +428,39 @@ class Law:
         (0, 1].  Returns (draws, tries), tries the number of (I, B) pairs
         drawn.
 
-        Default: rejection on (I, Bin(I, u)) (_first_positive), with
-        acceptance P(B >= 1) = one_minus_pgf(u).  A family with a closed
-        form for the thinned law overrides and draws once per entry.
+        Default: a bounded law draws B by its inverse survival function,
+        one uniform per entry, in input order: P(B > j | B >= 1) is the
+        product of the split chances go_1..go_j of _reduced_splits(u), so
+        B - 1 counts those products above the uniform.  The products are
+        formed once per distinct u, and every table holds at most
+        _SPLIT_CELLS // (d+1) rows.  An unbounded law rejects on (I, Bin(I,
+        u)) (_first_positive), with acceptance P(B >= 1) =
+        one_minus_pgf(u).  A family with a closed form for the thinned law
+        overrides and draws once per entry.
         """
         u = np.asarray(u, dtype=float)
         if u.shape[0] == 0:
             return np.zeros(0, dtype=np.int64), 0
-        return _first_positive(
-            lambda who: rng.binomial(self.sample(who.shape[0], rng), u[who]),
-            self.one_minus_pgf(u))
+        if self.support_bound is None:
+            return _first_positive(
+                lambda who: rng.binomial(self.sample(who.shape[0], rng), u[who]),
+                self.one_minus_pgf(u))
+        if not (self.mean > 0.0 and np.all(u > 0.0)):
+            raise ValueError("a conditioned draw needs a positive acceptance chance")
+        r = rng.random(u.shape[0])
+        out = np.empty(u.shape[0], dtype=np.int64)
+        # entries sorted by u, so the entries of a block of points are one run
+        order = np.argsort(u, kind="stable")
+        points, at = np.unique(u[order], return_inverse=True)
+        block = max(1, _SPLIT_CELLS // (self.support_bound + 1))
+        for lo in range(0, points.shape[0], block):
+            surv = np.cumprod(self._reduced_splits(points[lo:lo + block])[0], axis=1)
+            run = np.arange(*np.searchsorted(at, [lo, lo + block]))
+            for a in range(0, run.shape[0], block):
+                who = run[a:a + block]
+                above = surv[at[who] - lo] > r[order[who], None]
+                out[order[who]] = 1 + np.count_nonzero(above, axis=1)
+        return out, u.shape[0]
 
     def sample_thinned_count(self, size: int, v: float, rng) -> np.ndarray:
         """`size` iid draws of Bin(I, v), I a draw of this law and v in (0,

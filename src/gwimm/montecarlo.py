@@ -7,11 +7,13 @@ are reproducible and independent of how work is scheduled: contributions
 are always merged in stream-index order.
 
 Y_m is drawn on one of three routes, by the offspring law (see
-simulate_Y_batch): a sum of cohorts for a closed-form law (geometric), the
-reduced tree of the lines with descendants at time m for a bounded law
-(binary, explicit; Law.sample_reduced), or one generation loop (log-heavy).
-Neither the cohort nor the reduced route has intermediate populations, so
-they cap and count only the final Y_m.
+simulate_Y_batch): for a closed-form law (geometric), a sum over only the
+immigrant batches with descendants at time m, their ages drawn by
+inverting the cumulative hazard -log F held by the iterate store; for a
+bounded law (binary, explicit; Law.sample_reduced), the reduced tree of
+the lines with descendants at time m; otherwise (log-heavy), one
+generation loop.  Neither the surviving-cohort nor the reduced route has
+intermediate populations, so they cap and count only the final Y_m.
 
 The stratified estimator conditions on the first surviving cohort.  Each
 stratum weight P(theta_n = l) is exact from the iterate cache; the
@@ -112,18 +114,23 @@ def _fan_out(run_stream, streams: int, jobs: int) -> list:
 
 
 def simulate_Y_batch(model, horizons, initial: int, rng,
-                     max_population: int = MAX_POPULATION, u=None):
+                     max_population: int = MAX_POPULATION, cache: IterateCache | None = None):
     """One draw of Y_m given Y_0 = initial per entry m of `horizons`, as
     (draws in input order, guard trips).  Horizon-0 lines draw nothing.
-    `u`, read on the reduced route only, holds u_j = 1 - f_j(0) for j = 0
-    up to the longest horizon (IterateCache.one_minus_fj0); when None it is
-    computed by offspring.one_minus_iterates, with the same bits.
+    `cache`, an IterateCache of the model that reaches the longest
+    horizon, is read by the surviving-cohort and reduced routes; when None
+    they take it from the model's iterate store (the surviving-cohort
+    route, so `model` must then be a Model) or compute u_j = 1 - f_j(0) by
+    offspring.one_minus_iterates, with the same bits (the reduced route).
+    A caller that fans batches out to threads passes it, because the store
+    is not safe to grow from two threads.
 
     Three routes, by the offspring law:
 
-    - closed_form_generations (geometric): the cohort route
-      (_simulate_Y_cohorts), Y_m drawn as a sum of cohorts, each in one
-      sample_generations draw;
+    - closed_form_generations (geometric): the surviving-cohort route
+      (_simulate_Y_survivors), which draws only the immigrant batches
+      with descendants at time m, the ages by inverting their cumulative
+      hazard (_survivor_ages);
     - bounded support (binary, explicit): the reduced route
       (_simulate_Y_reduced), which steps only the lines with descendants
       at time m;
@@ -135,20 +142,26 @@ def simulate_Y_batch(model, horizons, initial: int, rng,
       generation; the trajectory continues on the capped value (reported,
       not fatal).
 
-    The cohort and reduced routes have no intermediate populations to cap:
-    only a final Y_m above `max_population` is capped and counted as a
-    guard trip.
+    The surviving-cohort and reduced routes have no intermediate
+    populations to cap: only a final Y_m above `max_population` is capped
+    and counted as a guard trip.
     """
     offspring, immigration = _resolve_laws(model)
     horizons = np.asarray(horizons, dtype=np.int64)
+    steps = int(horizons.max(initial=0))
+    if cache is not None and cache.N < steps:
+        raise ValueError(f"cache horizon {cache.N} < longest horizon {steps}")
     if offspring.closed_form_generations:
-        return _simulate_Y_cohorts(offspring, immigration, horizons, initial, rng,
-                                   max_population)
+        if cache is None:
+            if not isinstance(model, Model):
+                raise TypeError("the surviving-cohort route needs a Model or an IterateCache")
+            cache = extinction_iterates(model, max(steps, 1))
+        return _simulate_Y_survivors(offspring, immigration, horizons, initial, rng,
+                                     max_population, cache)
     if offspring.support_bound is not None:
         return _simulate_Y_reduced(offspring, immigration, horizons, initial, rng,
-                                   max_population, u)
+                                   max_population, cache)
     order = np.argsort(-horizons, kind="stable")
-    steps = int(horizons.max(initial=0))
     # lines joined by step s: those with horizon >= steps - s
     joined = np.searchsorted(-horizons[order], np.arange(steps) - steps, side="right")
     pops = np.full(horizons.shape[0], initial, dtype=np.int64)
@@ -173,7 +186,7 @@ def _cap(y: np.ndarray, max_population: int) -> tuple[np.ndarray, int]:
 
 
 def _simulate_Y_reduced(offspring: Law, immigration: Law, horizons: np.ndarray,
-                        initial: int, rng, max_population: int, u):
+                        initial: int, rng, max_population: int, cache):
     """simulate_Y_batch on the reduced tree of a bounded offspring law: of
     the `initial` ancestors of a line with horizon m, Bin(initial, u_m)
     have descendants at time m, and Law.sample_reduced steps those lines,
@@ -183,9 +196,11 @@ def _simulate_Y_reduced(offspring: Law, immigration: Law, horizons: np.ndarray,
     positive horizon, in input order), then per step the offspring splits
     and the step's immigrants.
     """
-    if u is None:
+    if cache is None:
         steps = int(horizons.max(initial=0))
         u = np.concatenate(([1.0], offspring.one_minus_iterates(1.0, 0, steps)))
+    else:
+        u = cache.one_minus_fj0
     start = np.full(horizons.shape[0], initial, dtype=np.int64)
     if initial:
         live = horizons > 0
@@ -194,38 +209,68 @@ def _simulate_Y_reduced(offspring: Law, immigration: Law, horizons: np.ndarray,
                 max_population)
 
 
-# (line, age) pairs drawn per block on the cohort route: each block's
-# arrays stay near 128 KB, so a batch's memory does not grow with its
-# total number of generations
-_COHORT_BLOCK = 1 << 14
+def _survivor_ages(horizons: np.ndarray, cache: IterateCache, rng):
+    """The ages a < m of the immigrant batches with descendants at time m,
+    per line of horizon m, as (line, age) arrays, one entry per batch.
 
+    A batch of age a survives with chance lambda_a = 1 - h(f_a(0))
+    (cache.one_minus_hfj0), independently of the others, so the
+    surviving ages are a Bernoulli sequence with cumulative hazard
+    Lambda(i) = -sum_{a<i} log(1 - lambda_a) = -cache.logF_pos[i], which
+    is nondecreasing (every term of its Sum2 prefix is <= 0; the tests
+    check the stored bits).  From the hazard index p (0, or one past the
+    last surviving age) the next surviving age is i - 1, for i the
+    smallest index with Lambda(i) > Lambda(p) + E, E a standard
+    exponential (Devroye, Non-Uniform Random Variate Generation, 1986,
+    ch. VI): one draw and one searchsorted per surviving batch.  Rounding Lambda(p) + E moves the chance of age a by
+    at most about ulp(Lambda(m)) / -log(1 - lambda_a) relative.  A
+    zero-factor age (lambda_a >= 1, left out of logF_pos) never meets
+    that search and always survives.
 
-def _simulate_Y_cohorts(offspring: Law, immigration: Law, horizons: np.ndarray,
-                        initial: int, rng, max_population: int):
-    """simulate_Y_batch by cohorts: Y_m = Z_m(initial) + sum_{a<m} Z_a(I_a),
-    with I_a the immigrants that are a generations old at time m.
-
-    Draws come in a fixed order: the initial populations first, then the
-    (line, age) pairs, lines in input order and ages ascending, in blocks
-    of _COHORT_BLOCK pairs (the block's immigrants, then their cohorts).
+    Draws come in a fixed order: one exponential per open line per round,
+    lines in input order, until every line passes its horizon.  Lines
+    with horizon 0 draw nothing.
     """
-    y = offspring.sample_generations(np.full(horizons.shape[0], initial, dtype=np.int64),
-                                     horizons, rng)
-    # line i owns the pairs starts[i] .. ends[i] - 1, age = pair - starts[i]
-    ends = np.cumsum(horizons)
-    starts = ends - horizons
-    total = int(ends[-1]) if ends.shape[0] else 0
-    for lo in range(0, total, _COHORT_BLOCK):
-        hi = min(lo + _COHORT_BLOCK, total)
-        pair = np.arange(lo, hi)
-        line = np.searchsorted(ends, pair, side="right")
-        z = offspring.sample_generations(immigration.sample(hi - lo, rng),
-                                         pair - starts[line], rng)
-        # each line sums its pairs in this block between two cumsum edges
-        lines = np.arange(line[0], line[-1] + 1)
-        csum = np.concatenate(([0], np.cumsum(z)))
-        y[lines] += (csum[np.minimum(ends[lines], hi) - lo]
-                     - csum[np.maximum(starts[lines], lo) - lo])
+    steps = int(horizons.max(initial=0))
+    # zero-factor ages below each horizon, line by line
+    forced = np.flatnonzero(cache.one_minus_hfj0[:steps] >= 1.0)
+    per = np.searchsorted(forced, horizons)
+    lines = [np.repeat(np.arange(horizons.shape[0]), per)]
+    ages = [forced[np.arange(lines[0].shape[0]) - np.repeat(np.cumsum(per) - per, per)]]
+    hazard = -cache.logF_pos[:steps + 1]
+    line = np.flatnonzero(horizons > 0)
+    pos = np.zeros(line.shape[0], dtype=np.int64)
+    while line.shape[0]:
+        nxt = np.searchsorted(hazard, hazard[pos] + rng.standard_exponential(line.shape[0]),
+                              side="right")
+        hit = nxt <= horizons[line]
+        line, pos = line[hit], nxt[hit]
+        lines.append(line)
+        ages.append(pos - 1)
+    return np.concatenate(lines), np.concatenate(ages)
+
+
+def _simulate_Y_survivors(offspring: Law, immigration: Law, horizons: np.ndarray,
+                          initial: int, rng, max_population: int, cache):
+    """simulate_Y_batch by surviving cohorts: Y_m = Z_m(initial) + sum over
+    the immigrant batches with descendants at time m of those descendants.
+
+    Draws come in a fixed order: the surviving ages (_survivor_ages), each
+    batch's surviving immigrants given one (immigration.sample_thinned at
+    u_a), the initial ancestors' surviving lines Bin(initial, u_m) (lines
+    with a positive horizon, in input order), then the descendants of
+    every surviving line in one offspring.sample_survivors call.
+    """
+    y = np.where(horizons > 0, 0, initial).astype(np.int64)
+    u = cache.one_minus_fj0
+    line, age = _survivor_ages(horizons, cache, rng)
+    alive, _ = immigration.sample_thinned(u[age], rng)
+    if initial:
+        live = np.flatnonzero(horizons > 0)
+        line = np.concatenate((line, live))
+        age = np.concatenate((age, horizons[live]))
+        alive = np.concatenate((alive, rng.binomial(initial, u[horizons[live]])))
+    np.add.at(y, line, offspring.sample_survivors(alive, age, u, rng))
     return _cap(y, max_population)
 
 
@@ -237,15 +282,17 @@ def simulate_Y_streams(model, n: int, initial: int, cfg: SimConfig, jobs: int = 
     threads only fan the streams out."""
     sizes = split_budget(cfg.samples, cfg.streams)
     offspring, _ = _resolve_laws(model)
-    # the reduced route's iterates, read from the model's store before the
-    # streams fan out (the store is not safe to grow from two threads)
-    u = None
-    if isinstance(model, Model) and offspring.support_bound is not None and n >= 1:
-        u = extinction_iterates(model, n).one_minus_fj0
+    # the iterate cache of the routes that read one, taken from the model's
+    # store before the streams fan out (the store is not safe to grow from
+    # two threads); the generation loop reads none
+    cache = None
+    if isinstance(model, Model) and n >= 1 and (offspring.closed_form_generations
+                                                or offspring.support_bound is not None):
+        cache = extinction_iterates(model, n)
 
     def run_stream(idx: int):
         return simulate_Y_batch(model, np.full(sizes[idx], n), initial,
-                                substream(cfg.seed, purpose, idx), u=u)
+                                substream(cfg.seed, purpose, idx), cache=cache)
 
     return _fan_out(run_stream, cfg.streams, jobs)
 
@@ -417,7 +464,7 @@ def estimate_lower_tail_stratified(
                                 MAX_POPULATION)
         else:
             z = model.offspring.sample_survivors(alive, age, u, rng)
-            y, trips = simulate_Y_batch(model, age, 0, rng)
+            y, trips = simulate_Y_batch(model, age, 0, rng, cache=cache)
             total = z + y
         line_bin = bin_of_age[age]
         return (np.bincount(line_bin[total <= k], minlength=len(bins)),

@@ -84,7 +84,8 @@ class IterateCache:
         """log F(n)/F(m) = sum_{j=m}^{n-1} log h(f_j(0)), elementwise over
         ints or broadcasting arrays.  -inf where a zero factor lies between
         m and n; finite when a common zero factor makes both F vanish.  The
-        only reader of logF_pos and zero_factors."""
+        only reader of zero_factors; the simulator also reads logF_pos, as
+        the cumulative hazard of the surviving immigrant batches."""
         return np.where(self.zero_factors[n] == self.zero_factors[m],
                         self.logF_pos[n] - self.logF_pos[m], -np.inf)
 

@@ -167,7 +167,7 @@ def check_mc_vs_exact(scale: str) -> CheckResult:
     scale, fixed-seed agreement at desk scale."""
     geo = _geo_bern()
     if scale != "full":
-        # geometric offspring take the cohort route, binary the reduced tree
+        # geometric offspring take the surviving-cohort route, binary the reduced tree
         bpo = make_model("binary", {"family": "poisson", "params": {"mean": 1.0}})
         parts, value = [], 0.0
         # (n, k, K of the exact window) of the naive run, then the stratified

@@ -108,23 +108,6 @@ _GEO_POISSON = make_model("geometric-critical", {"family": "poisson", "params": 
 _ZERO_FACTOR_MODEL = make_model("binary", {"family": "explicit", "probs": [0.0, 0.5, 0.5]})
 
 
-class _Scaling(Law):
-    """Deterministic stand-in with the closed-form hook: c ancestors leave
-    c (m + 1)**2 after m generations, so a cohort route sums to a known
-    value and any misplaced pair shows."""
-
-    kind = "scaling"
-    closed_form_generations = True
-
-    def __init__(self):
-        self.sizes = []
-
-    def sample_generations(self, counts, gens, rng):
-        counts = np.asarray(counts, dtype=np.int64)
-        self.sizes.append(counts.shape[0])
-        return counts * (np.asarray(gens, dtype=np.int64) + 1) ** 2
-
-
 class TestSampleGenerations:
     """The geometric law's one-draw Z_m against the exact cohort law and
     against the generation loop it replaces."""
@@ -214,9 +197,9 @@ class TestConditionedCohorts:
         alive, tries = model.immigration.sample_thinned(np.full(N, cache.one_minus_fj0[m]), rng)
         z = model.offspring.sample_survivors(alive, m, cache.one_minus_fj0, rng)
         assert np.all(alive >= 1) and np.all(z >= alive)
-        # rejection (explicit immigration): a batch of one may die once u_m < 1
-        rejects = model.immigration.kind == "explicit" and m > 0
-        assert tries > N if rejects else tries == N
+        # no family rejects: explicit immigration draws by its inverse
+        # survival function
+        assert tries == N
         probs = exact_pmf_Z(model, m, K, deficit_ceiling=1.0).probs
         conditioned = np.concatenate(([0.0], probs[1:] / cache.one_minus_hfj0[m]))
         if np.count_nonzero(conditioned > 1e-12) == 1:  # one atom
@@ -242,6 +225,38 @@ class TestConditionedCohorts:
         thinned = np.array([float(q @ stats.binom.pmf(b, i, u)) for b in range(K + 1)])
         conditioned = np.concatenate(([0.0], thinned[1:] / cache.one_minus_hfj0[m]))
         assert _chisquare_p(alive, conditioned) > 0.001
+
+    @pytest.mark.parametrize("spec", ["binary", {"family": "explicit", "probs": [0.5, 0.3, 0.2]},
+                                      {"family": "explicit", "probs": [0.0, 0.5, 0.5]}, "wide"])
+    def test_bounded_thinned_draws_match_exact_law(self, spec):
+        # J given J >= 1, J ~ Bin(I, u), from one uniform per entry: no
+        # rejection, so as many tries as entries
+        law = make_law({"family": "explicit", "probs": _wide_explicit_probs()}
+                       if spec == "wide" else spec)
+        N, points = 20_000, [1.0, 0.5, 1e-3]
+        out, tries = law.sample_thinned(np.tile(points, N), mc.substream(46, 0))
+        assert tries == 3 * N and out.dtype == np.int64
+        atoms = np.arange(law.support_bound + 1)
+        for col, at in enumerate(points):
+            thinned = stats.binom.pmf(atoms[:, None], atoms[None, :], at) @ law.probs \
+                if law.kind == "explicit" else stats.binom.pmf(atoms, 2, at)
+            conditioned = np.concatenate(([0.0], thinned[1:] / thinned[1:].sum()))
+            if np.count_nonzero(conditioned > 1e-12) == 1:  # one atom
+                assert np.all(out[col::3] == np.argmax(conditioned))
+            else:
+                assert _chisquare_p(out[col::3], conditioned) > 0.001
+
+    def test_bounded_thinned_draws_entry_by_entry(self):
+        # a draw reads only its own u and uniform: one call over 40 distinct
+        # u (three tables of split chances) equals calls on pieces
+        law = make_law({"family": "explicit", "probs": _wide_explicit_probs()})
+        u = mc.substream(47, 0).choice(np.geomspace(1e-3, 1.0, 40), size=300)
+        whole, _ = law.sample_thinned(u, mc.substream(47, 1))
+        rng = mc.substream(47, 1)
+        pieces = [law.sample_thinned(u[a:a + 7], rng)[0] for a in range(0, 300, 7)]
+        assert np.array_equal(whole, np.concatenate(pieces))
+        with pytest.raises(ValueError, match="acceptance"):
+            law.sample_thinned(np.array([0.5, 0.0]), rng)
 
     @pytest.mark.parametrize("u", [1.0, 0.3, 0.02])
     @pytest.mark.parametrize("spec", ["geometric-critical", {"family": "poisson",
@@ -308,7 +323,7 @@ class TestConditionedCohorts:
 
 
 class TestCohortRoute:
-    """simulate_Y_batch on an offspring law with a closed-form hook."""
+    """simulate_Y_batch on geometric offspring: the surviving-cohort route."""
 
     def test_mixed_horizons_with_initial_match_exact(self, geo_bern):
         per, K = 40_000, 64
@@ -320,32 +335,60 @@ class TestCohortRoute:
             probs = exact_pmf_Y(geo_bern, m, K, initial=3, deficit_ceiling=1.0).probs
             assert _chisquare_p(values[horizons == m], probs) > 0.001
 
-    def test_blocks_sum_every_pair_once(self):
-        law = _Scaling()
-        one = make_law({"family": "explicit", "probs": [0.0, 1.0]})
-        horizons = mc.substream(15, 0).integers(0, 700, size=1000)
-        horizons[[3, 4, 500]] = 0
-        total = int(horizons.sum())
-        assert total >= 3 * mc._COHORT_BLOCK
-        values, trips = mc.simulate_Y_batch((law, one), horizons, 2, mc.substream(15, 1))
-        # Y_m = 2 (m + 1)**2 + sum_{a < m} (a + 1)**2
-        m = horizons
-        assert values.tolist() == (2 * (m + 1) ** 2 + m * (m + 1) * (2 * m + 1) // 6).tolist()
-        assert trips == 0
-        # one call for the initial populations, then one per block
-        assert law.sizes[0] == horizons.shape[0]
-        assert law.sizes[1:] == [min(mc._COHORT_BLOCK, total - lo)
-                                 for lo in range(0, total, mc._COHORT_BLOCK)]
-
-    def test_batch_over_blocks_matches_exact(self, geo_bern):
+    def test_long_horizons_match_exact(self, geo_bern):
         horizons = np.tile([0, 3, 64, 200], 1000)
-        assert horizons.sum() >= 3 * mc._COHORT_BLOCK
         values, trips = mc.simulate_Y_batch(geo_bern, horizons, 0, mc.substream(16, 0))
         assert trips == 0
         assert np.all(values[horizons == 0] == 0)
         for m in (3, 64, 200):
             probs = exact_pmf_Y(geo_bern, m, 4 * m, deficit_ceiling=1.0).probs
             assert _chisquare_p(values[horizons == m], probs) > 0.001
+
+    @pytest.mark.parametrize("pair", ["geo+explicit(q0=0)", "geo+poisson(80)"])
+    def test_zero_factor_ages_match_exact(self, pair):
+        # ages whose batch always survives are drawn outside the hazard search
+        model = make_model(*_SURVIVOR_PAIRS[pair])
+        horizons = np.tile([1, 2, 9], 20_000)
+        values, trips = mc.simulate_Y_batch(model, horizons, 1, mc.substream(43, 0))
+        assert trips == 0
+        for m in (1, 2, 9):
+            probs = exact_pmf_Y(model, m, 40 * (m + 1), initial=1, deficit_ceiling=1.0).probs
+            assert _chisquare_p(values[horizons == m], probs) > 0.001
+
+    def test_streams_read_the_store_with_the_same_bits(self, geo_bern):
+        # simulate_Y_streams hands every batch the store's cache; a batch on
+        # its own, or with a cache that reaches further, draws the same values
+        streams = mc.simulate_Y_streams(geo_bern, 50, 2, mc.SimConfig(samples=300, seed=32,
+                                                                    streams=2))
+        longer = extinction_iterates(geo_bern, 500)
+        for idx, (values, _) in enumerate(streams):
+            alone, _ = mc.simulate_Y_batch(geo_bern, np.full(150, 50), 2,
+                                           mc.substream(32, 0, idx))
+            further, _ = mc.simulate_Y_batch(geo_bern, np.full(150, 50), 2,
+                                             mc.substream(32, 0, idx), cache=longer)
+            assert np.array_equal(values, alone) and np.array_equal(values, further)
+
+    def test_pair_needs_a_model_or_a_cache(self, geo_bern):
+        pair = (geo_bern.offspring, geo_bern.immigration)
+        with pytest.raises(TypeError, match="Model"):
+            mc.simulate_Y_batch(pair, [3], 0, mc.substream(44, 0))
+        cache = extinction_iterates(geo_bern, 3)
+        values, _ = mc.simulate_Y_batch(pair, [3, 0], 1, mc.substream(44, 0), cache=cache)
+        model_values, _ = mc.simulate_Y_batch(geo_bern, [3, 0], 1, mc.substream(44, 0))
+        assert np.array_equal(values, model_values) and values[1] == 1
+        with pytest.raises(ValueError, match="horizon"):
+            mc.simulate_Y_batch(geo_bern, [4], 0, mc.substream(44, 0), cache=cache)
+
+    def test_reach_at_a_million_generations(self):
+        # geometric offspring and immigration: Y_n from 0 has pgf 1/((n+1) -
+        # n s), so P(Y_n <= k) = 1 - (n/(n+1))**(k+1)
+        model = make_model("geometric-critical", "geometric-critical")
+        n, k = 10**6, 1000
+        exact = -math.expm1((k + 1) * math.log1p(-1.0 / (n + 1)))
+        res = mc.estimate_lower_tail_naive(model, n, k, mc.SimConfig(samples=200_000,
+                                                                    seed=45, streams=4))
+        assert res.guard_trips == 0
+        assert abs(res.estimate - exact) <= 3.5 * res.stderr
 
     def test_zero_horizon_lines_draw_nothing(self, geo_bern):
         _check_zero_horizon_lines_draw_nothing(geo_bern)
@@ -358,6 +401,73 @@ class TestCohortRoute:
         assert free_trips == 0
         assert trips == int(np.count_nonzero(free > 3)) > 0
         assert np.array_equal(capped, np.minimum(free, 3))
+
+
+# geometric offspring: the surviving-cohort route.  explicit(q0=0) has one
+# zero-factor age (0), poisson(80) two (0 and 1)
+_SURVIVOR_PAIRS = {
+    "geo+bern": ("geometric-critical", _BERN),
+    "geo+poisson(2)": ("geometric-critical", {"family": "poisson", "params": {"mean": 2.0}}),
+    "geo+explicit(q0=0)": ("geometric-critical", {"family": "explicit", "probs": [0.0, 0.5, 0.5]}),
+    "geo+poisson(80)": ("geometric-critical", {"family": "poisson", "params": {"mean": 80.0}}),
+}
+
+
+class TestSurvivorAges:
+    """_survivor_ages: the ages of the immigrant batches with descendants
+    at the horizon, by inverting their cumulative hazard -logF_pos."""
+
+    @pytest.mark.parametrize("pair", list(_SURVIVOR_PAIRS))
+    def test_hazard_is_nondecreasing(self, pair):
+        cache = extinction_iterates(make_model(*_SURVIVOR_PAIRS[pair]), 10**5)
+        assert np.all(np.diff(-cache.logF_pos) >= 0.0)
+
+    @pytest.mark.parametrize("pair", list(_SURVIVOR_PAIRS))
+    def test_ages_increase_below_the_horizon(self, pair):
+        model = make_model(*_SURVIVOR_PAIRS[pair])
+        horizons = mc.substream(40, 0).integers(0, 300, size=5000)
+        cache = extinction_iterates(model, int(horizons.max()))
+        line, age = mc._survivor_ages(horizons, cache, mc.substream(40, 1))
+        assert line.shape == age.shape and line.dtype == age.dtype == np.int64
+        assert np.all((age >= 0) & (age < horizons[line]))
+        order = np.lexsort((age, line))
+        same_line = np.diff(line[order]) == 0
+        assert np.all(np.diff(age[order])[same_line] > 0)
+        # every zero-factor age is drawn on every line that reaches past it
+        forced = np.flatnonzero(cache.one_minus_hfj0[:-1] >= 1.0)
+        assert forced.tolist() == {"geo+explicit(q0=0)": [0],
+                                   "geo+poisson(80)": [0, 1]}.get(pair, [])
+        for a in forced:
+            assert np.array_equal(np.sort(line[age == a]), np.flatnonzero(horizons > a))
+
+    @pytest.mark.parametrize("pair", list(_SURVIVOR_PAIRS))
+    def test_hits_per_age_match_the_survival_chances(self, pair):
+        # each age's batch survives with chance 1 - h(f_a(0)), so its hits
+        # are Bin(N, 1 - h(f_a(0))); one binomial test per age, Bonferroni
+        model = make_model(*_SURVIVOR_PAIRS[pair])
+        N, m = 20_000, 64
+        cache = extinction_iterates(model, m)
+        _, age = mc._survivor_ages(np.full(N, m), cache, mc.substream(41, 0))
+        hits = np.bincount(age, minlength=m)
+        chance = np.minimum(cache.one_minus_hfj0[:m], 1.0)
+        pvalues = [stats.binomtest(int(h), N, float(c)).pvalue for h, c in zip(hits, chance)]
+        assert min(pvalues) * m > 0.001
+
+    @pytest.mark.parametrize("pair", ["geo+bern", "geo+explicit(q0=0)"])
+    def test_horizon_zero_lines_draw_nothing(self, pair):
+        cache = extinction_iterates(make_model(*_SURVIVOR_PAIRS[pair]), 8)
+        rng, untouched = mc.substream(42, 0), mc.substream(42, 0)
+        line, age = mc._survivor_ages(np.zeros(5, dtype=np.int64), cache, rng)
+        assert line.shape == age.shape == (0,)
+        assert rng.random() == untouched.random()
+        # in a mixed batch they leave the other lines' ages unchanged
+        mixed_rng, plain_rng = mc.substream(42, 1), mc.substream(42, 1)
+        line, age = mc._survivor_ages(np.array([8, 0, 8]), cache, mixed_rng)
+        plain_line, plain_age = mc._survivor_ages(np.array([8, 8]), cache, plain_rng)
+        assert not np.any(line == 1)
+        assert np.array_equal(np.where(line == 2, 1, line), plain_line)
+        assert np.array_equal(age, plain_age)
+        assert mixed_rng.random() == plain_rng.random()
 
 
 # offspring law, immigration law: bounded offspring take the reduced route
