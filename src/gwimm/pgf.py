@@ -130,9 +130,10 @@ class IterateCache:
         return _frozen(np.exp(self.logL))
 
 
-# Generations are added to an iterate store in blocks of this length: a
-# scalar loop runs the offspring recursion over the block, then the block's
-# immigration factors and log F prefix are computed on arrays.
+# Generations are added to an iterate store in blocks of this length: the
+# offspring law's one_minus_iterates runs the recursion over the block, then
+# the block's immigration factors and log F prefix are computed on arrays.
+# A multiple of every Law.iterate_granule.
 ITER_BLOCK = 8192
 
 
@@ -140,7 +141,10 @@ class _IterStore:
     """Grow-on-demand backing arrays shared by every cache on one model.
 
     Only u_{j+1} = 1 - f(1 - u_j) is sequential, one Law.one_minus_iterates
-    call per block (a scalar loop, or the family's closed form).  v_j = 1 -
+    call per block (a scalar loop, a closed form, or corrected runs).  Each
+    fill ends at a multiple of the offspring law's iterate_granule (the
+    length of a corrected run, 1 for other laws), so every call starts
+    where a fresh store's would, from the same stored value.  v_j = 1 -
     h(1 - u_j) is one array call per block, and log F accumulates by Sum2
     (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005): a running float
     sum of the log factors, plus a running sum of the exact error of each
@@ -165,6 +169,8 @@ class _IterStore:
     def ensure(self, N: int):
         if N <= self.filled:
             return
+        granule = self.model.offspring.iterate_granule
+        N = -(-N // granule) * granule
         cap = self.u.shape[0]
         if N + 1 > cap:
             new_cap = max(N + 1, 2 * cap)

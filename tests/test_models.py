@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from gwimm import classify_xlogx, extinction_iterates, make_law, make_model
 from gwimm.models import (
+    _CELL_FLOOR,
     _HEAVY_HEAD,
     _SAMPLE_TABLE,
     FINITE,
     HEAVY_BETA_MAX,
     INFINITE,
     ExplicitLaw,
+    Law,
     LogHeavyImmigrationLaw,
     LogHeavyOffspringLaw,
     _heavy_tail_sum,
@@ -554,6 +556,85 @@ class TestHeavyKernel:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+_RUN_BETAS = [1.01, 1.5, 2.5, 50.0, HEAVY_BETA_MAX]
+
+
+def _assert_steps_within_4_ulp(law, u0, got):
+    """Each iterate within 4 eps relative of one_minus_pgf at the one
+    before it, u0 before the first."""
+    prev = np.concatenate(([u0], got[:-1]))
+    phi = law.one_minus_pgf(prev)
+    assert np.all(np.abs(got - phi) <= 4 * np.finfo(float).eps * phi)
+
+
+class TestCorrectedRuns:
+    """Log-heavy offspring iterates by corrected runs of iterate_granule
+    generations, against the base class's scalar loop."""
+
+    G = LogHeavyOffspringLaw.iterate_granule
+
+    @pytest.mark.parametrize("beta", _RUN_BETAS)
+    def test_matches_the_scalar_loop(self, beta):
+        law, n = LogHeavyOffspringLaw(beta), 20000
+        got = law.one_minus_iterates(1.0, 0, n)
+        ref = Law.one_minus_iterates(law, 1.0, 0, n)
+        assert np.max(np.abs(got / ref - 1.0)) <= 5e-14
+        _assert_steps_within_4_ulp(law, 1.0, got)
+
+    @pytest.mark.parametrize("beta", _RUN_BETAS)
+    @pytest.mark.parametrize("u0", [1e-9, 1e-200])
+    def test_small_starts(self, beta, u0):
+        # near u = 0 the map is the identity to about B u / 2 relative, so
+        # two evaluations of the recursion drift apart by their rounding,
+        # linearly in the steps taken (2.2e-13 after 1124 steps at beta =
+        # 50 from 1e-9), so their bound grows by 4 ulp per step
+        law, n = LogHeavyOffspringLaw(beta), 2 * self.G + 100
+        got = law.one_minus_iterates(u0, 0, n)
+        _assert_steps_within_4_ulp(law, u0, got)
+        ref = Law.one_minus_iterates(law, u0, 0, n)
+        assert np.all(np.abs(got / ref - 1.0) <= 4 * np.finfo(float).eps * np.arange(1, n + 1))
+
+    @pytest.mark.parametrize("beta", _RUN_BETAS)
+    def test_zero_stays_zero(self, beta):
+        law = LogHeavyOffspringLaw(beta)
+        for start in (0, 100):
+            got = law.one_minus_iterates(0.0, start, 2 * self.G)
+            assert np.array_equal(got, np.zeros(2 * self.G))
+
+    @pytest.mark.parametrize("beta", _RUN_BETAS)
+    def test_the_scalar_loop_ends_runs_below_the_cell_floor(self, beta):
+        # log-heavy immigration has mean 1/2, so u falls through the floor
+        # to the subnormals within a few runs
+        law, n = LogHeavyImmigrationLaw(beta), 3 * self.G
+        got = law.one_minus_iterates(1.0, 0, n)
+        ref = Law.one_minus_iterates(law, 1.0, 0, n)
+        above = ref >= _CELL_FLOOR
+        assert not above[-1] and got[-1] == ref[-1]
+        assert np.max(np.abs(got[above] / ref[above] - 1.0)) <= 5e-14
+        _assert_steps_within_4_ulp(law, 1.0, got[above])
+        off = LogHeavyOffspringLaw(beta)
+        assert np.array_equal(off.one_minus_iterates(1e-295, 100, self.G),
+                              Law.one_minus_iterates(off, 1e-295, 100, self.G))
+
+    @pytest.mark.parametrize("beta", _RUN_BETAS)
+    def test_shorter_counts_are_prefixes(self, beta):
+        law, G = LogHeavyOffspringLaw(beta), self.G
+        for u0, start in ((1.0, 0), (0.01, 100)):
+            longest = law.one_minus_iterates(u0, start, 3 * G + 50)
+            for count in (1, G - 101, G - 1, G, G + 1, 2 * G + 7, 3 * G + 49):
+                assert np.array_equal(law.one_minus_iterates(u0, start, count),
+                                      longest[:count]), (start, count)
+
+    @pytest.mark.parametrize("beta", _RUN_BETAS)
+    def test_cells_built_in_reverse_give_the_same_bits(self, beta):
+        forward, backward, n = LogHeavyOffspringLaw(beta), LogHeavyOffspringLaw(beta), 4000
+        got = forward.one_minus_iterates(1.0, 0, n)
+        for i in sorted(forward._cells, reverse=True):
+            backward._build_cells(i)
+        assert all(backward._cells[i] == cell for i, cell in forward._cells.items())
+        assert np.array_equal(backward.one_minus_iterates(1.0, 0, n), got)
 
 
 class TestPgfEval:

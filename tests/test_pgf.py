@@ -19,7 +19,7 @@ from gwimm import (
     make_law,
     make_model,
 )
-from gwimm.models import PGF_DOMAIN_TOL
+from gwimm.models import HEAVY_BETA_MAX, PGF_DOMAIN_TOL, LogHeavyOffspringLaw
 from gwimm.oracles import enumerate_population_pmf, step_pmf
 from gwimm.pgf import (
     _CHAINS,
@@ -32,6 +32,8 @@ from gwimm.pgf import (
 )
 from gwimm.series import identity_series, series_mul, trim
 
+# the length of a corrected run of log-heavy offspring iterates
+_GRANULE = LogHeavyOffspringLaw.iterate_granule
 
 # every array an IterateCache exposes: its four fields, views of the store,
 # and the five arrays it derives from them on first read
@@ -129,8 +131,8 @@ _BERN = {"family": "bernoulli01", "params": {"q1": 0.4}}
 
 class TestIterStore:
     """The store runs the offspring recursion through one_minus_iterates
-    (a scalar loop or a closed form); the rest is on arrays, one block of
-    ITER_BLOCK generations at a time."""
+    (a scalar loop, a closed form or corrected runs); the rest is on
+    arrays, one block of ITER_BLOCK generations at a time."""
 
     @pytest.mark.parametrize("model", [
         make_model("geometric-critical", _BERN),
@@ -139,17 +141,32 @@ class TestIterStore:
         make_model("binary", {"family": "explicit", "probs": [0.0, 0.5, 0.5]}),
         make_model("binary", {"family": "log-heavy-immigration", "params": {"beta": 1.5}}),
         make_model({"family": "log-heavy-offspring", "params": {"beta": 1.5}}, _BERN),
-    ], ids=["geo-bern", "geo-poisson", "bin-explicit", "heavy-imm", "heavy-off"])
+        make_model({"family": "log-heavy-offspring", "params": {"beta": HEAVY_BETA_MAX}}, _BERN),
+    ], ids=["geo-bern", "geo-poisson", "bin-explicit", "heavy-imm", "heavy-off",
+            "heavy-off-beta-max"])
     def test_history_independent(self, model):
         N = 2 * ITER_BLOCK + 17
         _STORES.pop(model, None)
-        for n in (1, 5, ITER_BLOCK - 1, ITER_BLOCK, ITER_BLOCK + 3, 2 * ITER_BLOCK + 1, N):
+        for n in (1, 5, _GRANULE - 1, _GRANULE, _GRANULE + 1, ITER_BLOCK - 1, ITER_BLOCK,
+                  ITER_BLOCK + 3, 2 * ITER_BLOCK + 1, N):
             grown = extinction_iterates(model, n)
         _STORES.pop(model)
         fresh = extinction_iterates(model, N)
         for name in ("logF", "logF_pos", "one_minus_hfj0", "one_minus_fj0", "zero_factors"):
             assert np.array_equal(getattr(grown, name), getattr(fresh, name)), name
         assert fresh.zero_factors[-1] == (1 if model.immigration.kind == "explicit" else 0)
+
+    @pytest.mark.parametrize("model, granule", [
+        (make_model({"family": "log-heavy-offspring", "params": {"beta": 1.5}}, _BERN), _GRANULE),
+        (make_model("geometric-critical", _BERN), 1),
+        (make_model("binary", {"family": "log-heavy-immigration", "params": {"beta": 1.5}}), 1),
+    ], ids=["heavy-off", "geo-bern", "heavy-imm"])
+    def test_fills_round_up_to_the_granule_only_for_log_heavy_offspring(self, model, granule):
+        _STORES.pop(model, None)
+        for n in (5, _GRANULE + 1):
+            cache = extinction_iterates(model, n)
+            assert _STORES[model].filled == -(-n // granule) * granule
+            assert cache.one_minus_fj0.shape == (n + 1,)
 
     def test_interrupted_growth_resumes_exactly(self, monkeypatch):
         model = make_model("geometric-critical", _BERN)
