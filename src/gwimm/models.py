@@ -187,6 +187,11 @@ class Law:
     # a multiple of this, so the iterate store fills to such ends (see
     # gwimm.pgf._IterStore)
     iterate_granule: int = 1
+    # compound Poisson with log pgf(g(s)) exact in the truncated ring
+    # (log_apply_to_series), so the series chain sums the log factors over
+    # generations and takes one series_exp per horizon instead of one
+    # product per generation (see gwimm.pgf._ChainStore)
+    log_series: bool = False
 
     # -- identity ---------------------------------------------------------
 
@@ -286,6 +291,16 @@ class Law:
         """
         cut = self.support_bound if self.support_bound is not None else K
         return series_compose_poly(self.pmf_array(cut), g, K)
+
+    def log_apply_to_series(self, g: np.ndarray, u: np.ndarray, K: int) -> np.ndarray:
+        """Coefficients of log pgf(g(s)) truncated at order K.
+
+        ``g`` is one series or a stack of series, one per row, and ``u``
+        their constant terms' complements 1 - g[0], given exactly (a float
+        or one per row); the result's constant terms come from u alone.
+        Coefficients 1..K are nonnegative.  Laws with log_series only.
+        """
+        raise NotImplementedError
 
     def iterate_series(self, g: np.ndarray, m: int, count: int, K: int) -> np.ndarray:
         """Series of the pgf iterates f_{m+1}..f_{m+count}, one per row of
@@ -694,6 +709,7 @@ class BinaryLaw(Law):
 
 class PoissonLaw(Law):
     kind = "poisson"
+    log_series = True
 
     def __init__(self, mean: float):
         if not (mean > 0 and math.isfinite(mean)):
@@ -726,6 +742,12 @@ class PoissonLaw(Law):
         a = self.rate * g
         a[0] = -self.rate * (1.0 - g[0])
         return series_exp(a, K)
+
+    def log_apply_to_series(self, g, u, K):
+        # rate (g - 1), elementwise; the constant is log pgf(1 - u) = -rate u
+        out = self.rate * trim(g, K)
+        out[..., 0] = -self.rate * np.asarray(u, dtype=float)
+        return out
 
     def sample(self, size, rng):
         return rng.poisson(self.rate, size=size)

@@ -25,7 +25,7 @@ from scipy import fft as sp_fft
 from scipy import special
 
 from .models import Model
-from .series import DIRECT_CONV_MAX, identity_series, series_mul, series_pow
+from .series import DIRECT_CONV_MAX, identity_series, series_exp, series_mul, series_pow
 
 DEFAULT_DEFICIT_CEILING = 1e-6
 
@@ -192,17 +192,30 @@ class _IterStore:
         zero = v >= 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(zero, 0.0, np.log1p(-v))
-        total = np.cumsum(np.concatenate(([self._sum], terms)))
-        prev, now = total[:-1], total[1:]
-        # TwoSum: prev + terms == now + err exactly
-        back = now - prev
-        err = (prev - (now - back)) + (terms - back)
-        carry = np.cumsum(np.concatenate(([self._carry], err)))
-        self.logFp[a + 1 : b + 1] = now + carry[1:]
+        total, carry = _running_sum2(np.float64(self._sum), np.float64(self._carry), terms)
+        self.logFp[a + 1 : b + 1] = total[1:] + carry[1:]
         self.nzero[a + 1 : b + 1] = self.nzero[a] + np.cumsum(zero)
         self._sum = float(total[-1])
         self._carry = float(carry[-1])
         self.filled = b
+
+
+def _running_sum2(total0: np.ndarray, carry0: np.ndarray, terms: np.ndarray):
+    """Sum2 prefix sums of terms along axis 0, continued from a running
+    float sum total0 and the running sum carry0 of its rounding errors.
+
+    Returns (total, carry), each with the starting values as row 0; row i
+    of total + carry is the compensated sum after i terms.  Both are
+    sequential cumsums, so a sum continued from any row has the bits of
+    one run from the start.
+    """
+    total = np.cumsum(np.concatenate((total0[None], terms)), axis=0)
+    prev, now = total[:-1], total[1:]
+    # TwoSum: prev + terms == now + err exactly
+    back = now - prev
+    err = (prev - (now - back)) + (terms - back)
+    carry = np.cumsum(np.concatenate((carry0[None], err)), axis=0)
+    return total, carry
 
 
 _STORES: dict[Model, _IterStore] = {}
@@ -253,10 +266,13 @@ class TruncatedPmf:
     names the engine that produced them:
 
     - "series": truncated products of the factor series, direct
-      convolutions of nonnegative series at every K, so each coefficient
-      is a certified lower bound on the true probability, to relative
-      rounding (exact for laws whose series are exact; log-heavy laws are
-      cut at K).
+      convolutions of nonnegative series at every K (for Poisson
+      immigration, the exponential of a sum of nonnegative series), so
+      each coefficient is a certified lower bound on the true probability,
+      to relative rounding (exact for laws whose series are exact;
+      log-heavy laws are cut at K).  Coefficient 0 is F(n) to rounding
+      for every law: the factors' constant terms come from the iterate
+      store.
     - "circle": coefficients 0..CIRCLE_WINDOW as on "series" at
       K = CIRCLE_WINDOW, with the same guarantee; the rest from the pgf
       on a damped circle, within about 1e-13 absolute of the true value
@@ -299,9 +315,10 @@ def _check_generation(n: int, name: str = "n") -> None:
 
 
 # The series chain steps this many generations per block: one call for the
-# block's offspring iterates and one for its immigration factors, then one
-# truncated product per generation.  Every row has the bits it would have
-# one generation at a time, so block edges never show in a result.
+# block's offspring iterates and one for its immigration factors (or their
+# logs), then one truncated product per generation, or one cumulative sum
+# per block.  Every row has the bits it would have one generation at a
+# time, so block edges never show in a result.
 CHAIN_BLOCK = 64
 
 
@@ -311,14 +328,27 @@ class _ChainStore:
     It keeps the state (f_n, H_n) with H_n = prod_{m<n} h(f_m) at every
     horizon n asked for so far.  A later horizon continues from the
     largest kept state below it, by the same steps as a fresh chain, so it
-    gets bit-identical series.
+    gets bit-identical series.  Two walks, chosen by the immigration law:
+
+    - sum walk (Law.log_series: Poisson): H_n = exp(S_n) with S_n =
+      sum_{m<n} log h(f_m), rate (f_m - 1) for Poisson.  S_n is kept at
+      every kept horizon and grows by one Sum2 prefix sum per block (as
+      log F in the iterate store); each new horizon costs one series_exp.
+      The constant of log h(f_m) comes from u_m = 1 - f_m(0) in the
+      model's iterate store, so coefficient 0 of H_n is F(n) to rounding,
+      and every other coefficient of S_n is a sum of nonnegative terms.
+    - product walk (every other law): one truncated product per
+      generation, each factor's constant term h(f_m(0)) = 1 - v_m read
+      from the iterate store rather than composed from the drifting
+      series constant f_m(0).
 
     It also keeps the joint rows R_m = H_m (h(f_m) - h(f_m(0))),
     m = 0..nrows-1, which do not depend on the horizon:
     P(Y_n = k, theta_n = n - m) = R_m[k] F(n)/F(m+1) for every n > m.
     Each row is a direct product of nonnegative series, so every
     coefficient keeps its relative accuracy; H_{m+1} - h(f_m(0)) H_m is
-    the same series but cancels.
+    the same series but cancels.  On the sum walk H_m = exp(S_m) and
+    h(f_m) = exp(log h(f_m)) are read off the same sums.
     """
 
     def __init__(self, model: Model, K: int):
@@ -328,6 +358,10 @@ class _ChainStore:
         acc[0] = 1.0
         self.horizons = [0]
         self.states = [(_frozen(identity_series(K)), _frozen(acc))]
+        # S_n = log H_n at each kept horizon n, on the sum walk only, as
+        # Sum2's (running sum, running error sum)
+        zero = _frozen(np.zeros(K + 1))
+        self.sums = {0: (zero, zero)} if model.immigration.log_series else None
         self.nrows = 0
         self._rows = np.zeros((0, K + 1))  # capacity doubles as rows grow
 
@@ -356,23 +390,43 @@ class _ChainStore:
         m = self.horizons[i]
         g, acc = self.states[i]
         off, imm, K = self.model.offspring, self.model.immigration, self.K
+        cache = extinction_iterates(self.model, n)
+        if self.sums is not None:
+            total, carry = self.sums[m]
         while m < n:
             count = min(CHAIN_BLOCK, n - m)
             later = off.iterate_series(g, m, count, K)  # f_{m+1}..f_{m+count}
-            factors = imm.apply_to_series(np.concatenate((g[None], later[:-1])), K)
-            if rows:
-                zs = factors.copy()
-                zs[:, 0] = 0.0
-            for r, factor in enumerate(factors):
+            block = np.concatenate((g[None], later[:-1]))  # f_m..f_{m+count-1}
+            if self.sums is not None:
+                logs = imm.log_apply_to_series(block, cache.one_minus_fj0[m : m + count], K)
+                totals, carries = _running_sum2(total, carry, logs)  # S_m..S_{m+count}
                 if rows:
-                    self._rows[m + r] = series_mul(acc, zs[r], K)
-                acc = series_mul(acc, factor, K)
+                    for r, log_factor in enumerate(logs):
+                        z = series_exp(log_factor, K)
+                        z[0] = 0.0
+                        H = series_exp(totals[r] + carries[r], K)
+                        self._rows[m + r] = series_mul(H, z, K)
+                total, carry = totals[-1], carries[-1]
+            else:
+                factors = imm.apply_to_series(block, K)
+                factors[:, 0] = 1.0 - cache.one_minus_hfj0[m : m + count]
+                if rows:
+                    zs = factors.copy()
+                    zs[:, 0] = 0.0
+                for r, factor in enumerate(factors):
+                    if rows:
+                        self._rows[m + r] = series_mul(acc, zs[r], K)
+                    acc = series_mul(acc, factor, K)
             m += count
             g = later[-1]
         if rows:
             self.nrows = n
         j = bisect_right(self.horizons, n)
         if self.horizons[j - 1] != n:
+            if self.sums is not None:
+                # copies: a row would keep its whole block alive
+                self.sums[n] = (_frozen(total.copy()), _frozen(carry.copy()))
+                acc = series_exp(total + carry, K)
             self.horizons.insert(j, n)
             # a copy: a row of `later` would keep its whole block alive
             self.states.insert(j, (_frozen(g.copy()), _frozen(acc)))
@@ -414,8 +468,8 @@ def _chain_store(model: Model, K: int) -> _ChainStore:
 
 def _series_pmfs(model: Model, targets: list[int], K: int, initial: int) -> dict:
     """Coefficients 0..K of the laws of Y_n, n in the sorted targets, read
-    off the model's stored series chain (one truncated multiply per
-    generation not yet reached)."""
+    off the model's stored series chain (one truncated multiply, or one
+    row of a sum, per generation not yet reached)."""
     store = _chain_store(model, K)
     out = {}
     for n in targets:
@@ -540,12 +594,16 @@ def exact_pmf_Y_multi(
 
     - "series" (K <= DIRECT_CONV_MAX, or a log-heavy law): one truncated
       direct convolution per generation, of nonnegative series at every
-      K.  Coefficients are exact up to relative roundoff whenever the
-      factor series are: bounded-support families, the geometric closed
-      form and geometric immigration (a nonnegative reciprocal
-      recurrence), and Poisson immigration (composed by the exponential
-      recurrence, with no pmf cut-off).  Log-heavy laws are
-      cut at K and give lower bounds.  The chain is stored per model and
+      K, each factor's constant term h(f_m(0)) read from the iterate
+      store.  Poisson immigration instead sums log h(f_m) = rate (f_m -
+      1), its constant -rate u_m from the store, and takes one
+      series_exp per horizon (a recurrence of nonnegative terms, with no
+      pmf cut-off).  Coefficients are exact up to relative roundoff
+      whenever the factor series are: bounded-support families, the
+      geometric closed form and geometric immigration (a nonnegative
+      reciprocal recurrence), and Poisson immigration.  Log-heavy laws
+      are cut at K and give lower bounds, except coefficient 0, which is
+      F(n) to rounding for every law.  The chain is stored per model and
       order and continued by later calls: closed-form models run one
       chain at max(K, CIRCLE_WINDOW), so every window K <= CIRCLE_WINDOW
       at every horizon reached so far is a slice of it; log-heavy models

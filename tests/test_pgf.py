@@ -30,7 +30,7 @@ from gwimm.pgf import (
     _circle_products,
     full_law_truncation,
 )
-from gwimm.series import identity_series, series_mul, trim
+from gwimm.series import identity_series, series_exp, series_mul, trim
 
 # the length of a corrected run of log-heavy offspring iterates
 _GRANULE = LogHeavyOffspringLaw.iterate_granule
@@ -407,6 +407,70 @@ class TestLowerTailFullLaw:
         assert np.max(np.abs(full / window - 1.0)) <= 1e-13
 
 
+def _mpmath_binary_window(immigration, n, K):
+    """Coefficients 0..K of prod_{m<n} h(f_m(s)) for binary offspring, in
+    40-digit mpmath: the recurrence of perfbench/oracle.py's
+    reference_window_mp.  Poisson immigration composes by the exponential
+    recurrence, Bernoulli immigration in closed form; neither is cut."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        poisson = immigration["family"] == "poisson"
+        param = mpmath.mpf(immigration["params"]["mean" if poisson else "q1"])
+
+        def conv(a, b):
+            return [mpmath.fsum(a[i] * b[j - i] for i in range(j + 1)) for j in range(K + 1)]
+
+        g = [mpmath.mpf(0), mpmath.mpf(1)] + [mpmath.mpf(0)] * (K - 1)
+        acc = [mpmath.mpf(1)] + [mpmath.mpf(0)] * K
+        for _ in range(n):
+            if poisson:
+                a = [param * (g[0] - 1)] + [param * x for x in g[1:]]
+                h = [mpmath.exp(a[0])]
+                for k in range(1, K + 1):
+                    h.append(mpmath.fsum(j * a[j] * h[k - j] for j in range(1, k + 1)) / k)
+            else:
+                h = [1 - param + param * g[0]] + [param * x for x in g[1:]]
+            acc = conv(acc, h)
+            sq = conv(g, g)
+            g = [(1 + sq[0]) / 2] + [x / 2 for x in sq[1:]]
+        return [float(x) for x in acc]
+
+
+class TestSeriesAccuracy:
+    """Series windows against 40-digit mpmath, and P(Y_n = 0) against F(n)
+    from the iterate store, at late horizons where a constant term composed
+    from the chain's own f_m(0) drifts."""
+
+    @pytest.mark.parametrize("immigration, K, bound", [
+        ({"family": "poisson", "params": {"mean": 4.0}}, 8, 1e-13),
+        ({"family": "bernoulli01", "params": {"q1": 0.5}}, 16, 5e-14),
+    ], ids=["bpo4", "bin-bern"])
+    def test_window_against_mpmath(self, immigration, K, bound):
+        model = make_model("binary", immigration)
+        window = exact_pmf_Y(model, 1024, K, deficit_ceiling=math.inf).probs
+        ref = np.array(_mpmath_binary_window(immigration, 1024, K))
+        assert np.all(ref > 0.0)
+        assert np.max(np.abs(window / ref - 1.0)) <= bound
+
+    @pytest.mark.parametrize("model", [
+        _bpo4(),
+        make_model("binary", {"family": "bernoulli01", "params": {"q1": 0.5}}),
+    ], ids=["bpo4", "bin-bern"])
+    def test_zero_coefficient_equals_F_late(self, model):
+        F = extinction_iterates(model, 4096).F[4096]
+        pmf = exact_pmf_Y(model, 4096, 64, deficit_ceiling=math.inf)
+        assert pmf.probs[0] == pytest.approx(F, rel=1e-13, abs=0.0)
+
+    def test_log_heavy_offspring_zero_coefficient(self):
+        # the offspring series is cut at K, yet coefficient 0 comes from the
+        # iterate store's u_m (it read 99.9994% low when composed from f_m(0))
+        model = make_model({"family": "log-heavy-offspring", "params": {"beta": 1.5}},
+                           {"family": "poisson", "params": {"mean": 1.0}})
+        F = extinction_iterates(model, 1024).F[1024]
+        pmf = exact_pmf_Y(model, 1024, 16, deficit_ceiling=math.inf)
+        assert pmf.probs[0] == pytest.approx(F, rel=1e-13, abs=0.0)
+
+
 def _split(a, bits):
     """(u, hi, lo) with a = u * hi + lo exactly: u a power of two, hi
     integers of modulus at most 2**bits, |lo| <= u / 2."""
@@ -511,26 +575,49 @@ class TestCirclePath:
         assert exact_pmf_Z(geo_bern, 8, 512, deficit_ceiling=1.0).path == "series"
 
 
+def _sum2_step(total, carry, term):
+    """One Sum2 addition: the running sum and the running sum of its
+    rounding errors after adding term."""
+    now = total + term
+    back = now - total
+    return now, carry + ((total - (now - back)) + (term - back))
+
+
 def _one_generation_at_a_time(model, ns, K):
     """{n: (series of f_n, series of H_n)} for n in ns, and the joint rows
     R_0..R_{max(ns)-1}, by a fresh chain at order K that steps one
-    generation at a time: per generation one immigration factor, one
-    product per row and per H, then one offspring iterate."""
+    generation at a time.  Per generation one immigration factor, one
+    product per row and per H, then one offspring iterate; the factor's
+    constant term h(f_m(0)) = 1 - v_m comes from the iterate store.
+    Poisson immigration instead adds log h(f_m), its constant from u_m,
+    to S_m by one Sum2 step, and reads H_m = exp(S_m) and the row's
+    factor exp(log h(f_m)) off the sums."""
     off, imm = model.offspring, model.immigration
+    cache = extinction_iterates(model, max(max(ns), 1))
     g = identity_series(K)
     acc = np.zeros(K + 1)
     acc[0] = 1.0
+    total = carry = np.zeros(K + 1)
     states, rows = {}, np.zeros((max(ns), K + 1))
     for m in range(max(ns) + 1):
+        if imm.log_series:
+            acc = series_exp(total + carry, K)
         if m in ns:
             states[m] = (g, acc)
         if m == max(ns):
             return states, rows
-        factor = imm.apply_to_series(g, K)
+        if imm.log_series:
+            log_factor = imm.log_apply_to_series(g, cache.one_minus_fj0[m], K)
+            factor = series_exp(log_factor, K)
+            total, carry = _sum2_step(total, carry, log_factor)
+        else:
+            factor = imm.apply_to_series(g, K)
+            factor[0] = 1.0 - cache.one_minus_hfj0[m]
         z = factor.copy()
         z[0] = 0.0
         rows[m] = series_mul(acc, z, K)
-        acc = series_mul(acc, factor, K)
+        if not imm.log_series:
+            acc = series_mul(acc, factor, K)
         g = off.iterate_series(g, m, 1, K)[0]
 
 
@@ -608,6 +695,17 @@ class TestBlockWalk:
             assert np.array_equal(block[m - first - 1], closed_form(m))
 
 
+def _binary_iterates(K):
+    """Series of f_0..f_6 for the binary pgf: series of pgfs, the first
+    with g[0] = 0."""
+    stack = [identity_series(K)]
+    for _ in range(6):
+        g = 0.5 * series_mul(stack[-1], stack[-1], K)
+        g[0] += 0.5
+        stack.append(g)
+    return stack
+
+
 class TestStackedApply:
     @pytest.mark.parametrize("spec", [
         _bern(0.3),
@@ -622,18 +720,27 @@ class TestStackedApply:
     @pytest.mark.parametrize("K", [0, 5, 64])
     def test_each_row_is_the_single_series_call(self, spec, K):
         law = make_law(spec)
-        # iterates of the binary pgf: series of pgfs, some with g[0] = 0
-        stack = [identity_series(K + 3)]
-        for _ in range(6):
-            g = 0.5 * series_mul(stack[-1], stack[-1], K + 3)
-            g[0] += 0.5
-            stack.append(g)
+        stack = _binary_iterates(K + 3)
         for width in (K + 1, K + 4, min(K + 1, 2)):
             rows = np.array([s[:width] for s in stack])
             out = law.apply_to_series(rows, K)
             assert out.shape == (len(rows), K + 1)
             for row, got in zip(rows, out):
                 assert np.array_equal(got, law.apply_to_series(row, K))
+
+    @pytest.mark.parametrize("K", [0, 5, 64])
+    def test_poisson_log_rows(self, K):
+        # each row is the single-series call, and its exponential is
+        # apply_to_series when u is 1 - g[0]
+        law = make_law({"family": "poisson", "params": {"mean": 2.3}})
+        stack = np.array(_binary_iterates(K))
+        u = 1.0 - stack[:, 0]
+        rows = law.log_apply_to_series(stack, u, K)
+        assert rows.shape == (len(stack), K + 1)
+        for g, ui, got in zip(stack, u, rows):
+            assert np.array_equal(got, law.log_apply_to_series(g, ui, K))
+            assert np.array_equal(series_exp(got, K), law.apply_to_series(g, K))
+            assert np.all(got[1:] >= 0.0)
 
 
 class TestChainStore:

@@ -8,7 +8,7 @@ import numpy as np
 
 from gwimm import exact_pmf_Y, exact_pmf_Z, extinction_iterates, make_model
 from gwimm.pgf import _CHAINS, _chain_store
-from gwimm.series import identity_series, series_mul
+from gwimm.series import identity_series, series_exp, series_mul
 from gwimm.theta import joint_Y_theta_window, theta_pmf, theta_survival
 
 
@@ -154,17 +154,32 @@ class TestJoint:
 
 def _joint_per_call(model, cache, n, k, K, m_max):
     """The joint window by a fresh series chain of m_max generations at
-    order K: one dot product of the cohort law and the law of Y_m per age."""
+    order K: one dot product of the cohort law and the law of Y_m per age.
+    The factor's constant term h(f_m(0)) comes from the iterate store;
+    Poisson immigration sums log h(f_m) by Sum2 and reads the law of Y_m
+    and the cohort law as exponentials of the sums."""
+    imm = model.immigration
     out = np.zeros(m_max + 1)
     acc = np.zeros(K + 1)
     acc[0] = 1.0
+    total = carry = np.zeros(K + 1)
     g = identity_series(K)
     for m in range(m_max + 1):
-        factor = model.immigration.apply_to_series(g, K)
-        z = factor.copy()
+        if imm.log_series:
+            H = series_exp(total + carry, K)
+            log_factor = imm.log_apply_to_series(g, cache.one_minus_fj0[m], K)
+            z = series_exp(log_factor, K)
+            now = total + log_factor
+            back = now - total
+            total, carry = now, carry + ((total - (now - back)) + (log_factor - back))
+        else:
+            H = acc
+            factor = imm.apply_to_series(g, K)
+            factor[0] = 1.0 - cache.one_minus_hfj0[m]
+            z = factor.copy()
+            acc = series_mul(acc, factor, K)
         z[0] = 0.0
-        out[m] = float(np.dot(z[: k + 1], acc[k::-1])) * cache.F_ratio(n, m + 1)
-        acc = series_mul(acc, factor, K)
+        out[m] = float(np.dot(z[: k + 1], H[k::-1])) * cache.F_ratio(n, m + 1)
         g = model.offspring.iterate_series(g, m, 1, K)[0]
     return out
 
