@@ -187,11 +187,6 @@ class Law:
     # a multiple of this, so the iterate store fills to such ends (see
     # gwimm.pgf._IterStore)
     iterate_granule: int = 1
-    # compound Poisson with log pgf(g(s)) exact in the truncated ring
-    # (log_apply_to_series), so the series chain sums the log factors over
-    # generations and takes one series_exp per horizon instead of one
-    # product per generation (see gwimm.pgf._ChainStore)
-    log_series: bool = False
 
     # -- identity ---------------------------------------------------------
 
@@ -298,7 +293,10 @@ class Law:
         ``g`` is one series or a stack of series, one per row, and ``u``
         their constant terms' complements 1 - g[0], given exactly (a float
         or one per row); the result's constant terms come from u alone.
-        Coefficients 1..K are nonnegative.  Laws with log_series only.
+        Coefficients 1..K are nonnegative.  Only compound Poisson laws,
+        whose log pgf is exact in the truncated ring, override it; the
+        series chain then sums these logs over generations (see
+        gwimm.pgf._ChainStore).
         """
         raise NotImplementedError
 
@@ -709,7 +707,6 @@ class BinaryLaw(Law):
 
 class PoissonLaw(Law):
     kind = "poisson"
-    log_series = True
 
     def __init__(self, mean: float):
         if not (mean > 0 and math.isfinite(mean)):

@@ -24,8 +24,15 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy import special
 
-from .models import Model
-from .series import DIRECT_CONV_MAX, identity_series, series_exp, series_mul, series_pow
+from .models import Law, Model
+from .series import (
+    DIRECT_CONV_MAX,
+    identity_series,
+    series_exp,
+    series_exp_rows,
+    series_mul,
+    series_pow,
+)
 
 DEFAULT_DEFICIT_CEILING = 1e-6
 
@@ -270,9 +277,9 @@ class TruncatedPmf:
       immigration, the exponential of a sum of nonnegative series), so
       each coefficient is a certified lower bound on the true probability,
       to relative rounding (exact for laws whose series are exact;
-      log-heavy laws are cut at K).  Coefficient 0 is F(n) to rounding
-      for every law: the factors' constant terms come from the iterate
-      store.
+      log-heavy laws are cut at K).  In windows of Y_n from 0
+      (exact_pmf_Y) coefficient 0 is F(n) to rounding for every law: the
+      factors' constant terms come from the iterate store.
     - "circle": coefficients 0..CIRCLE_WINDOW as on "series" at
       K = CIRCLE_WINDOW, with the same guarantee; the rest from the pgf
       on a damped circle, within about 1e-13 absolute of the true value
@@ -330,13 +337,17 @@ class _ChainStore:
     largest kept state below it, by the same steps as a fresh chain, so it
     gets bit-identical series.  Two walks, chosen by the immigration law:
 
-    - sum walk (Law.log_series: Poisson): H_n = exp(S_n) with S_n =
-      sum_{m<n} log h(f_m), rate (f_m - 1) for Poisson.  S_n is kept at
-      every kept horizon and grows by one Sum2 prefix sum per block (as
-      log F in the iterate store); each new horizon costs one series_exp.
-      The constant of log h(f_m) comes from u_m = 1 - f_m(0) in the
-      model's iterate store, so coefficient 0 of H_n is F(n) to rounding,
-      and every other coefficient of S_n is a sum of nonnegative terms.
+    - sum walk (immigration laws that override Law.log_apply_to_series:
+      Poisson): H_n = exp(S_n) with S_n = sum_{m<n} log h(f_m), rate
+      (f_m - 1) for Poisson.  S_n is kept at every kept horizon and grows
+      by one Sum2 prefix sum per block (as log F in the iterate store);
+      each new horizon costs one series_exp.  The constant of log h(f_m)
+      comes from u_m = 1 - f_m(0) in the model's iterate store, so
+      coefficient 0 of H_n is F(n) to rounding, and every other
+      coefficient of S_n is a sum of nonnegative terms.  Once F(n) is
+      below the normal floats, series_exp keeps log F(n) out of its
+      recurrence, so a coefficient underflows only where its own value
+      does.
     - product walk (every other law): one truncated product per
       generation, each factor's constant term h(f_m(0)) = 1 - v_m read
       from the iterate store rather than composed from the drifting
@@ -348,7 +359,8 @@ class _ChainStore:
     Each row is a direct product of nonnegative series, so every
     coefficient keeps its relative accuracy; H_{m+1} - h(f_m(0)) H_m is
     the same series but cancels.  On the sum walk H_m = exp(S_m) and
-    h(f_m) = exp(log h(f_m)) are read off the same sums.
+    h(f_m) = exp(log h(f_m)) are read off the same sums, a block's rows
+    by one stacked exponential (series_exp_rows).
     """
 
     def __init__(self, model: Model, K: int):
@@ -361,7 +373,7 @@ class _ChainStore:
         # S_n = log H_n at each kept horizon n, on the sum walk only, as
         # Sum2's (running sum, running error sum)
         zero = _frozen(np.zeros(K + 1))
-        self.sums = {0: (zero, zero)} if model.immigration.log_series else None
+        self.sums = {0: (zero, zero)} if _sum_walk(model) else None
         self.nrows = 0
         self._rows = np.zeros((0, K + 1))  # capacity doubles as rows grow
 
@@ -401,11 +413,12 @@ class _ChainStore:
                 logs = imm.log_apply_to_series(block, cache.one_minus_fj0[m : m + count], K)
                 totals, carries = _running_sum2(total, carry, logs)  # S_m..S_{m+count}
                 if rows:
-                    for r, log_factor in enumerate(logs):
-                        z = series_exp(log_factor, K)
-                        z[0] = 0.0
-                        H = series_exp(totals[r] + carries[r], K)
-                        self._rows[m + r] = series_mul(H, z, K)
+                    # H_m..H_{m+count-1} and the cohort factors h(f_m), in
+                    # one stacked exponential
+                    hz = series_exp_rows(np.concatenate((totals[:-1] + carries[:-1], logs)), K)
+                    hz[count:, 0] = 0.0
+                    for r in range(count):
+                        self._rows[m + r] = series_mul(hz[r], hz[count + r], K)
                 total, carry = totals[-1], carries[-1]
             else:
                 factors = imm.apply_to_series(block, K)
@@ -432,6 +445,12 @@ class _ChainStore:
             self.states.insert(j, (_frozen(g.copy()), _frozen(acc)))
             j += 1
         return self.states[j - 1]
+
+
+def _sum_walk(model: Model) -> bool:
+    """Whether the series chain of model sums log h(f_m): its immigration
+    law gives them by overriding Law.log_apply_to_series."""
+    return type(model.immigration).log_apply_to_series is not Law.log_apply_to_series
 
 
 _CHAINS: dict[tuple[Model, int], _ChainStore] = {}
@@ -603,7 +622,7 @@ def exact_pmf_Y_multi(
       geometric closed form and geometric immigration (a nonnegative
       reciprocal recurrence), and Poisson immigration.  Log-heavy laws
       are cut at K and give lower bounds, except coefficient 0, which is
-      F(n) to rounding for every law.  The chain is stored per model and
+      F(n) to rounding for every law when initial = 0.  The chain is stored per model and
       order and continued by later calls: closed-form models run one
       chain at max(K, CIRCLE_WINDOW), so every window K <= CIRCLE_WINDOW
       at every horizon reached so far is a slice of it; log-heavy models

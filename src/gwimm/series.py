@@ -11,6 +11,7 @@ Products are np.convolve; exp and reciprocal share one triangular recurrence.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy.linalg.blas import dtrsv
@@ -23,6 +24,10 @@ DIRECT_CONV_MAX = 512
 # O(K**2) for any block size; of 32..256, 64 timed best or near-best for
 # series_exp from K = 8 to 6144.
 EXP_BLOCK = 64
+# series_exp with a subnormal exp(a_0) scales a[1:] to sum to at most this,
+# so the coefficients of exp(a - a_0), which are below exp(sum a[1:]), stay
+# finite
+EXP_SCALE_SUM = 512.0
 # r - c below the diagonal, 0 on and above it: the block's Toeplitz index
 _EXP_DIFF = np.subtract.outer(np.arange(EXP_BLOCK), np.arange(EXP_BLOCK)).clip(0)
 
@@ -137,10 +142,50 @@ def series_exp(a: np.ndarray, K: int) -> np.ndarray:
     """exp(a) truncated at order K, for a series with a[1:] >= 0.
 
     Exact recurrence e_0 = exp(a_0), k e_k = sum_{i=1..k} i a_i e_{k-i},
-    whose terms are all nonnegative when a[1:] is.
+    whose terms are all nonnegative when a[1:] is.  Every e_k is e_0
+    times a polynomial in a[1:], so when exp(a_0) is not a normal float
+    the constant stays out of the recurrence: it runs from e_0 = 1 on
+    a[1:] scaled to sum to at most EXP_SCALE_SUM (a_i t^i, so no e_k
+    overflows), and coefficient k is exp(a_0 + log e_k - k log t).  A
+    coefficient then underflows only where its own value does; it loses
+    about |a_0| ulps, as exp of a rounded a_0 does.
     """
     a = np.asarray(a, dtype=float)[: K + 1]
-    return _forward_solve(np.arange(a.shape[0]) * a, np.arange(K + 1), math.exp(a[0]), K)
+    i = np.arange(a.shape[0])
+    e0 = math.exp(a[0])
+    if e0 >= sys.float_info.min or K == 0:
+        return _forward_solve(i * a, np.arange(K + 1), e0, K)
+    t = min(1.0, EXP_SCALE_SUM / max(math.fsum(a[1:]), EXP_SCALE_SUM))
+    e = _forward_solve(i * (a * t**i), np.arange(K + 1), 1.0, K)
+    with np.errstate(divide="ignore"):
+        return np.exp(a[0] + np.log(e) - np.arange(K + 1) * math.log(t))
+
+
+def series_exp_rows(a: np.ndarray, K: int) -> np.ndarray:
+    """series_exp of each row of a 2-d stack, truncated at order K.
+
+    The same recurrence, with the same treatment of a subnormal exp(a_0),
+    run on all rows at once, one k at a time: O(K) numpy calls for the
+    whole stack, where series_exp pays its block set-up per row.  Row i
+    has the bits of the call on row i alone (a one-row stack); they agree
+    with series_exp(a[i], K) to relative rounding, not bit for bit.
+    """
+    a = trim(a, K)
+    i = np.arange(K + 1)
+    e = np.empty(a.shape)
+    e[:, 0] = np.exp(a[:, 0])
+    low = ~(e[:, 0] >= sys.float_info.min)
+    t = np.ones(a.shape[0])
+    if K > 0 and low.any():
+        t[low] = EXP_SCALE_SUM / np.maximum(a[low, 1:].sum(axis=1), EXP_SCALE_SUM)
+        e[low, 0] = 1.0
+    c = i[1:] * a[:, 1:] * t[:, None] ** i[1:]  # c[:, j] is (j+1) a_{j+1} t^(j+1)
+    for k in range(1, K + 1):
+        e[:, k] = np.einsum("ij,ij->i", c[:, :k], e[:, k - 1 :: -1]) / k
+    if K > 0 and low.any():
+        with np.errstate(divide="ignore"):
+            e[low] = np.exp(a[low, :1] + np.log(e[low]) - i * np.log(t[low])[:, None])
+    return e
 
 
 def identity_series(K: int) -> np.ndarray:

@@ -28,9 +28,10 @@ from gwimm.pgf import (
     ITER_BLOCK,
     _chain_store,
     _circle_products,
+    _sum_walk,
     full_law_truncation,
 )
-from gwimm.series import identity_series, series_exp, series_mul, trim
+from gwimm.series import identity_series, series_exp, series_exp_rows, series_mul, trim
 
 # the length of a corrected run of log-heavy offspring iterates
 _GRANULE = LogHeavyOffspringLaw.iterate_granule
@@ -437,9 +438,11 @@ def _mpmath_binary_window(immigration, n, K):
 
 
 class TestSeriesAccuracy:
-    """Series windows against 40-digit mpmath, and P(Y_n = 0) against F(n)
-    from the iterate store, at late horizons where a constant term composed
-    from the chain's own f_m(0) drifts."""
+    """Series windows against 40-digit mpmath (the accuracy checks), and
+    P(Y_n = 0) against F(n) at late horizons, where a constant term
+    composed from the chain's own f_m(0) drifted.  Coefficient 0 now reads
+    the iterate store, as F(n) does, so the F(n) tests check consistency
+    with the store, not accuracy."""
 
     @pytest.mark.parametrize("immigration, K, bound", [
         ({"family": "poisson", "params": {"mean": 4.0}}, 8, 1e-13),
@@ -460,6 +463,17 @@ class TestSeriesAccuracy:
         F = extinction_iterates(model, 4096).F[4096]
         pmf = exact_pmf_Y(model, 4096, 64, deficit_ceiling=math.inf)
         assert pmf.probs[0] == pytest.approx(F, rel=1e-13, abs=0.0)
+
+    def test_window_with_F_below_the_normal_floats(self):
+        # binary + poisson(80): F(256) = 6.2e-317 is subnormal, P(Y_256 = 64)
+        # = 2.3e-269 is not; every normal coefficient keeps its accuracy
+        immigration = {"family": "poisson", "params": {"mean": 80.0}}
+        model = make_model("binary", immigration)
+        window = exact_pmf_Y(model, 256, 64, deficit_ceiling=math.inf).probs
+        ref = np.array(_mpmath_binary_window(immigration, 256, 64))
+        normal = ref >= 2.2250738585072014e-308
+        assert not normal[0] and normal[64]
+        assert np.max(np.abs(window[normal] / ref[normal] - 1.0)) <= 5e-13
 
     def test_log_heavy_offspring_zero_coefficient(self):
         # the offspring series is cut at K, yet coefficient 0 comes from the
@@ -590,35 +604,46 @@ def _one_generation_at_a_time(model, ns, K):
     product per row and per H, then one offspring iterate; the factor's
     constant term h(f_m(0)) = 1 - v_m comes from the iterate store.
     Poisson immigration instead adds log h(f_m), its constant from u_m,
-    to S_m by one Sum2 step, and reads H_m = exp(S_m) and the row's
-    factor exp(log h(f_m)) off the sums."""
+    to S_m by one Sum2 step, and takes H_n = exp(S_n) at each n in ns.
+    Its rows are exp(S_m) exp(log h(f_m)), less the constant, with the
+    exponentials of all rows in one series_exp_rows call: each row has
+    the bits of the call on that row alone (test_series)."""
     off, imm = model.offspring, model.immigration
+    sums = _sum_walk(model)
     cache = extinction_iterates(model, max(max(ns), 1))
     g = identity_series(K)
     acc = np.zeros(K + 1)
     acc[0] = 1.0
     total = carry = np.zeros(K + 1)
     states, rows = {}, np.zeros((max(ns), K + 1))
+    row_sums, row_logs = [], []
     for m in range(max(ns) + 1):
-        if imm.log_series:
+        if sums and m in ns:
             acc = series_exp(total + carry, K)
         if m in ns:
             states[m] = (g, acc)
         if m == max(ns):
-            return states, rows
-        if imm.log_series:
+            break
+        if sums:
             log_factor = imm.log_apply_to_series(g, cache.one_minus_fj0[m], K)
-            factor = series_exp(log_factor, K)
+            row_sums.append(total + carry)
+            row_logs.append(log_factor)
             total, carry = _sum2_step(total, carry, log_factor)
         else:
             factor = imm.apply_to_series(g, K)
             factor[0] = 1.0 - cache.one_minus_hfj0[m]
-        z = factor.copy()
-        z[0] = 0.0
-        rows[m] = series_mul(acc, z, K)
-        if not imm.log_series:
+            z = factor.copy()
+            z[0] = 0.0
+            rows[m] = series_mul(acc, z, K)
             acc = series_mul(acc, factor, K)
         g = off.iterate_series(g, m, 1, K)[0]
+    if sums and row_sums:
+        H = series_exp_rows(np.array(row_sums), K)
+        z = series_exp_rows(np.array(row_logs), K)
+        z[:, 0] = 0.0
+        for m in range(len(row_sums)):
+            rows[m] = series_mul(H[m], z[m], K)
+    return states, rows
 
 
 def _plain_window(model, n, K):

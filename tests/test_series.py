@@ -10,6 +10,7 @@ from gwimm.series import (
     identity_series,
     series_compose_poly,
     series_exp,
+    series_exp_rows,
     series_mul,
     series_pow,
     series_recip,
@@ -154,6 +155,56 @@ def test_exp_keeps_relative_accuracy_of_tiny_coefficients():
     assert want[-1] < 1e-190
     got = series_exp(a, K)
     assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("a0", [-720.0, -745.5, -900.0])
+def test_exp_with_subnormal_constant_keeps_each_coefficient(a0):
+    # exp(a_0) is subnormal or 0, but most coefficients are normal floats:
+    # each keeps its own relative accuracy instead of exp(a_0)'s
+    K = 64
+    rng = np.random.default_rng(7)
+    a = rng.uniform(0.0, 1.0, K + 1)
+    a *= -0.1 * a0 / a[1:].sum()
+    a[0], a[1] = a0, a[1] - 0.9 * a0
+    want = np.array(_exp_recurrence_mp(a, K))
+    normal = want >= 2.2250738585072014e-308
+    assert normal[K] and normal.sum() >= 8
+    for got in (series_exp(a, K), series_exp_rows(a[None], K)[0]):
+        assert np.max(np.abs(got[normal] / want[normal] - 1.0)) <= 1e-12
+        assert np.all(got[~normal] <= 2.2250738585072014e-308)
+
+
+def test_exp_coefficients_above_the_float_range_do_not_overflow():
+    # Poisson(2000): p_600 = exp(-678) is a normal float, p_600 / p_0 = e^1322
+    # is not, so the recurrence must not run on exp(a - a_0) unscaled
+    lam, K = 2000.0, 600
+    a = np.zeros(K + 1)
+    a[0], a[1] = -lam, lam
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.exp(-lam + k * mpmath.log(lam) - mpmath.loggamma(k + 1)))
+                         for k in range(K + 1)])
+    normal = want >= 2.2250738585072014e-308
+    assert normal[K] and not normal[0]
+    for got in (series_exp(a, K), series_exp_rows(a[None], K)[0]):
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got[normal] / want[normal] - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("K", [0, 1, 5, 63, 64, 65, 130])
+def test_exp_rows_are_one_row_calls_and_agree_with_series_exp(K):
+    rng = np.random.default_rng(K + 100)
+    a = rng.uniform(0.0, 1.0, (37, K + 1)) * rng.uniform(0.01, 5.0, (37, 1))
+    a[:, 0] = -rng.uniform(0.0, 5.0, 37)
+    a[3, 0], a[5, 0] = -730.0, -1e4  # subnormal and zero exp(a_0)
+    got = series_exp_rows(a, K)
+    assert got.shape == (37, K + 1)
+    for i in (0, 3, 5, 17, 36):
+        assert np.array_equal(got[i], series_exp_rows(a[i : i + 1], K)[0])
+    assert np.array_equal(got[10:20], series_exp_rows(a[10:20], K))
+    want = np.array([series_exp(row, K) for row in a])
+    nz = want > 2.2250738585072014e-308
+    assert np.array_equal(got[~nz] <= 2.2250738585072014e-308, np.ones((~nz).sum(), bool))
+    assert np.max(np.abs(got[nz] / want[nz] - 1.0)) <= 1e-13
 
 
 @pytest.mark.parametrize("K", [1, 6, 20])

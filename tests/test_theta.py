@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 import numpy as np
 
 from gwimm import exact_pmf_Y, exact_pmf_Z, extinction_iterates, make_model
-from gwimm.pgf import _CHAINS, _chain_store
-from gwimm.series import identity_series, series_exp, series_mul
+from gwimm.pgf import _CHAINS, _chain_store, _sum_walk
+from gwimm.series import identity_series, series_exp, series_exp_rows, series_mul
 from gwimm.theta import joint_Y_theta_window, theta_pmf, theta_survival
 
 
@@ -157,7 +157,8 @@ def _joint_per_call(model, cache, n, k, K, m_max):
     order K: one dot product of the cohort law and the law of Y_m per age.
     The factor's constant term h(f_m(0)) comes from the iterate store;
     Poisson immigration sums log h(f_m) by Sum2 and reads the law of Y_m
-    and the cohort law as exponentials of the sums."""
+    and the cohort law as exponentials of the sums, each by
+    series_exp_rows on a one-row stack."""
     imm = model.immigration
     out = np.zeros(m_max + 1)
     acc = np.zeros(K + 1)
@@ -165,10 +166,9 @@ def _joint_per_call(model, cache, n, k, K, m_max):
     total = carry = np.zeros(K + 1)
     g = identity_series(K)
     for m in range(m_max + 1):
-        if imm.log_series:
-            H = series_exp(total + carry, K)
+        if _sum_walk(model):
             log_factor = imm.log_apply_to_series(g, cache.one_minus_fj0[m], K)
-            z = series_exp(log_factor, K)
+            H, z = series_exp_rows(np.array([total + carry, log_factor]), K)
             now = total + log_factor
             back = now - total
             total, carry = now, carry + ((total - (now - back)) + (log_factor - back))
@@ -235,6 +235,29 @@ class TestJointRows:
                 assert np.array_equal(win == 0.0, ref == 0.0), (n, k)
                 nz = ref != 0.0
                 assert np.all(np.abs(win[nz] / ref[nz] - 1.0) <= 1e-14), (n, k)
+
+    def test_rows_with_F_below_the_normal_floats(self):
+        # binary + poisson(80): F(m) is subnormal from m = 254 on; each row
+        # against a product of the factors exp(log h(f_m)), whose constant
+        # terms exp(-80 u_m) stay normal
+        model = make_model("binary", {"family": "poisson", "params": {"mean": 80.0}})
+        cache = extinction_iterates(model, 256)
+        K = 64
+        _CHAINS.clear()
+        rows = _chain_store(model, K).rows(256)
+        acc = np.zeros(K + 1)
+        acc[0] = 1.0
+        g = identity_series(K)
+        for m in range(256):
+            factor = series_exp(model.immigration.log_apply_to_series(g, cache.one_minus_fj0[m], K), K)
+            z = factor.copy()
+            z[0] = 0.0
+            ref = series_mul(acc, z, K)
+            normal = ref >= 2.2250738585072014e-308
+            assert np.max(np.abs(rows[m][normal] / ref[normal] - 1.0), initial=0.0) <= 1e-12, m
+            acc = series_mul(acc, factor, K)
+            g = model.offspring.iterate_series(g, m, 1, K)[0]
+        assert acc[0] < 2.2250738585072014e-308 and rows[255][K] >= 2.2250738585072014e-308
 
     @pytest.mark.parametrize("model", [_GEO_BERN, _BPO4], ids=["geo-bern", "bpo4"])
     def test_chain_states_unchanged(self, model):
