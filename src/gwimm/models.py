@@ -698,6 +698,18 @@ class BinaryLaw(Law):
         out[0] += 0.5
         return out
 
+    def iterate_series(self, g, m, count, K):
+        # _apply_one row after row; from the second row on g has K+1
+        # terms, so np.convolve alone gives series_square's bits
+        out = np.empty((count, K + 1))
+        if count:
+            out[0] = g = self._apply_one(np.asarray(g, dtype=float), K)
+        for i in range(1, count):
+            g = 0.5 * np.convolve(g, g)[: K + 1]
+            g[0] += 0.5
+            out[i] = g
+        return out
+
     def sample(self, size, rng):
         return 2 * rng.integers(0, 2, size=size)
 

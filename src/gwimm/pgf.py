@@ -426,10 +426,11 @@ class _ChainStore:
                 if rows:
                     zs = factors.copy()
                     zs[:, 0] = 0.0
+                # series_mul's bits: acc and every factor have K+1 terms
                 for r, factor in enumerate(factors):
                     if rows:
-                        self._rows[m + r] = series_mul(acc, zs[r], K)
-                    acc = series_mul(acc, factor, K)
+                        self._rows[m + r] = np.convolve(acc, zs[r])[: K + 1]
+                    acc = np.convolve(acc, factor)[: K + 1]
             m += count
             g = later[-1]
         if rows:
