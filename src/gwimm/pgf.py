@@ -623,11 +623,11 @@ def exact_pmf_Y_multi(
       geometric closed form and geometric immigration (a nonnegative
       reciprocal recurrence), and Poisson immigration.  Log-heavy laws
       are cut at K and give lower bounds, except coefficient 0, which is
-      F(n) to rounding for every law when initial = 0.  The chain is stored per model and
-      order and continued by later calls: closed-form models run one
-      chain at max(K, CIRCLE_WINDOW), so every window K <= CIRCLE_WINDOW
-      at every horizon reached so far is a slice of it; log-heavy models
-      keep one chain per K.  Results depend only on (model, n, K,
+      F(n) to rounding for every law when initial = 0.  The chain is
+      stored per model and order and continued by later calls:
+      closed-form models run one chain at max(K, CIRCLE_WINDOW), so
+      every window K <= CIRCLE_WINDOW at every horizon reached so far is
+      a slice of it; log-heavy models keep one chain per K.  Results depend only on (model, n, K,
       initial), never on earlier calls.
     - "circle" (K > DIRECT_CONV_MAX, both pgfs closed forms): the product
       evaluated pointwise on a damped circle and inverted by one FFT per

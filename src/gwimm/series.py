@@ -155,7 +155,7 @@ def series_exp(a: np.ndarray, K: int) -> np.ndarray:
     e0 = math.exp(a[0])
     if e0 >= sys.float_info.min or K == 0:
         return _forward_solve(i * a, np.arange(K + 1), e0, K)
-    t = min(1.0, EXP_SCALE_SUM / max(math.fsum(a[1:]), EXP_SCALE_SUM))
+    t = EXP_SCALE_SUM / max(math.fsum(a[1:]), EXP_SCALE_SUM)
     e = _forward_solve(i * (a * t**i), np.arange(K + 1), 1.0, K)
     with np.errstate(divide="ignore"):
         return np.exp(a[0] + np.log(e) - np.arange(K + 1) * math.log(t))
