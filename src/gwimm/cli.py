@@ -166,10 +166,8 @@ def cmd_estimate(args, model: Model):
             res = mc.estimate_lower_tail_naive(model, args.n, args.k, sim,
                                                jobs=args.jobs)
         else:
-            cache = extinction_iterates(model, args.n)
             res = mc.estimate_lower_tail_stratified(
-                model, cache, args.n, args.k, sim, epsilon=args.epsilon,
-                jobs=args.jobs)
+                model, args.n, args.k, sim, epsilon=args.epsilon, jobs=args.jobs)
         rows.append({
             "method": res.method, "n": args.n, "k": args.k,
             "samples": sim.samples, "seed": sim.seed, "streams": sim.streams,

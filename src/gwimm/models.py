@@ -177,11 +177,11 @@ class Law:
     # series hooks exact at every order, so the engine shares one series
     # chain across orders (see gwimm.pgf._chain_order)
     vectorised_pgf: bool = True
-    # sample_generations draws Z_m in one step from a closed form for the
-    # m-generation law, and sample_survivors a surviving cohort's
-    # descendants, so the simulator draws Y_m from the immigrant batches
-    # with descendants at time m alone instead of stepping it generation by
-    # generation (see gwimm.montecarlo.simulate_Y_batch)
+    # sample_survivors draws a surviving cohort's descendants in one step
+    # from a closed form for the m-generation law, so the simulator draws
+    # Y_m from the immigrant batches with descendants at time m alone
+    # instead of stepping it generation by generation (see
+    # gwimm.montecarlo.simulate_Y_batch)
     closed_form_generations: bool = False
     # one_minus_iterates gives a stored run's bits only from a start that is
     # a multiple of this, so the iterate store fills to such ends (see
@@ -325,13 +325,13 @@ class Law:
     def sample_generations(self, counts, gens, rng) -> np.ndarray:
         """Entrywise sums of `counts[i]` iid copies of Z_{gens[i]}, the
         population `gens[i]` offspring-only generations after one ancestor
-        (`gens` an int or one per entry).
+        (`gens` an int or one per entry): the draws that _redraw_survivors
+        conditions on survival.
 
-        Default: one generation loop over all entries.  Each generation is
-        one sample_sum over the entries still running, in input order; an
-        entry stops when it dies or finishes.  Entries with count 0 or 0
-        generations draw nothing.  A family with a closed form for Z_m
-        overrides and sets closed_form_generations.
+        One generation loop over all entries: each generation is one
+        sample_sum over the entries still running, in input order; an entry
+        stops when it dies or finishes.  Entries with count 0 or 0
+        generations draw nothing.
         """
         vals = np.asarray(counts, dtype=np.int64)
         out = np.zeros_like(vals)
@@ -635,20 +635,10 @@ class GeometricCriticalLaw(Law):
             out[pos] = rng.negative_binomial(counts[pos], 0.5)
         return out
 
-    def sample_generations(self, counts, gens, rng):
-        # f_m(s) = m/(m+1) + (1/(m+1)) s/(m+1 - m s): one ancestor leaves
-        # no one with probability m/(m+1), else a Geometric(1/(m+1)) count
-        # on 1, 2, ...  So c ancestors leave B ~ Bin(c, 1/(m+1)) surviving
-        # lines, and those B lines their sample_survivors.
-        counts, gens, out, run = _lines_to_run(counts, gens)
-        if run.shape[0]:
-            out[run] = self.sample_survivors(
-                rng.binomial(counts[run], 1.0 / (gens[run] + 1.0)), gens[run], None, rng)
-        return out
-
     def sample_survivors(self, counts, gens, u, rng):
-        # c lines alive after m generations leave c + NegBin(c, 1/(m+1));
-        # 1/(m+1) is u_m in closed form, so the table u is not read
+        # f_m(s) = m/(m+1) + (1/(m+1)) s/(m+1 - m s), so c lines alive after
+        # m generations leave c + NegBin(c, 1/(m+1)); 1/(m+1) is u_m in
+        # closed form, so the table u is not read
         counts, gens, out, run = _lines_to_run(counts, gens)
         if run.shape[0]:
             out[run] += rng.negative_binomial(counts[run], 1.0 / (gens[run] + 1.0))
@@ -1110,7 +1100,7 @@ class _HeavyLawBase(Law):
             if self._spline is None:
                 self._build_spline()
             low = t < self.T_LO
-            out[low] = self._base * t[low] / self.T_LO
+            out[low] = self._base * (t[low] / self.T_LO)
             mid = below & ~low
             out[mid] = np.exp(self._spline(np.log(t[mid])))
             return out
@@ -1119,8 +1109,9 @@ class _HeavyLawBase(Law):
         if self._spline is None:
             self._build_spline()
         if t < self.T_LO:
-            # linear regime: the tail behaves like t * integral x p(x)
-            return self._base * t / self.T_LO
+            # linear regime: the tail behaves like t * integral x p(x); t /
+            # T_LO first, as self._base * t is subnormal below t ~ 1e-292
+            return self._base * (t / self.T_LO)
         return float(np.exp(self._log_tail(float(np.log(t)))))
 
     def _one_minus_head(self, u, t):

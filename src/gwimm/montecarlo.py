@@ -1,5 +1,7 @@
-"""Forward simulation, first-surviving-cohort sampling, and Monte Carlo
-estimators of lower-tail probabilities P(Y_n <= k).
+"""Forward simulation and Monte Carlo estimators of lower-tail
+probabilities P(Y_n <= k).  Every entry point takes a Model and reads the
+extinction iterates it needs from the model's iterate store
+(extinction_iterates).
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, purpose, index) through numpy's SeedSequence spawn keys, so results
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Law, Model
+from .models import Model
 from .pgf import IterateCache, extinction_iterates
 from .theta import theta_pmf
 
@@ -93,13 +95,6 @@ def split_budget(total: int, streams: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(streams)]
 
 
-def _resolve_laws(model) -> tuple[Law, Law]:
-    if isinstance(model, Model):
-        return model.offspring, model.immigration
-    offspring, immigration = model
-    return offspring, immigration
-
-
 # ---------------------------------------------------------------------------
 # forward simulation
 
@@ -113,15 +108,21 @@ def _fan_out(run_stream, streams: int, jobs: int) -> list:
     return [run_stream(i) for i in range(streams)]
 
 
-def simulate_Y_batch(model, horizons, initial: int, rng,
+def _reads_iterates(model: Model) -> bool:
+    """Whether simulate_Y_batch reads the model's iterate cache: the
+    surviving-cohort route (closed_form_generations) and the reduced route
+    (bounded offspring) do, the generation loop does not."""
+    offspring = model.offspring
+    return offspring.closed_form_generations or offspring.support_bound is not None
+
+
+def simulate_Y_batch(model: Model, horizons, initial: int, rng,
                      max_population: int = MAX_POPULATION, cache: IterateCache | None = None):
     """One draw of Y_m given Y_0 = initial per entry m of `horizons`, as
     (draws in input order, guard trips).  Horizon-0 lines draw nothing.
-    `cache`, an IterateCache of the model that reaches the longest
-    horizon, is read by the surviving-cohort and reduced routes; when None
-    they take it from the model's iterate store (the surviving-cohort
-    route, so `model` must then be a Model) or compute u_j = 1 - f_j(0) by
-    offspring.one_minus_iterates, with the same bits (the reduced route).
+    The surviving-cohort and reduced routes read `cache`, an IterateCache
+    of the model that reaches the longest horizon, or, when it is None,
+    the model's iterate store (extinction_iterates), with the same bits.
     A caller that fans batches out to threads passes it, because the store
     is not safe to grow from two threads.
 
@@ -146,28 +147,24 @@ def simulate_Y_batch(model, horizons, initial: int, rng,
     populations to cap: only a final Y_m above `max_population` is capped
     and counted as a guard trip.
     """
-    offspring, immigration = _resolve_laws(model)
+    offspring = model.offspring
     horizons = np.asarray(horizons, dtype=np.int64)
     steps = int(horizons.max(initial=0))
     if cache is not None and cache.N < steps:
         raise ValueError(f"cache horizon {cache.N} < longest horizon {steps}")
-    if offspring.closed_form_generations:
+    if _reads_iterates(model):
         if cache is None:
-            if not isinstance(model, Model):
-                raise TypeError("the surviving-cohort route needs a Model or an IterateCache")
             cache = extinction_iterates(model, max(steps, 1))
-        return _simulate_Y_survivors(offspring, immigration, horizons, initial, rng,
-                                     max_population, cache)
-    if offspring.support_bound is not None:
-        return _simulate_Y_reduced(offspring, immigration, horizons, initial, rng,
-                                   max_population, cache)
+        route = (_simulate_Y_survivors if offspring.closed_form_generations
+                 else _simulate_Y_reduced)
+        return _cap(route(model, horizons, initial, rng, cache), max_population)
     order = np.argsort(-horizons, kind="stable")
     # lines joined by step s: those with horizon >= steps - s
     joined = np.searchsorted(-horizons[order], np.arange(steps) - steps, side="right")
     pops = np.full(horizons.shape[0], initial, dtype=np.int64)
     trips = 0
     for width in joined:
-        head = offspring.sample_sum(pops[:width], rng) + immigration.sample(width, rng)
+        head = offspring.sample_sum(pops[:width], rng) + model.immigration.sample(width, rng)
         over = head > max_population
         if np.any(over):
             trips += int(np.count_nonzero(over))
@@ -185,28 +182,24 @@ def _cap(y: np.ndarray, max_population: int) -> tuple[np.ndarray, int]:
     return y, int(np.count_nonzero(over))
 
 
-def _simulate_Y_reduced(offspring: Law, immigration: Law, horizons: np.ndarray,
-                        initial: int, rng, max_population: int, cache):
-    """simulate_Y_batch on the reduced tree of a bounded offspring law: of
-    the `initial` ancestors of a line with horizon m, Bin(initial, u_m)
-    have descendants at time m, and Law.sample_reduced steps those lines,
-    with the surviving immigrants of every generation, to Y_m.
+def _simulate_Y_reduced(model: Model, horizons: np.ndarray, initial: int, rng,
+                        cache: IterateCache) -> np.ndarray:
+    """simulate_Y_batch's draws, uncapped, on the reduced tree of a bounded
+    offspring law: of the `initial` ancestors of a line with horizon m,
+    Bin(initial, u_m) have descendants at time m, and Law.sample_reduced
+    steps those lines, with the surviving immigrants of every generation,
+    to Y_m.
 
     Draws come in a fixed order: the initial survivors first (lines with a
     positive horizon, in input order), then per step the offspring splits
     and the step's immigrants.
     """
-    if cache is None:
-        steps = int(horizons.max(initial=0))
-        u = np.concatenate(([1.0], offspring.one_minus_iterates(1.0, 0, steps)))
-    else:
-        u = cache.one_minus_fj0
+    u = cache.one_minus_fj0
     start = np.full(horizons.shape[0], initial, dtype=np.int64)
     if initial:
         live = horizons > 0
         start[live] = rng.binomial(initial, u[horizons[live]])
-    return _cap(offspring.sample_reduced(start, horizons, u, rng, immigration),
-                max_population)
+    return model.offspring.sample_reduced(start, horizons, u, rng, model.immigration)
 
 
 def _survivor_ages(horizons: np.ndarray, cache: IterateCache, rng):
@@ -250,10 +243,11 @@ def _survivor_ages(horizons: np.ndarray, cache: IterateCache, rng):
     return np.concatenate(lines), np.concatenate(ages)
 
 
-def _simulate_Y_survivors(offspring: Law, immigration: Law, horizons: np.ndarray,
-                          initial: int, rng, max_population: int, cache):
-    """simulate_Y_batch by surviving cohorts: Y_m = Z_m(initial) + sum over
-    the immigrant batches with descendants at time m of those descendants.
+def _simulate_Y_survivors(model: Model, horizons: np.ndarray, initial: int, rng,
+                          cache: IterateCache) -> np.ndarray:
+    """simulate_Y_batch's draws, uncapped, by surviving cohorts: Y_m =
+    Z_m(initial) + sum over the immigrant batches with descendants at time
+    m of those descendants.
 
     Draws come in a fixed order: the surviving ages (_survivor_ages), each
     batch's surviving immigrants given one (immigration.sample_thinned at
@@ -264,31 +258,26 @@ def _simulate_Y_survivors(offspring: Law, immigration: Law, horizons: np.ndarray
     y = np.where(horizons > 0, 0, initial).astype(np.int64)
     u = cache.one_minus_fj0
     line, age = _survivor_ages(horizons, cache, rng)
-    alive, _ = immigration.sample_thinned(u[age], rng)
+    alive, _ = model.immigration.sample_thinned(u[age], rng)
     if initial:
         live = np.flatnonzero(horizons > 0)
         line = np.concatenate((line, live))
         age = np.concatenate((age, horizons[live]))
         alive = np.concatenate((alive, rng.binomial(initial, u[horizons[live]])))
-    np.add.at(y, line, offspring.sample_survivors(alive, age, u, rng))
-    return _cap(y, max_population)
+    np.add.at(y, line, model.offspring.sample_survivors(alive, age, u, rng))
+    return y
 
 
-def simulate_Y_streams(model, n: int, initial: int, cfg: SimConfig, jobs: int = 1,
+def simulate_Y_streams(model: Model, n: int, initial: int, cfg: SimConfig, jobs: int = 1,
                        purpose: int = _SIMULATE_STREAM) -> list[tuple[np.ndarray, int]]:
     """cfg.samples draws of Y_n given Y_0 = initial, as (draws, guard trips)
     per substream (cfg.seed, purpose, i), in stream-index order; stream i
     takes split_budget(cfg.samples, cfg.streams)[i] of them.  `jobs`
     threads only fan the streams out."""
     sizes = split_budget(cfg.samples, cfg.streams)
-    offspring, _ = _resolve_laws(model)
-    # the iterate cache of the routes that read one, taken from the model's
-    # store before the streams fan out (the store is not safe to grow from
-    # two threads); the generation loop reads none
-    cache = None
-    if isinstance(model, Model) and n >= 1 and (offspring.closed_form_generations
-                                                or offspring.support_bound is not None):
-        cache = extinction_iterates(model, n)
+    # read from the model's store before the streams fan out (the store is
+    # not safe to grow from two threads); the generation loop reads none
+    cache = extinction_iterates(model, max(n, 1)) if _reads_iterates(model) else None
 
     def run_stream(idx: int):
         return simulate_Y_batch(model, np.full(sizes[idx], n), initial,
@@ -297,40 +286,11 @@ def simulate_Y_streams(model, n: int, initial: int, cfg: SimConfig, jobs: int = 
     return _fan_out(run_stream, cfg.streams, jobs)
 
 
-def _run_lines(offspring: Law, starts, gens, rng):
-    """Branch each start count for its own number `gens` (an int or one per
-    line) of offspring-only generations, all lines in one
-    offspring.sample_generations call (one draw for a law with a closed
-    form, one generation loop otherwise).  Returns (surviving values, their
-    indices into `starts`), by index.
-    """
-    vals = offspring.sample_generations(starts, gens, rng)
-    idx = np.flatnonzero(vals > 0)
-    return vals[idx], idx
-
-
-def simulate_theta_batch(model, n: int, size: int, rng) -> np.ndarray:
-    """`size` draws of theta_n; the atom is encoded as 0."""
-    offspring, immigration = _resolve_laws(model)
-    out = np.zeros(size, dtype=np.int64)
-    undecided = np.arange(size)
-    for i in range(1, n + 1):
-        if undecided.size == 0:
-            break
-        z = immigration.sample(undecided.size, rng)
-        _, alive_idx = _run_lines(offspring, z, n - i, rng)
-        out[undecided[alive_idx]] = i
-        mask = np.ones(undecided.size, dtype=bool)
-        mask[alive_idx] = False
-        undecided = undecided[mask]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # naive estimator
 
 
-def estimate_lower_tail_naive(model, n: int, k: int, cfg: SimConfig,
+def estimate_lower_tail_naive(model: Model, n: int, k: int, cfg: SimConfig,
                               jobs: int = 1) -> EstimateResult:
     """Plain Monte Carlo frequency of {Y_n <= k} with binomial stderr."""
     if k < 0:
@@ -384,8 +344,7 @@ def _largest_remainder(total: int, scores: np.ndarray) -> np.ndarray:
 
 
 def estimate_lower_tail_stratified(
-    model,
-    cache: IterateCache,
+    model: Model,
     n: int,
     k: int,
     cfg: SimConfig,
@@ -398,7 +357,7 @@ def estimate_lower_tail_stratified(
              + sum over strata of P(theta_n in stratum) * p_hat,
     where a stratum is a single cohort age near the k-sized window and a
     geometric band of ages deeper in; weights are the exact law of theta_n
-    (theta_pmf).  Neyman targets, rounded by largest remainder, give every
+    (theta_pmf of the model's iterate store).  Neyman targets, rounded by largest remainder, give every
     stratum its draws, so samples_used >= cfg.samples whenever a stratum has
     weight; each stream draws exactly its share of a stratum's ages from the
     theta_n law.  The conditional indicator is estimated from surviving
@@ -411,14 +370,12 @@ def estimate_lower_tail_stratified(
     sampled.  The sample budget splits across cfg.streams substreams merged
     in stream-index order; `jobs` threads only fan the streams out.
     """
-    if not isinstance(model, Model):
-        raise TypeError("stratified estimator needs a full Model")
-    if cache.N < n:
-        raise ValueError(f"cache horizon {cache.N} < n={n}")
     if k < 1:
         raise ValueError("stratified estimator needs k >= 1")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    # read before the streams fan out, as in simulate_Y_streams
+    cache = extinction_iterates(model, n)
     law = theta_pmf(cache, n)
     atom = law.atom_none
     ages = np.arange(0, n)

@@ -500,11 +500,17 @@ def _series_pmfs(model: Model, targets: list[int], K: int, initial: int) -> dict
 
 
 def _series_cohort(model: Model, m: int, K: int) -> np.ndarray:
-    """Coefficients 0..K of h(f_m(s)) by series composition."""
+    """Coefficients 0..K of h(f_m(s)) by series composition, the constant
+    terms f_m(0) and h(f_m(0)) read from the iterate store as in
+    _ChainStore (the series chain's own f_m(0) drifts at late m)."""
+    cache = extinction_iterates(model, max(m, 1))
     g = identity_series(K)
     for start in range(0, m, CHAIN_BLOCK):
         g = model.offspring.iterate_series(g, start, min(CHAIN_BLOCK, m - start), K)[-1]
-    return model.immigration.apply_to_series(g, K)
+    g[0] = 1.0 - cache.one_minus_fj0[m]
+    out = model.immigration.apply_to_series(g, K)
+    out[0] = 1.0 - cache.one_minus_hfj0[m]
+    return out
 
 
 def _circle_points(K: int):

@@ -179,8 +179,7 @@ def check_mc_vs_exact(scale: str) -> CheckResult:
             z_n = abs(r_n.estimate - exact_n) / r_n.stderr
             exact_s = float(exact_pmf_Y(model, n_s, K_s, deficit_ceiling=1.0).cdf()[k_s])
             r_s = mc.estimate_lower_tail_stratified(
-                model, extinction_iterates(model, n_s), n_s, k_s,
-                mc.SimConfig(samples=10000, seed=20250809))
+                model, n_s, k_s, mc.SimConfig(samples=10000, seed=20250809))
             z_s = abs(r_s.estimate + 0.5 * r_s.bracket_high - exact_s) / (
                 r_s.stderr + 0.5 * r_s.bracket_high / 3.5)
             value = max(value, z_n, z_s)
@@ -188,7 +187,6 @@ def check_mc_vs_exact(scale: str) -> CheckResult:
                          f"stratified z {z_s:.2f} (n={n_s},k={k_s})")
         return CheckResult("mc-vs-exact", value <= 3.5, value, 3.5, "; ".join(parts))
     # full scale: 99% CI coverage over 200 repeats, then stderr comparison
-    cache = extinction_iterates(geo, 4096)
     exact128 = float(exact_pmf_Y(geo, 128, 1024, deficit_ceiling=1.0).cdf()[8])
     runs, zq = 200, 2.5758293035489004  # 99% normal quantile
     cover_n = cover_s = 0
@@ -197,13 +195,13 @@ def check_mc_vs_exact(scale: str) -> CheckResult:
         rn = mc.estimate_lower_tail_naive(geo, 128, 8, cfg)
         if abs(rn.estimate - exact128) <= zq * rn.stderr:
             cover_n += 1
-        rs = mc.estimate_lower_tail_stratified(geo, cache, 128, 8, cfg)
+        rs = mc.estimate_lower_tail_stratified(geo, 128, 8, cfg)
         lo = rs.estimate - zq * rs.stderr
         hi = rs.estimate + zq * rs.stderr + rs.bracket_high
         if lo <= exact128 <= hi:
             cover_s += 1
     cfg = mc.SimConfig(samples=4000, seed=77)
-    rs = mc.estimate_lower_tail_stratified(geo, cache, 4096, 32, cfg)
+    rs = mc.estimate_lower_tail_stratified(geo, 4096, 32, cfg)
     rn = mc.estimate_lower_tail_naive(geo, 4096, 32, cfg)
     eff = rs.stderr / rn.stderr
     coverage = min(cover_n, cover_s) / runs
@@ -349,12 +347,11 @@ def check_determinism(scale: str) -> CheckResult:
     """Identical (seed, streams) must reproduce byte-identical output, also
     across worker counts."""
     model = _bin_bern()
-    cache = extinction_iterates(model, 64)
     outs = []
     for jobs in (1, 2, 1):
         cfg = mc.SimConfig(samples=2000, seed=99, streams=3)
         rn = mc.estimate_lower_tail_naive(model, 64, 8, cfg, jobs=jobs)
-        rs = mc.estimate_lower_tail_stratified(model, cache, 64, 8, cfg, jobs=jobs)
+        rs = mc.estimate_lower_tail_stratified(model, 64, 8, cfg, jobs=jobs)
         rows = [
             {"method": r.method, "estimate": r.estimate, "stderr": r.stderr,
              "samples": r.samples_used, "seed": cfg.seed, "streams": cfg.streams}

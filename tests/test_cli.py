@@ -292,8 +292,7 @@ class TestSimulateEstimate:
         # the naive estimator simulates one path per sample
         assert rows["naive"]["attempts"] == "1000"
         model = make_model("binary", {"family": "bernoulli01", "params": {"q1": 0.5}})
-        res = estimate_lower_tail_stratified(
-            model, extinction_iterates(model, 16), 16, 4, SimConfig(samples=1000, seed=3))
+        res = estimate_lower_tail_stratified(model, 16, 4, SimConfig(samples=1000, seed=3))
         assert res.attempts > 0
         assert int(rows["stratified"]["attempts"]) == res.attempts
 

@@ -365,6 +365,18 @@ class TestOneMinusPgfArrays:
                 ref = mpmath.fsum(w * (1 - s**k) for w, k in zip(weights, ks))
                 assert abs(g / ref - 1) <= 1e-14
 
+    @pytest.mark.parametrize("law", [LogHeavyOffspringLaw(1.5), LogHeavyImmigrationLaw(1.5)],
+                             ids=["offspring", "immigration"])
+    def test_linear_tail_keeps_its_relative_accuracy_near_underflow(self, law):
+        # below T_LO the tail is linear in t, and its slope times t alone
+        # would be subnormal from t ~ 1e-292
+        ref = law.one_minus_pgf(1e-290) / 1e-290
+        us = [1e-301, 1e-303, 1e-305, 1e-307]
+        block = law.one_minus_pgf(np.array(us))
+        for u, b in zip(us, block):
+            assert law.one_minus_pgf(u) == b
+            assert abs(b / u / ref - 1.0) <= 1e-15
+
     def test_scalar_tail_matches_cubic_spline(self):
         law = LogHeavyImmigrationLaw(1.5)
         lo, hi = law.T_LO, law.T_HI

@@ -14,11 +14,11 @@ from gwimm.theta import theta_pmf
 
 
 @pytest.fixture(scope="module")
-def chain_pair():
-    # every particle has exactly one child and one immigrant arrives per
-    # generation: degenerate (B = 0), usable for simulation mechanics only
-    one = make_law({"family": "explicit", "probs": [0.0, 1.0]})
-    return (one, one)
+def one_child():
+    # every particle has exactly one child, and as immigration one immigrant
+    # arrives per generation: degenerate (B = 0), no Model, usable for the
+    # sampling hooks' mechanics only
+    return make_law({"family": "explicit", "probs": [0.0, 1.0]})
 
 
 class TestSimulateY:
@@ -26,11 +26,6 @@ class TestSimulateY:
         rng = mc.substream(0, 0)
         values, _ = mc.simulate_Y_batch(bin_bern, [0], 7, rng)
         assert values.tolist() == [7]
-
-    def test_deterministic_chain(self, chain_pair):
-        rng = mc.substream(0, 0)
-        values, _ = mc.simulate_Y_batch(chain_pair, [23], 0, rng)
-        assert values.tolist() == [23]
 
     def test_empirical_pmf_matches_exact(self, bin_bern):
         rng = mc.substream(7, 0)
@@ -109,8 +104,9 @@ _ZERO_FACTOR_MODEL = make_model("binary", {"family": "explicit", "probs": [0.0, 
 
 
 class TestSampleGenerations:
-    """The geometric law's one-draw Z_m against the exact cohort law and
-    against the generation loop it replaces."""
+    """The generation loop Law.sample_generations (the draws that
+    _redraw_survivors conditions on survival) against the exact cohort
+    law."""
 
     @pytest.mark.parametrize("m", [0, 1, 7, 64])
     @pytest.mark.parametrize("which", ["geo_bern", "geo_poisson"])
@@ -122,22 +118,17 @@ class TestSampleGenerations:
         probs = exact_pmf_Z(model, m, K, deficit_ceiling=1.0).probs
         assert _chisquare_p(z, probs) > 0.001
 
-    @pytest.mark.parametrize("m", [1, 7, 64])
-    def test_matches_generation_loop(self, m, geo_bern):
-        geo = geo_bern.offspring
-        counts = _GEO_POISSON.immigration.sample(100_000, mc.substream(13, 0))
-        closed = geo.sample_generations(counts, m, mc.substream(13, 1))
-        loop = Law.sample_generations(geo, counts, m, mc.substream(13, 2))
-        assert _two_sample_p(closed, loop) > 0.001
+    def test_per_line_generations_on_one_child_chain(self, one_child):
+        starts = np.array([4, 1, 7, 2, 3])
+        vals = one_child.sample_generations(starts, np.array([3, 0, 5, 1, 2]),
+                                            mc.substream(0, 0))
+        assert vals.tolist() == starts.tolist()
 
-    @pytest.mark.parametrize("which", ["closed-form", "loop"])
     @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 300)), max_size=12),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_identity_cases_and_sign(self, which, pairs, seed):
-        geo = make_law({"family": "geometric-critical"})
-        draw = geo.sample_generations if which == "closed-form" else (
-            lambda *args: Law.sample_generations(geo, *args))
+    def test_identity_cases_and_sign(self, pairs, seed):
+        draw = make_law({"family": "geometric-critical"}).sample_generations
         counts = np.array([c for c, _ in pairs], dtype=np.int64)
         gens = np.array([g for _, g in pairs], dtype=np.int64)
         rng, untouched = mc.substream(seed, 0), mc.substream(seed, 0)
@@ -368,17 +359,6 @@ class TestCohortRoute:
                                              mc.substream(32, 0, idx), cache=longer)
             assert np.array_equal(values, alone) and np.array_equal(values, further)
 
-    def test_pair_needs_a_model_or_a_cache(self, geo_bern):
-        pair = (geo_bern.offspring, geo_bern.immigration)
-        with pytest.raises(TypeError, match="Model"):
-            mc.simulate_Y_batch(pair, [3], 0, mc.substream(44, 0))
-        cache = extinction_iterates(geo_bern, 3)
-        values, _ = mc.simulate_Y_batch(pair, [3, 0], 1, mc.substream(44, 0), cache=cache)
-        model_values, _ = mc.simulate_Y_batch(geo_bern, [3, 0], 1, mc.substream(44, 0))
-        assert np.array_equal(values, model_values) and values[1] == 1
-        with pytest.raises(ValueError, match="horizon"):
-            mc.simulate_Y_batch(geo_bern, [4], 0, mc.substream(44, 0), cache=cache)
-
     def test_reach_at_a_million_generations(self):
         # geometric offspring and immigration: Y_n from 0 has pgf 1/((n+1) -
         # n s), so P(Y_n <= k) = 1 - (n/(n+1))**(k+1)
@@ -479,6 +459,26 @@ _REDUCED_PAIRS = {
 }
 
 
+@pytest.mark.parametrize("pair", ["geo+bern", "binary+poisson(1)"])
+def test_batch_reads_the_store_with_the_bits_of_a_longer_cache(pair):
+    # with no cache, the surviving-cohort and the reduced route read the
+    # model's iterate store; a cache that reaches further gives the same bits
+    model = make_model(*{**_SURVIVOR_PAIRS, **_REDUCED_PAIRS}[pair])
+    horizons = [3, 0, 17, 40]
+    alone, _ = mc.simulate_Y_batch(model, horizons, 1, mc.substream(44, 0))
+    further, _ = mc.simulate_Y_batch(model, horizons, 1, mc.substream(44, 0),
+                                     cache=extinction_iterates(model, 500))
+    assert np.array_equal(alone, further) and alone[1] == 1
+    with pytest.raises(ValueError, match="horizon"):
+        mc.simulate_Y_batch(model, horizons, 1, mc.substream(44, 0),
+                            cache=extinction_iterates(model, 39))
+    if model.offspring.support_bound is not None:
+        # the store continues the offspring recursion one step at a time,
+        # so it holds that recursion's own bits
+        u = np.concatenate(([1.0], model.offspring.one_minus_iterates(1.0, 0, 40)))
+        assert np.array_equal(extinction_iterates(model, 40).one_minus_fj0, u)
+
+
 class TestReducedRoute:
     """simulate_Y_batch and the stratified estimator's cohorts on a bounded
     offspring law: the reduced tree, with the surviving immigrants of each
@@ -514,7 +514,7 @@ class TestReducedRoute:
     @pytest.mark.parametrize("pair", ["binary+poisson(1)", "explicit(d=3)+bern"])
     def test_streams_read_the_store_with_the_same_bits(self, pair):
         # simulate_Y_streams hands every batch u from the iterate store; a
-        # batch on its own computes u and draws the same values
+        # batch on its own reads the store and draws the same values
         model = make_model(*_REDUCED_PAIRS[pair])
         streams = mc.simulate_Y_streams(model, 50, 2, mc.SimConfig(samples=300, seed=31,
                                                                  streams=2))
@@ -550,6 +550,11 @@ class TestReducedRoute:
             assert np.array_equal(merged, alive) and np.array_equal(z + y, alive)
         else:
             assert _two_sample_p(merged, z + y) > 0.001
+
+    def test_deterministic_chain(self, one_child):
+        # one child per line and one immigrant per step: Y_23 = 23
+        values = one_child.sample_reduced([0], [23], np.ones(24), mc.substream(0, 0), one_child)
+        assert values.tolist() == [23]
 
     @pytest.mark.parametrize("spec", ["binary", {"family": "explicit", "probs": [0.1, 0.8, 0.1]},
                                       _EXPLICIT_D3])
@@ -634,42 +639,6 @@ class TestReducedRoute:
         assert _two_sample_p(closed, default) > 0.001
 
 
-class TestRunLines:
-    def test_per_line_generations_on_one_child_chain(self, chain_pair):
-        one, _ = chain_pair
-        starts = np.array([4, 1, 7, 2, 3])
-        vals, idx = mc._run_lines(one, starts, np.array([3, 0, 5, 1, 2]),
-                                  mc.substream(0, 0))
-        assert vals.tolist() == starts.tolist()
-        assert idx.tolist() == [0, 1, 2, 3, 4]
-
-
-class TestSimulateTheta:
-    def test_deterministic_chain_first_cohort(self, chain_pair):
-        rng = mc.substream(0, 0)
-        for n in (1, 5, 9):
-            assert mc.simulate_theta_batch(chain_pair, n, 1, rng).tolist() == [1]
-
-    def test_empirical_law_close_in_total_variation(self, geo_bern):
-        n, draws = 16, 10**5
-        cache = extinction_iterates(geo_bern, n)
-        law = theta_pmf(cache, n)
-        exact = np.concatenate(([law.atom_none], law.pmf[1:]))
-        sample = mc.simulate_theta_batch(geo_bern, n, draws, mc.substream(3, 0))
-        emp = np.bincount(sample, minlength=n + 1) / draws
-        tv = 0.5 * float(np.abs(emp - exact).sum())
-        assert tv < 0.01
-
-    def test_atom_frequency_within_three_sigma(self, geo_bern):
-        n, draws = 32, 10**5
-        cache = extinction_iterates(geo_bern, n)
-        atom = float(cache.F[n])
-        sample = mc.simulate_theta_batch(geo_bern, n, draws, mc.substream(11, 0))
-        freq = float(np.mean(sample == 0))
-        se = (atom * (1 - atom) / draws) ** 0.5
-        assert abs(freq - atom) <= 3 * se
-
-
 class TestNaiveEstimator:
     def test_impossible_event(self, bin_bern):
         res = mc.estimate_lower_tail_naive(
@@ -697,50 +666,33 @@ class TestNaiveEstimator:
 
 class TestStratifiedEstimator:
     def test_agrees_with_naive(self, bin_bern):
-        cache = extinction_iterates(bin_bern, 128)
         cfg = mc.SimConfig(samples=30000, seed=17)
-        rs = mc.estimate_lower_tail_stratified(bin_bern, cache, 128, 8, cfg)
+        rs = mc.estimate_lower_tail_stratified(bin_bern, 128, 8, cfg)
         rn = mc.estimate_lower_tail_naive(bin_bern, 128, 8, cfg)
         sigma = (rs.stderr**2 + rn.stderr**2) ** 0.5
         assert abs(rs.estimate - rn.estimate) <= 3 * sigma + rs.bracket_high
 
     def test_agrees_with_exact(self, geo_bern):
-        cache = extinction_iterates(geo_bern, 512)
         exact = float(exact_pmf_Y(geo_bern, 512, 4096, deficit_ceiling=1.0).cdf()[16])
         res = mc.estimate_lower_tail_stratified(
-            geo_bern, cache, 512, 16, mc.SimConfig(samples=20000, seed=5))
+            geo_bern, 512, 16, mc.SimConfig(samples=20000, seed=5))
         assert abs(res.estimate - exact) <= 3 * res.stderr + res.bracket_high
 
     def test_reproducible(self, geo_bern):
-        cache = extinction_iterates(geo_bern, 64)
         cfg = mc.SimConfig(samples=3000, seed=9, streams=3)
-        a = mc.estimate_lower_tail_stratified(geo_bern, cache, 64, 8, cfg)
-        b = mc.estimate_lower_tail_stratified(geo_bern, cache, 64, 8, cfg, jobs=3)
+        a = mc.estimate_lower_tail_stratified(geo_bern, 64, 8, cfg)
+        b = mc.estimate_lower_tail_stratified(geo_bern, 64, 8, cfg, jobs=3)
         assert a == b
 
-    def test_requires_full_model(self, chain_pair, geo_bern):
-        cache = extinction_iterates(geo_bern, 8)
-        with pytest.raises(TypeError):
-            mc.estimate_lower_tail_stratified(
-                chain_pair, cache, 8, 2, mc.SimConfig(samples=10, seed=0))
-
-    def test_cache_horizon_checked(self, geo_bern):
-        cache = extinction_iterates(geo_bern, 8)
-        with pytest.raises(ValueError, match="horizon"):
-            mc.estimate_lower_tail_stratified(
-                geo_bern, cache, 16, 2, mc.SimConfig(samples=10, seed=0))
-
     def test_epsilon_must_be_positive(self, geo_bern):
-        cache = extinction_iterates(geo_bern, 8)
         for eps in (0.0, -0.5, float("nan")):
             with pytest.raises(ValueError, match="epsilon"):
                 mc.estimate_lower_tail_stratified(
-                    geo_bern, cache, 8, 2, mc.SimConfig(samples=10, seed=0), epsilon=eps)
+                    geo_bern, 8, 2, mc.SimConfig(samples=10, seed=0), epsilon=eps)
 
     def test_budget_roughly_respected(self, geo_bern):
-        cache = extinction_iterates(geo_bern, 256)
         res = mc.estimate_lower_tail_stratified(
-            geo_bern, cache, 256, 8, mc.SimConfig(samples=5000, seed=2))
+            geo_bern, 256, 8, mc.SimConfig(samples=5000, seed=2))
         assert 5000 <= res.samples_used <= 6500
 
     @pytest.mark.parametrize("which", ["geo_bern", "bin_bern"])
@@ -749,9 +701,8 @@ class TestStratifiedEstimator:
         # largest-remainder targets sum to the budget, and each stream draws
         # exactly its share; a tiny budget still gives every bin one draw
         model = request.getfixturevalue(which)
-        cache = extinction_iterates(model, 256)
         res = mc.estimate_lower_tail_stratified(
-            model, cache, 256, 8, mc.SimConfig(samples=samples, seed=6, streams=streams))
+            model, 256, 8, mc.SimConfig(samples=samples, seed=6, streams=streams))
         assert res.samples_used >= samples
         assert res.attempts == res.samples_used
         if samples >= 4000:
@@ -759,12 +710,13 @@ class TestStratifiedEstimator:
 
     def test_memory_follows_the_samples(self, geo_bern):
         # no attempt arrays: at 2e4 samples the peak was 487 MiB with
-        # rejection-sampled cohorts
-        cache = extinction_iterates(geo_bern, 1024)
+        # rejection-sampled cohorts; the iterate store is filled before the
+        # count
+        extinction_iterates(geo_bern, 1024)
         tracemalloc.start()
         try:
             mc.estimate_lower_tail_stratified(
-                geo_bern, cache, 1024, 16, mc.SimConfig(samples=20_000, seed=8))
+                geo_bern, 1024, 16, mc.SimConfig(samples=20_000, seed=8))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -806,7 +758,7 @@ class TestStratifiedSetup:
         n, k = 80, 4
         cache = extinction_iterates(model, n)
         res = mc.estimate_lower_tail_stratified(
-            model, cache, n, k, mc.SimConfig(samples=200, seed=3), epsilon=2.0 * k)
+            model, n, k, mc.SimConfig(samples=200, seed=3), epsilon=2.0 * k)
         ages = np.arange(1, n)
         weights = theta_pmf(cache, n).pmf[n - ages]
         bounds = [_markov_bound_reference(cache, int(m), k - 1) for m in ages]
@@ -820,14 +772,13 @@ def test_unbiasedness_coverage_bounded_model(bin_bern):
     # bounded-support model at a short horizon
     n, k, runs, zq = 8, 2, 200, 2.5758293035489004
     exact = float(exact_pmf_Y(bin_bern, n, 64).cdf()[k])
-    cache = extinction_iterates(bin_bern, n)
     cover_naive = cover_strat = 0
     for rep in range(runs):
         cfg = mc.SimConfig(samples=2000, seed=50_000 + rep)
         rn = mc.estimate_lower_tail_naive(bin_bern, n, k, cfg)
         if abs(rn.estimate - exact) <= zq * rn.stderr:
             cover_naive += 1
-        rs = mc.estimate_lower_tail_stratified(bin_bern, cache, n, k, cfg)
+        rs = mc.estimate_lower_tail_stratified(bin_bern, n, k, cfg)
         lo = rs.estimate - zq * rs.stderr
         hi = rs.estimate + zq * rs.stderr + rs.bracket_high
         if lo <= exact <= hi:

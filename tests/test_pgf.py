@@ -844,6 +844,20 @@ class TestExactCohort:
         pmf = exact_pmf_Z(bin_bern, 12, 128, deficit_ceiling=1.0)
         assert abs(math.fsum(pmf.probs.tolist()) + pmf.deficit - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("m", [1024, 4096])
+    @pytest.mark.parametrize("immigration", [
+        {"family": "poisson", "params": {"mean": 4.0}},
+        {"family": "poisson", "params": {"mean": 1.0}},
+        {"family": "bernoulli01", "params": {"q1": 0.5}},
+        "geometric-critical",
+    ], ids=["poisson(4)", "poisson(1)", "bernoulli01(0.5)", "geometric"])
+    def test_constant_term_is_the_store_survival(self, immigration, m):
+        # P(Z^(m) = 0) is 1 - v_m from the iterate store, to the bit, not
+        # the drifting constant of the series chain's own f_m(0)
+        model = make_model("binary", immigration)
+        v = extinction_iterates(model, m).one_minus_hfj0[m]
+        assert exact_pmf_Z(model, m, 64, deficit_ceiling=math.inf)[0] == 1.0 - v
+
 
 class TestCharfn:
     def test_bit_identical_to_plain_iteration(self, bin_bern, geo_bern):
