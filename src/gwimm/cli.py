@@ -158,6 +158,8 @@ def cmd_estimate(args, model: Model):
         raise UsageError("--k must be >= 0")
     if args.k < 1 and "stratified" in methods:
         raise UsageError("the stratified estimator needs --k >= 1")
+    if args.n < 1 and "stratified" in methods:
+        raise UsageError("the stratified estimator needs --n >= 1")
     if not args.epsilon > 0 and "stratified" in methods:
         raise UsageError(f"the stratified estimator needs --epsilon > 0, got {args.epsilon}")
     rows = []

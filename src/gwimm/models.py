@@ -31,7 +31,6 @@ iff beta <= 2.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -210,7 +209,7 @@ class Law:
     def pgf(self, s):
         """sum p_k s**k for |s| <= 1 (+ tolerance); scalar or ndarray."""
         arr, scalar = _as_float_array(s)
-        if np.max(np.abs(arr)) > 1.0 + PGF_DOMAIN_TOL:
+        if np.max(np.abs(arr), initial=0.0) > 1.0 + PGF_DOMAIN_TOL:
             raise ValueError("pgf argument outside the closed unit disk")
         out = self._pgf(arr)
         return out[()] if scalar else out
@@ -992,9 +991,9 @@ class _HeavyLawBase(Law):
     k <= _HEAVY_HEAD, summed exactly by baby-step giant-step (see
     _one_minus_head), plus the tail beyond it, a cubic spline in log-log
     coordinates through a table built once by fixed-order quadrature (see
-    _build_spline and _one_minus_tail).  Scalar and array arguments go
-    through the same operations, so a point's value has the same bits
-    alone and inside any array.
+    _build_spline and _one_minus_tail).  one_minus_pgf works on 1-D arrays
+    only and takes a float as a one-element array, so a point's value has
+    the same bits as a float and inside any array.
 
     Offspring iterates come in corrected runs of _RUN generations (see
     one_minus_iterates): a Python-float predictor steps each run on cells,
@@ -1073,50 +1072,29 @@ class _HeavyLawBase(Law):
         n_nodes = int(math.log(self.T_HI / self.T_LO) / math.log(10.0) * 80) + 1
         theta = np.linspace(math.log(self.T_LO), math.log(self.T_HI), n_nodes)
         self._spline = CubicSpline(theta, _heavy_tail_table(self.a, self.beta, theta))
-        self._knot_list = theta.tolist()
-        self._piece_list = self._spline.c.T.tolist()  # one row per piece
         # tail value at T_LO, the slope of the linear regime below it
-        self._base = float(np.exp(self._log_tail(self._knot_list[0])))
+        self._base = float(np.exp(self._spline(theta[0])))
 
-    def _log_tail(self, x: float) -> float:
-        """The spline at one point x = log t in [log T_LO, log T_HI]: the
-        piece found by bisection, then its cubic c0 + c1 d + c2 d**2 +
-        c3 d**3 summed in the order of CubicSpline.__call__, which
-        _one_minus_tail calls on arrays."""
-        i = min(max(bisect_right(self._knot_list, x) - 1, 0), len(self._knot_list) - 2)
-        c3, c2, c1, c0 = self._piece_list[i]
-        d = x - self._knot_list[i]
-        z = d * d
-        return c0 + c1 * d + c2 * z + c3 * (z * d)
-
-    def _one_minus_tail(self, t):
+    def _one_minus_tail(self, t: np.ndarray) -> np.ndarray:
         """sum_{k > head} c-free tail of sum p_k (1 - e**-(k t)) at t = -log s,
-        t a float or an array (elementwise)."""
-        if _is_array(t):
-            out = np.full(t.shape, self.tail_mass_const)
-            below = t < self.T_HI
-            if not np.any(below):
-                return out
-            if self._spline is None:
-                self._build_spline()
-            low = t < self.T_LO
-            out[low] = self._base * (t[low] / self.T_LO)
-            mid = below & ~low
-            out[mid] = np.exp(self._spline(np.log(t[mid])))
+        elementwise over a 1-D array."""
+        out = np.full(t.shape, self.tail_mass_const)
+        below = t < self.T_HI
+        if not np.any(below):
             return out
-        if t >= self.T_HI:
-            return self.tail_mass_const
         if self._spline is None:
             self._build_spline()
-        if t < self.T_LO:
-            # linear regime: the tail behaves like t * integral x p(x); t /
-            # T_LO first, as self._base * t is subnormal below t ~ 1e-292
-            return self._base * (t / self.T_LO)
-        return float(np.exp(self._log_tail(float(np.log(t)))))
+        # linear regime: the tail behaves like t * integral x p(x); t / T_LO
+        # first, as self._base * t is subnormal below t ~ 1e-292
+        low = t < self.T_LO
+        out[low] = self._base * (t[low] / self.T_LO)
+        mid = below & ~low
+        out[mid] = np.exp(self._spline(np.log(t[mid])))
+        return out
 
-    def _one_minus_head(self, u, t):
+    def _one_minus_head(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
         """sum_{2 <= k <= head} c-free p_k (1 - (1-u)**k) at t = -log(1-u),
-        u and t floats or 1-D arrays (elementwise).
+        elementwise over 1-D arrays.
 
         With s = 1 - u = e**-t, 1 - s**k = u (1 + s + ... + s**(k-1)), so the
         sum is u * sum_{i < head} T_i s**i with the nonnegative tail sums T_i.
@@ -1124,45 +1102,29 @@ class _HeavyLawBase(Law):
         1973) with i = 64 g + b: u * sum_g s**(64 g) (sum_b T_{64g+b} s**b),
         one 64 x 64 matrix-vector product and one dot product per point, the
         128 powers from exp.  Every term is nonnegative, so the sum keeps its
-        relative accuracy.  For an array, numpy's stacked matmul makes per
-        point the two BLAS calls of the scalar form (a gemv, then a dot),
-        so each point gets the bits of the scalar call.
+        relative accuracy.  numpy's stacked matmul makes the two BLAS calls
+        (a gemv, then a dot) per point, so a point's value does not depend
+        on the block it sits in.
         """
-        if _is_array(t):
-            out = np.empty(t.shape)
-            for lo in range(0, t.size, _HEAD_ROWS):
-                e = np.exp(np.multiply.outer(t[lo : lo + _HEAD_ROWS], self._powers))
-                inner = self._head_matrix @ e[:, :_HEAD_STEP, None]
-                out[lo : lo + _HEAD_ROWS] = (e[:, None, _HEAD_STEP:] @ inner)[:, 0, 0]
-            return u * out
-        e = np.exp(t * self._powers)
-        return u * float(np.dot(e[_HEAD_STEP:], np.dot(self._head_matrix, e[:_HEAD_STEP])))
+        out = np.empty(t.shape)
+        for lo in range(0, t.size, _HEAD_ROWS):
+            e = np.exp(np.multiply.outer(t[lo : lo + _HEAD_ROWS], self._powers))
+            inner = self._head_matrix @ e[:, :_HEAD_STEP, None]
+            out[lo : lo + _HEAD_ROWS] = (e[:, None, _HEAD_STEP:] @ inner)[:, 0, 0]
+        return u * out
 
     def one_minus_pgf(self, u):
-        if _is_array(u):
-            return self._one_minus_pgf_array(u)
-        if u <= 0.0:
-            return 0.0
-        head = self.atom1 * u
-        if u >= 1.0:
-            return head + self.c * self.total_mass
-        # np.log1p, not math.log1p: the two differ in the last bit at some
-        # points, and the array form uses numpy's
-        t = float(-np.log1p(-u))
-        return head + self.c * (self._one_minus_head(u, t) + self._one_minus_tail(t))
-
-    def _one_minus_pgf_array(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        out = np.zeros(u.shape)
-        inner = (u > 0.0) & (u < 1.0)
-        ui = u[inner]
+        arr = np.atleast_1d(np.asarray(u, dtype=float))
+        out = np.where(arr <= 0.0, 0.0, np.nan)  # nan stays nan
+        inner = (arr > 0.0) & (arr < 1.0)
+        ui = arr[inner]
         t = -np.log1p(-ui)
         out[inner] = self.atom1 * ui + self.c * (
             self._one_minus_head(ui, t) + self._one_minus_tail(t)
         )
-        full = u >= 1.0
-        out[full] = self.atom1 * u[full] + self.c * self.total_mass
-        return out
+        full = arr >= 1.0
+        out[full] = self.atom1 * arr[full] + self.c * self.total_mass
+        return out if _is_array(u) else float(out[0])
 
     # -- offspring iterates ------------------------------------------------
 

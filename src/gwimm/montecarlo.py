@@ -117,14 +117,13 @@ def _reads_iterates(model: Model) -> bool:
 
 
 def simulate_Y_batch(model: Model, horizons, initial: int, rng,
-                     max_population: int = MAX_POPULATION, cache: IterateCache | None = None):
+                     max_population: int = MAX_POPULATION):
     """One draw of Y_m given Y_0 = initial per entry m of `horizons`, as
     (draws in input order, guard trips).  Horizon-0 lines draw nothing.
-    The surviving-cohort and reduced routes read `cache`, an IterateCache
-    of the model that reaches the longest horizon, or, when it is None,
-    the model's iterate store (extinction_iterates), with the same bits.
-    A caller that fans batches out to threads passes it, because the store
-    is not safe to grow from two threads.
+    The surviving-cohort and reduced routes read the model's iterate store
+    (extinction_iterates) up to the longest horizon.  The store is not safe
+    to grow from two threads, so a caller that fans batches out to threads
+    fills it to the longest horizon first; each batch then only reads it.
 
     Three routes, by the offspring law:
 
@@ -150,11 +149,8 @@ def simulate_Y_batch(model: Model, horizons, initial: int, rng,
     offspring = model.offspring
     horizons = np.asarray(horizons, dtype=np.int64)
     steps = int(horizons.max(initial=0))
-    if cache is not None and cache.N < steps:
-        raise ValueError(f"cache horizon {cache.N} < longest horizon {steps}")
     if _reads_iterates(model):
-        if cache is None:
-            cache = extinction_iterates(model, max(steps, 1))
+        cache = extinction_iterates(model, max(steps, 1))
         route = (_simulate_Y_survivors if offspring.closed_form_generations
                  else _simulate_Y_reduced)
         return _cap(route(model, horizons, initial, rng, cache), max_population)
@@ -273,15 +269,16 @@ def simulate_Y_streams(model: Model, n: int, initial: int, cfg: SimConfig, jobs:
     """cfg.samples draws of Y_n given Y_0 = initial, as (draws, guard trips)
     per substream (cfg.seed, purpose, i), in stream-index order; stream i
     takes split_budget(cfg.samples, cfg.streams)[i] of them.  `jobs`
-    threads only fan the streams out."""
+    threads fan the streams out once the iterate store reaches n."""
     sizes = split_budget(cfg.samples, cfg.streams)
-    # read from the model's store before the streams fan out (the store is
-    # not safe to grow from two threads); the generation loop reads none
-    cache = extinction_iterates(model, max(n, 1)) if _reads_iterates(model) else None
+    # the store must not grow inside a fan-out: fill it to n first, and the
+    # batches only read it (the generation loop reads none)
+    if _reads_iterates(model):
+        extinction_iterates(model, max(n, 1))
 
     def run_stream(idx: int):
         return simulate_Y_batch(model, np.full(sizes[idx], n), initial,
-                                substream(cfg.seed, purpose, idx), cache=cache)
+                                substream(cfg.seed, purpose, idx))
 
     return _fan_out(run_stream, cfg.streams, jobs)
 
@@ -370,11 +367,13 @@ def estimate_lower_tail_stratified(
     sampled.  The sample budget splits across cfg.streams substreams merged
     in stream-index order; `jobs` threads only fan the streams out.
     """
+    if n < 1:
+        raise ValueError(f"stratified estimator needs n >= 1, got n={n}")
     if k < 1:
         raise ValueError("stratified estimator needs k >= 1")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    # read before the streams fan out, as in simulate_Y_streams
+    # filled before the streams fan out, as in simulate_Y_streams
     cache = extinction_iterates(model, n)
     law = theta_pmf(cache, n)
     atom = law.atom_none
@@ -421,7 +420,7 @@ def estimate_lower_tail_stratified(
                                 MAX_POPULATION)
         else:
             z = model.offspring.sample_survivors(alive, age, u, rng)
-            y, trips = simulate_Y_batch(model, age, 0, rng, cache=cache)
+            y, trips = simulate_Y_batch(model, age, 0, rng)
             total = z + y
         line_bin = bin_of_age[age]
         return (np.bincount(line_bin[total <= k], minlength=len(bins)),

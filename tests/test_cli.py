@@ -365,6 +365,31 @@ class TestSimulateEstimate:
         assert captured.out == ""
         assert "--k" in captured.err
 
+    @pytest.mark.parametrize("n, method", [
+        ("-1", "naive"), ("-1", "both"), ("0", "both"), ("0", "stratified"),
+    ])
+    def test_bad_n_usage_error_before_sampling(self, n, method, bin_bern_spec,
+                                               capsys, monkeypatch):
+        def sampled(*args, **kwargs):
+            raise AssertionError("an estimator ran before --n was checked")
+
+        monkeypatch.setattr(mc, "estimate_lower_tail_naive", sampled)
+        monkeypatch.setattr(mc, "estimate_lower_tail_stratified", sampled)
+        code = main(["estimate", "--model", bin_bern_spec, "--n", n, "--k", "2",
+                     "--samples", "100", "--method", method])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--n" in captured.err
+
+    def test_naive_at_n_zero(self, bin_bern_spec, capsys):
+        # Y_0 = 0, so P(Y_0 <= k) = 1 with no spread
+        code = main(["estimate", "--model", bin_bern_spec, "--n", "0", "--k", "2",
+                     "--samples", "100", "--method", "naive"])
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert code == 0
+        assert float(rows[0]["estimate"]) == 1.0 and float(rows[0]["stderr"]) == 0.0
+
     @pytest.mark.parametrize("epsilon, method", [
         ("0", "both"), ("-0.5", "both"), ("nan", "both"), ("0", "stratified"),
     ])

@@ -10,6 +10,7 @@ from scipy import stats
 from gwimm import exact_pmf_Y, exact_pmf_Z, extinction_iterates, make_law, make_model
 from gwimm import montecarlo as mc
 from gwimm.models import Law, _reduced_step, _redraw_survivors
+from gwimm.pgf import _STORES
 from gwimm.theta import theta_pmf
 
 
@@ -347,17 +348,19 @@ class TestCohortRoute:
             assert _chisquare_p(values[horizons == m], probs) > 0.001
 
     def test_streams_read_the_store_with_the_same_bits(self, geo_bern):
-        # simulate_Y_streams hands every batch the store's cache; a batch on
-        # its own, or with a cache that reaches further, draws the same values
+        # simulate_Y_streams fills the store to n before its batches read
+        # it; a batch on its own, or after the store has grown further,
+        # draws the same values
+        _STORES.pop(geo_bern, None)
         streams = mc.simulate_Y_streams(geo_bern, 50, 2, mc.SimConfig(samples=300, seed=32,
                                                                     streams=2))
-        longer = extinction_iterates(geo_bern, 500)
+        alone = [mc.simulate_Y_batch(geo_bern, np.full(150, 50), 2, mc.substream(32, 0, idx))[0]
+                 for idx in range(2)]
+        extinction_iterates(geo_bern, 500)
         for idx, (values, _) in enumerate(streams):
-            alone, _ = mc.simulate_Y_batch(geo_bern, np.full(150, 50), 2,
-                                           mc.substream(32, 0, idx))
             further, _ = mc.simulate_Y_batch(geo_bern, np.full(150, 50), 2,
-                                             mc.substream(32, 0, idx), cache=longer)
-            assert np.array_equal(values, alone) and np.array_equal(values, further)
+                                             mc.substream(32, 0, idx))
+            assert np.array_equal(values, alone[idx]) and np.array_equal(values, further)
 
     def test_reach_at_a_million_generations(self):
         # geometric offspring and immigration: Y_n from 0 has pgf 1/((n+1) -
@@ -461,17 +464,15 @@ _REDUCED_PAIRS = {
 
 @pytest.mark.parametrize("pair", ["geo+bern", "binary+poisson(1)"])
 def test_batch_reads_the_store_with_the_bits_of_a_longer_cache(pair):
-    # with no cache, the surviving-cohort and the reduced route read the
-    # model's iterate store; a cache that reaches further gives the same bits
+    # the surviving-cohort and the reduced route read the model's iterate
+    # store; after the store has grown to 500 they draw the same bits
     model = make_model(*{**_SURVIVOR_PAIRS, **_REDUCED_PAIRS}[pair])
     horizons = [3, 0, 17, 40]
+    _STORES.pop(model, None)
     alone, _ = mc.simulate_Y_batch(model, horizons, 1, mc.substream(44, 0))
-    further, _ = mc.simulate_Y_batch(model, horizons, 1, mc.substream(44, 0),
-                                     cache=extinction_iterates(model, 500))
+    extinction_iterates(model, 500)
+    further, _ = mc.simulate_Y_batch(model, horizons, 1, mc.substream(44, 0))
     assert np.array_equal(alone, further) and alone[1] == 1
-    with pytest.raises(ValueError, match="horizon"):
-        mc.simulate_Y_batch(model, horizons, 1, mc.substream(44, 0),
-                            cache=extinction_iterates(model, 39))
     if model.offspring.support_bound is not None:
         # the store continues the offspring recursion one step at a time,
         # so it holds that recursion's own bits
@@ -683,6 +684,10 @@ class TestStratifiedEstimator:
         a = mc.estimate_lower_tail_stratified(geo_bern, 64, 8, cfg)
         b = mc.estimate_lower_tail_stratified(geo_bern, 64, 8, cfg, jobs=3)
         assert a == b
+
+    def test_n_must_be_positive(self, geo_bern):
+        with pytest.raises(ValueError, match="n >= 1, got n=0"):
+            mc.estimate_lower_tail_stratified(geo_bern, 0, 2, mc.SimConfig(samples=10, seed=0))
 
     def test_epsilon_must_be_positive(self, geo_bern):
         for eps in (0.0, -0.5, float("nan")):

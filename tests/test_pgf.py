@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,7 +201,6 @@ class TestIterStore:
     def test_log_F_matches_harmonic_number(self):
         # geometric offspring: u_j = 1/(j+1); poisson(2) immigration:
         # log h(f_j(0)) = -2 u_j, so log F(n) = -2 H_n
-        mpmath = pytest.importorskip("mpmath")
         model = make_model("geometric-critical", {"family": "poisson", "params": {"mean": 2.0}})
         n = 300000
         with mpmath.workdps(40):
@@ -413,7 +413,6 @@ def _mpmath_binary_window(immigration, n, K):
     40-digit mpmath: the recurrence of perfbench/oracle.py's
     reference_window_mp.  Poisson immigration composes by the exponential
     recurrence, Bernoulli immigration in closed form; neither is cut."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         poisson = immigration["family"] == "poisson"
         param = mpmath.mpf(immigration["params"]["mean" if poisson else "q1"])
@@ -882,6 +881,10 @@ class TestCharfn:
     def test_rejects_negative_n(self, geo_bern):
         with pytest.raises(ValueError, match="n=-3"):
             charfn_modulus(geo_bern, -3, [0.0, 1.0])
+
+    def test_empty_grid(self, geo_bern):
+        out = charfn_modulus(geo_bern, 5, [])
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     def test_at_zero(self, geo_bern):
         assert charfn_modulus(geo_bern, 17, [0.0])[0] == pytest.approx(1.0, abs=1e-12)
