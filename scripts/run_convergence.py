@@ -9,7 +9,7 @@ Usage: python scripts/run_convergence.py [--model spec.json] [--nmax-pow 14]
 import argparse
 import math
 
-from gwimm import exact_pmf_Y_multi, extinction_iterates, make_model
+from gwimm import exact_pmf_Y, extinction_iterates, make_model
 from gwimm.asymptotics import build_report_row, main2_eval, mellein_local
 from gwimm.cli import load_model_spec
 from gwimm.pgf import full_law_truncation
@@ -32,18 +32,18 @@ def main():
     cache = extinction_iterates(model, grid[-1])
     # truncation sized so even the deepest row keeps its trust label honest
     K = full_law_truncation(model, grid[-1], 1e-10)
-    pmfs = exact_pmf_Y_multi(model, grid, K, deficit_ceiling=2.0)
 
     print(f"{'n':>6} {'k':>6} {'rule':>8} {'exact':>13} {'asymptote':>13} "
           f"{'ratio':>8} {'mellein':>8}")
     for n in grid:
+        pmf = exact_pmf_Y(model, n, K, deficit_ceiling=2.0)
         for rule, k in [("sqrt", math.isqrt(n)),
                         ("n^2/3", int(n ** (2.0 / 3.0))),
                         ("n/10", n // 10)]:
             k = max(k, 1)
-            exact = pmfs[n][k]
+            exact = pmf[k]
             asym = main2_eval(model, cache, n, k)
-            row = build_report_row(n, k, exact, asym, "main2", pmfs[n].deficit)
+            row = build_report_row(n, k, exact, asym, "main2", pmf.deficit)
             mell = exact / mellein_local(model, n, k)
             ratio = "untrusted" if row.untrusted else f"{row.ratio:8.4f}"
             print(f"{n:>6} {k:>6} {rule:>8} {exact:13.6e} {asym:13.6e} "

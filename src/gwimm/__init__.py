@@ -14,10 +14,8 @@ from .pgf import (
     TruncatedPmf,
     charfn_modulus,
     exact_pmf_Y,
-    exact_pmf_Y_multi,
     exact_pmf_Z,
     extinction_iterates,
-    kolmogorov_diagnostic,
 )
 
 __all__ = [
@@ -31,10 +29,8 @@ __all__ = [
     "TruncatedPmf",
     "charfn_modulus",
     "exact_pmf_Y",
-    "exact_pmf_Y_multi",
     "exact_pmf_Z",
     "extinction_iterates",
-    "kolmogorov_diagnostic",
 ]
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from .models import Model
-from .pgf import IterateCache, exact_pmf_Y, exact_pmf_Y_multi
+from .pgf import IterateCache, exact_pmf_Y
 
 
 @dataclass
@@ -104,10 +104,9 @@ def main3_mu_estimate(model: Model, cache: IterateCache, n_grid, k: int) -> np.n
     if ns and ns[-1] > cache.N:
         raise ValueError("cache horizon too short for the grid")
     K = max(k, 1)
-    pmfs = exact_pmf_Y_multi(model, ns, K, 0, deficit_ceiling=math.inf)
     out = []
     for n in ns:
-        p = pmfs[n][k]
+        p = exact_pmf_Y(model, n, K, 0, deficit_ceiling=math.inf)[k]
         out.append(p / cache.F_ratio(n, 0) if n >= 1 else p)
     return np.array(out)
 

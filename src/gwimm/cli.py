@@ -68,7 +68,7 @@ def cmd_exact(args, model: Model):
     n = args.n
     if n == 0:
         return [{"k": args.initial, "prob": 1.0, "cumulative": 1.0, "deficit": 0.0}]
-    K = args.trunc if args.trunc is not None else full_law_truncation(model, n, 1e-8)
+    K = args.trunc if args.trunc is not None else full_law_truncation(model, n, 1e-8, args.initial)
     pmf = exact_pmf_Y(model, n, K, args.initial)
     cum = np.cumsum(pmf.probs)
     return [

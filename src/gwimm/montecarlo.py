@@ -63,6 +63,8 @@ class SimConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.streams < 1:
             raise ValueError("streams must be >= 1")
 

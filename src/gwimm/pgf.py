@@ -254,12 +254,6 @@ def extinction_iterates(model: Model, N: int) -> IterateCache:
     )
 
 
-def kolmogorov_diagnostic(cache: IterateCache) -> np.ndarray:
-    """n * (1 - f_n(0)) * B/2 for n = 1..N; converges to 1 for B < inf."""
-    n = np.arange(1, cache.N + 1, dtype=float)
-    return n * cache.one_minus_fj0[1:] * (cache.model.B / 2.0)
-
-
 # ---------------------------------------------------------------------------
 # truncated pmfs
 
@@ -308,12 +302,20 @@ class TruncatedPmf:
         return float(self.probs[k]) if 0 <= k <= self.K else 0.0
 
 
-def full_law_truncation(model: Model, n: int, tail: float) -> int:
-    """Truncation bound for the full law of Y_n: 64 past the point x B n / 2
-    beyond which the gamma limit law of 2 Y_n / (B n) keeps mass ``tail``,
-    so the deficit at K is of the order of ``tail``."""
+def full_law_truncation(model: Model, n: int, tail: float, initial: int = 0) -> int:
+    """Truncation bound for the full law of Y_n given Y_0 = initial: 64 past
+    the point x B n / 2 beyond which the gamma limit law of 2 Y_n / (B n)
+    keeps mass ``tail``, so the deficit at K is of the order of ``tail``.
+    Founders add y / u_n (u_n = 1 - f_n(0)): S ~ Bin(initial, u_n) of them
+    have descendants at n, about 1/u_n each, and a gamma law of shape
+    mu + 6 sqrt(mu) + 1, mu = initial u_n, keeps mass ``tail`` beyond y."""
     x_hi = float(special.gammainccinv(model.gamma, tail))
-    return int(x_hi * model.B * n / 2.0) + 64
+    K = int(x_hi * model.B * n / 2.0) + 64
+    if initial > 0:
+        u = float(extinction_iterates(model, max(n, 1)).one_minus_fj0[n])
+        mu = initial * u
+        K += int(special.gammainccinv(mu + 6.0 * math.sqrt(mu) + 1.0, tail) / u)
+    return K
 
 
 def _check_generation(n: int, name: str = "n") -> None:
@@ -486,17 +488,13 @@ def _chain_store(model: Model, K: int) -> _ChainStore:
     return store
 
 
-def _series_pmfs(model: Model, targets: list[int], K: int, initial: int) -> dict:
-    """Coefficients 0..K of the laws of Y_n, n in the sorted targets, read
-    off the model's stored series chain (one truncated multiply, or one
-    row of a sum, per generation not yet reached)."""
-    store = _chain_store(model, K)
-    out = {}
-    for n in targets:
-        g, acc = store.state(n)
-        acc = acc[: K + 1]
-        out[n] = acc if initial == 0 else series_mul(acc, series_pow(g[: K + 1], initial, K), K)
-    return out
+def _series_pmf(model: Model, n: int, K: int, initial: int) -> np.ndarray:
+    """Coefficients 0..K of the law of Y_n, read off the model's stored
+    series chain (one truncated multiply, or one row of a sum, per
+    generation not yet reached)."""
+    g, acc = _chain_store(model, K).state(n)
+    acc = acc[: K + 1]
+    return acc if initial == 0 else series_mul(acc, series_pow(g[: K + 1], initial, K), K)
 
 
 def _series_cohort(model: Model, m: int, K: int) -> np.ndarray:
@@ -526,93 +524,81 @@ def _circle_coefficients(values: np.ndarray, N: int, r: float, K: int) -> np.nda
     return sp_fft.irfft(values, N)[: K + 1] * r ** -np.arange(K + 1.0)
 
 
-def _circle_products(model: Model, z: np.ndarray, targets, products: bool = True):
-    """Yield (n, H_n(z), f_n(z)) for n in the sorted targets, where
-    H_n(z) = prod_{m<n} h(f_m(z)): each generation multiplies in h(z),
-    then steps z <- f(z).  With products=False only z steps and H_n is
-    None."""
+def _circle_products(model: Model, z: np.ndarray, n: int, products: bool = True):
+    """(H_n(z), f_n(z)), where H_n(z) = prod_{m<n} h(f_m(z)): each
+    generation multiplies in h(z), then steps z <- f(z).  With
+    products=False only z steps and H_n is None."""
     imm, off = model.immigration, model.offspring
     # the first generation goes through Law.pgf, which checks that the start
     # points lie in the closed disk; a pgf maps the disk into itself, so
     # later generations call _pgf and skip the check
     h, f = imm.pgf, off.pgf
     w = np.ones_like(z) if products else None
-    done = 0
-    for n in targets:
-        for _ in range(n - done):
-            if products:
-                w = w * h(z)
-            z = f(z)
-            h, f = imm._pgf, off._pgf
-        done = n
-        yield n, w, z
+    for _ in range(n):
+        if products:
+            w = w * h(z)
+        z = f(z)
+        h, f = imm._pgf, off._pgf
+    return w, z
 
 
-def _circle_pmfs(model: Model, targets: list[int], K: int, initial: int) -> dict:
-    """As _series_pmfs, from the pgf on a damped circle; coefficients
-    0..CIRCLE_WINDOW from _series_pmfs at K = CIRCLE_WINDOW."""
+def _circle_pmf(model: Model, n: int, K: int, initial: int) -> np.ndarray:
+    """As _series_pmf, from the pgf on a damped circle; coefficients
+    0..CIRCLE_WINDOW from _series_pmf at K = CIRCLE_WINDOW."""
     N, r, z = _circle_points(K)
-    window = _series_pmfs(model, targets, CIRCLE_WINDOW, initial)
-    out = {}
-    for n, w, fz in _circle_products(model, z, targets):
-        if initial > 0:
-            w = w * fz**initial
-        out[n] = _circle_coefficients(w, N, r, K)
-        out[n][: CIRCLE_WINDOW + 1] = window[n]
-    return out
+    w, fz = _circle_products(model, z, n)
+    if initial > 0:
+        w = w * fz**initial
+    probs = _circle_coefficients(w, N, r, K)
+    probs[: CIRCLE_WINDOW + 1] = _series_pmf(model, n, CIRCLE_WINDOW, initial)
+    return probs
 
 
 def _circle_cohort(model: Model, m: int, K: int) -> np.ndarray:
     """As _series_cohort, from h(f_m(z)) on a damped circle; coefficients
     0..CIRCLE_WINDOW from _series_cohort at K = CIRCLE_WINDOW."""
     N, r, z = _circle_points(K)
-    _, _, fz = next(_circle_products(model, z, [m], products=False))
+    _, fz = _circle_products(model, z, m, products=False)
     probs = _circle_coefficients(model.immigration.pgf(fz), N, r, K)
     probs[: CIRCLE_WINDOW + 1] = _series_cohort(model, m, CIRCLE_WINDOW)
     return probs
 
 
-def _exact_laws(model: Model, ns, K: int, initial: int, deficit_ceiling: float,
-                cohort: bool = False) -> dict[int, TruncatedPmf]:
-    """Truncated laws at the generations ns, validated, routed and guarded:
-    the laws of Y_n (exact_pmf_Y_multi) or, with cohort=True, of one
-    cohort's line after m generations (exact_pmf_Z)."""
-    targets = sorted(set(int(n) for n in ns))
-    if targets:
-        _check_generation(targets[0], "m" if cohort else "n")
+def _exact_law(model: Model, n: int, K: int, initial: int, deficit_ceiling: float,
+               cohort: bool = False) -> TruncatedPmf:
+    """Truncated law at generation n, validated, routed and guarded: the
+    law of Y_n (exact_pmf_Y) or, with cohort=True, of one cohort's line
+    after n generations (exact_pmf_Z)."""
+    n = int(n)
+    _check_generation(n, "m" if cohort else "n")
     if initial < 0:
         raise ValueError("initial population must be >= 0")
     if K < 0:
         raise ValueError(f"truncation bound must be >= 0, got K={K}")
-    if not targets:
-        return {}
     path = "circle" if K > DIRECT_CONV_MAX and _closed_form(model) else "series"
     if cohort:
         engine = _circle_cohort if path == "circle" else _series_cohort
-        laws = {m: engine(model, m, K) for m in targets}
+        probs = engine(model, n, K)
     else:
-        engine = _circle_pmfs if path == "circle" else _series_pmfs
-        laws = engine(model, targets, K, initial)
-    out = {}
-    for m, probs in laws.items():
-        pmf = TruncatedPmf(probs, path=path)
-        if pmf.deficit > deficit_ceiling:
-            where = (f"for cohort law at m={m}; increase K={K}" if cohort
-                     else f"at n={m}; increase the truncation bound K={K}")
-            raise DeficitError(
-                f"deficit {pmf.deficit:.3e} exceeds ceiling {deficit_ceiling:.3e} {where}")
-        out[m] = pmf
-    return out
+        engine = _circle_pmf if path == "circle" else _series_pmf
+        probs = engine(model, n, K, initial)
+    pmf = TruncatedPmf(probs, path=path)
+    if pmf.deficit > deficit_ceiling:
+        where = (f"for cohort law at m={n}; increase K={K}" if cohort
+                 else f"at n={n}; increase the truncation bound K={K}")
+        raise DeficitError(
+            f"deficit {pmf.deficit:.3e} exceeds ceiling {deficit_ceiling:.3e} {where}")
+    return pmf
 
 
-def exact_pmf_Y_multi(
+def exact_pmf_Y(
     model: Model,
-    ns,
+    n: int,
     K: int,
     initial: int = 0,
     deficit_ceiling: float = DEFAULT_DEFICIT_CEILING,
-) -> dict[int, TruncatedPmf]:
-    """Exact truncated laws of Y_n given Y_0 = initial, at several horizons.
+) -> TruncatedPmf:
+    """Exact truncated law of Y_n given Y_0 = initial, at one horizon n.
 
     Uses the independent-cohort product: the pgf of Y_n from 0 is
     prod_{m=0}^{n-1} h(f_m(s)), and initial particles contribute an extra
@@ -630,29 +616,20 @@ def exact_pmf_Y_multi(
       reciprocal recurrence), and Poisson immigration.  Log-heavy laws
       are cut at K and give lower bounds, except coefficient 0, which is
       F(n) to rounding for every law when initial = 0.  The chain is
-      stored per model and order and continued by later calls:
+      stored per model and order, and a later call, at any horizon,
+      continues it from the largest stored horizon below its own:
       closed-form models run one chain at max(K, CIRCLE_WINDOW), so
       every window K <= CIRCLE_WINDOW at every horizon reached so far is
-      a slice of it; log-heavy models keep one chain per K.  Results depend only on (model, n, K,
-      initial), never on earlier calls.
+      a slice of it; log-heavy models keep one chain per K.  Results
+      depend only on (model, n, K, initial), never on earlier calls.
     - "circle" (K > DIRECT_CONV_MAX, both pgfs closed forms): the product
-      evaluated pointwise on a damped circle and inverted by one FFT per
-      horizon; coefficients 0..CIRCLE_WINDOW come from the series route
-      at K = CIRCLE_WINDOW and keep full relative accuracy, the rest are
-      within about 1e-13 absolute of the true probabilities.
+      evaluated pointwise on a damped circle, walked from the circle's
+      points to generation n, and inverted by one FFT; coefficients
+      0..CIRCLE_WINDOW come from the series route at K = CIRCLE_WINDOW
+      and keep full relative accuracy, the rest are within about 1e-13
+      absolute of the true probabilities.
     """
-    return _exact_laws(model, ns, K, initial, deficit_ceiling)
-
-
-def exact_pmf_Y(
-    model: Model,
-    n: int,
-    K: int,
-    initial: int = 0,
-    deficit_ceiling: float = DEFAULT_DEFICIT_CEILING,
-) -> TruncatedPmf:
-    """Exact truncated law of Y_n given Y_0 = initial."""
-    return exact_pmf_Y_multi(model, [n], K, initial, deficit_ceiling)[n]
+    return _exact_law(model, n, K, initial, deficit_ceiling)
 
 
 def exact_pmf_Z(
@@ -664,11 +641,11 @@ def exact_pmf_Z(
     """Exact truncated law of one immigrant cohort's line after m
     generations: coefficients of h(f_m(s)).
 
-    Routed as exact_pmf_Y_multi: above DIRECT_CONV_MAX, for closed-form
+    Routed as exact_pmf_Y: above DIRECT_CONV_MAX, for closed-form
     pgfs, h(f_m(z)) on a damped circle with coefficients
     0..CIRCLE_WINDOW from the series composition at K = CIRCLE_WINDOW.
     """
-    return _exact_laws(model, [m], K, 0, deficit_ceiling, cohort=True)[m]
+    return _exact_law(model, m, K, 0, deficit_ceiling, cohort=True)
 
 
 def charfn_modulus(model: Model, n: int, t_grid) -> np.ndarray:
@@ -676,5 +653,5 @@ def charfn_modulus(model: Model, n: int, t_grid) -> np.ndarray:
     z <- f(z) with the immigration factor accumulated each generation."""
     _check_generation(n)
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    _, w, _ = next(_circle_products(model, np.exp(1j * t), [n]))
+    w, _ = _circle_products(model, np.exp(1j * t), n)
     return np.abs(w)

@@ -107,6 +107,14 @@ class TestExact:
         K = full_law_truncation(make_model(offspring, immigration), n, 1e-8)
         assert len(list(csv.DictReader(io.StringIO(out)))) == K + 1
 
+    def test_default_truncation_covers_the_founders(self, bin_bern_spec, capsys):
+        # the immigrants' rule alone would give K = 156 here, deficit 2.9e-4
+        code, out = run_cli(
+            ["exact", "--model", bin_bern_spec, "--n", "10", "--initial", "50"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert float(rows[-1]["deficit"]) <= 1e-6
+
     def test_negative_truncation_usage_error(self, bin_bern_spec, capsys):
         code, out = run_cli(
             ["exact", "--model", bin_bern_spec, "--n", "4", "--trunc", "-5"], capsys)
@@ -143,6 +151,18 @@ def test_negative_initial_usage_error(argv, bin_bern_spec, capsys):
     assert code == 2
     assert captured.out == ""
     assert "--initial" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "3", "--samples", "10", "--seed", "-1"],
+    ["estimate", "--n", "8", "--k", "2", "--samples", "10", "--seed", "-1"],
+])
+def test_negative_seed_usage_error(argv, bin_bern_spec, capsys):
+    code = main(argv + ["--model", bin_bern_spec])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "seed" in captured.err
 
 
 

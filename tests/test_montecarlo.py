@@ -825,3 +825,5 @@ class TestSimConfig:
             mc.SimConfig(samples=0, seed=0)
         with pytest.raises(ValueError):
             mc.SimConfig(samples=10, seed=0, streams=0)
+        with pytest.raises(ValueError, match="seed"):
+            mc.SimConfig(samples=10, seed=-1)

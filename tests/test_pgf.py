@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from gwimm import (
     DeficitError,
     TruncatedPmf,
     charfn_modulus,
     exact_pmf_Y,
-    exact_pmf_Y_multi,
     exact_pmf_Z,
     extinction_iterates,
-    kolmogorov_diagnostic,
     make_law,
     make_model,
 )
@@ -105,10 +104,15 @@ class TestIterates:
             assert getattr(small, name).tobytes() == before[name], name
 
     def test_kolmogorov_diagnostic(self, geo_bern, bin_bern):
-        kd = kolmogorov_diagnostic(extinction_iterates(geo_bern, 10**4))
+        # n u_n B / 2 for n = 1..N converges to 1 when B < inf
+        def kolmogorov(model, N):
+            u = extinction_iterates(model, N).one_minus_fj0[1:]
+            return np.arange(1, N + 1, dtype=float) * u * (model.B / 2.0)
+
+        kd = kolmogorov(geo_bern, 10**4)
         assert kd[98] == pytest.approx(0.99, abs=1e-12)   # n = 99
         assert kd[9998] == pytest.approx(0.9999, abs=1e-12)
-        kb = kolmogorov_diagnostic(extinction_iterates(bin_bern, 10))
+        kb = kolmogorov(bin_bern, 10)
         assert kb[0] == pytest.approx(0.25, abs=1e-15)    # n = 1
         # converges to 1
         assert abs(kd[-1] - 1.0) < 1e-3
@@ -343,19 +347,13 @@ class TestExactEngine:
         # Y_1 = ξ + η: ξ ∈ {0,2}, η ∈ {0,1} each w.p. 1/2
         assert np.allclose(pmf.probs[:4], [0.25, 0.25, 0.25, 0.25], atol=1e-15)
 
-    def test_multi_checkpoints_match_single(self, geo_bern):
-        multi = exact_pmf_Y_multi(geo_bern, [3, 7], 64, deficit_ceiling=1.0)
-        for n in (3, 7):
-            single = exact_pmf_Y(geo_bern, n, 64, deficit_ceiling=1.0)
-            assert np.array_equal(multi[n].probs, single.probs)
-
     def test_deficit_ceiling_raises(self, geo_bern):
         with pytest.raises(DeficitError, match="increase"):
             exact_pmf_Y(geo_bern, 256, 64)
 
     def test_negative_truncation_rejected(self, geo_bern):
         with pytest.raises(ValueError, match="K=-5"):
-            exact_pmf_Y_multi(geo_bern, [4], -5)
+            exact_pmf_Y(geo_bern, 4, -5)
         with pytest.raises(ValueError, match="K=-5"):
             exact_pmf_Z(geo_bern, 4, -5)
         with pytest.raises(ValueError, match="m=-1"):
@@ -384,6 +382,27 @@ class TestExactEngine:
 
 def _bpo4():
     return make_model("binary", {"family": "poisson", "params": {"mean": 4.0}})
+
+
+class TestFullLawTruncation:
+    """full_law_truncation sizes K so the default full law meets the 1e-6
+    deficit guard, founders included."""
+
+    @pytest.mark.parametrize("offspring, immigration", [
+        ("binary", {"family": "bernoulli01", "params": {"q1": 0.5}}),
+        ("geometric-critical", {"family": "bernoulli01", "params": {"q1": 0.5}}),
+        ("binary", {"family": "poisson", "params": {"mean": 2.0}}),
+    ], ids=["binary+bern", "geo+bern", "binary+poisson(2)"])
+    @pytest.mark.parametrize("n", [1, 4, 10, 64, 256])
+    def test_deficit_within_guard(self, offspring, immigration, n):
+        model = make_model(offspring, immigration)
+        # without founders: the immigrants' gamma-limit rule alone
+        x_hi = float(special.gammainccinv(model.gamma, 1e-8))
+        assert full_law_truncation(model, n, 1e-8) == int(x_hi * model.B * n / 2.0) + 64
+        for initial in (0, 1, 10, 50, 200, 1000):
+            K = full_law_truncation(model, n, 1e-8, initial)
+            pmf = exact_pmf_Y(model, n, K, initial, deficit_ceiling=math.inf)
+            assert pmf.deficit <= 1e-6, (initial, K, pmf.deficit)
 
 
 class TestLowerTailFullLaw:
@@ -562,13 +581,6 @@ class TestCirclePath:
         pmf = exact_pmf_Z(bin_bern, 256, 2048, deficit_ceiling=math.inf)
         assert np.all(pmf.probs[1 : CIRCLE_WINDOW + 1 : 2] == 0.0)
         assert np.all(pmf.probs[0 : CIRCLE_WINDOW + 1 : 2] > 0.0)
-
-    def test_multi_matches_single(self, geo_bern):
-        multi = exact_pmf_Y_multi(geo_bern, [64, 128, 256], 2048, deficit_ceiling=1.0)
-        for n in (64, 128, 256):
-            single = exact_pmf_Y(geo_bern, n, 2048, deficit_ceiling=1.0)
-            assert multi[n].path == single.path == "circle"
-            assert np.array_equal(multi[n].probs, single.probs)
 
     def test_initial_particles_match_series(self, bin_bern):
         # the series route at a K below DIRECT_CONV_MAX is exact here too
@@ -874,7 +886,11 @@ class TestCharfn:
         # pgf mapping the closed disk into itself
         z = np.exp(1j * np.linspace(-math.pi, math.pi, 257))
         for model in (bin_bern, geo_bern):
-            for _, w, fz in _circle_products(model, z, range(1, 4097)):
+            w, fz = _circle_products(model, z, 1)
+            for n in range(1, 4097):
+                if n > 1:  # generation n from n - 1, unchecked, as the walk steps
+                    w = w * model.immigration._pgf(fz)
+                    fz = model.offspring._pgf(fz)
                 assert np.max(np.abs(fz)) <= 1.0 + PGF_DOMAIN_TOL
                 assert np.max(np.abs(w)) <= 1.0 + PGF_DOMAIN_TOL
 
