@@ -1,8 +1,9 @@
 """Offspring and immigration laws on the nonnegative integers, and the
 derived model constants for critical branching with immigration.
 
-A Law carries its pmf, probability generating function (with closed forms
-where the family has one), moment metadata, and sampling routines.  A Model
+A Law carries its pmf, one pointwise kernel 1 - h(1 - u) of its probability
+generating function h (a closed form where the family has one), moment
+metadata, and sampling routines.  A Model
 pairs a critical offspring law with a nondegenerate immigration law and
 derives
 
@@ -10,7 +11,7 @@ derives
     lam   = sum k q_k           (immigration mean),
     gamma = 2*lam / B           (limit shape parameter),
 
-plus tri-state flags for the extra tail conditions
+plus "finite"/"infinite" flags for the extra tail conditions
 sum k^2 log k p_k < inf and sum k log k q_k < inf.
 
 The two log-heavy families are constructed so that the base moments stay
@@ -61,12 +62,6 @@ HEAVY_BETA_MAX = 300.0
 
 FINITE = "finite"
 INFINITE = "infinite"
-UNKNOWN = "unknown"
-
-
-def _as_float_array(s):
-    arr = np.asarray(s)
-    return arr, arr.ndim == 0
 
 
 def _is_array(u) -> bool:
@@ -171,10 +166,10 @@ class Law:
     mean: float
     factorial_second_moment: float  # math.inf marks a divergent sum
     support_bound: int | None = None  # largest atom, None if unbounded
-    # pgf is a closed form evaluated elementwise on complex arrays, cheap
-    # enough for the exact engine's circle path; such laws also keep their
-    # series hooks exact at every order, so the engine shares one series
-    # chain across orders (see gwimm.pgf._chain_order)
+    # one_minus_pgf is a closed form evaluated elementwise on complex
+    # arrays, cheap enough for the exact engine's circle path; such laws
+    # also keep their series hooks exact at every order, so the engine
+    # shares one series chain across orders (see gwimm.pgf._chain_order)
     vectorised_pgf: bool = True
     # sample_survivors draws a surviving cohort's descendants in one step
     # from a closed form for the m-generation law, so the simulator draws
@@ -207,21 +202,21 @@ class Law:
     # -- pgf --------------------------------------------------------------
 
     def pgf(self, s):
-        """sum p_k s**k for |s| <= 1 (+ tolerance); scalar or ndarray."""
-        arr, scalar = _as_float_array(s)
-        if np.max(np.abs(arr), initial=0.0) > 1.0 + PGF_DOMAIN_TOL:
+        """sum p_k s**k for |s| <= 1 (+ tolerance), as 1 - one_minus_pgf(1 -
+        s); scalar or ndarray."""
+        s = np.asarray(s)
+        if np.max(np.abs(s), initial=0.0) > 1.0 + PGF_DOMAIN_TOL:
             raise ValueError("pgf argument outside the closed unit disk")
-        out = self._pgf(arr)
-        return out[()] if scalar else out
-
-    def _pgf(self, s):
-        raise NotImplementedError
+        # 1.0 - s is a numpy scalar for a 0-d s, so a scalar stays a scalar
+        return 1.0 - self.one_minus_pgf(1.0 - s)
 
     def one_minus_pgf(self, u):
-        """1 - pgf(1 - u) for real u in [0, 1], computed without cancellation.
+        """1 - pgf(1 - u), the law's one pointwise kernel, for real or
+        complex u with |1 - u| <= 1, formed in u without cancellation.
 
-        ``u`` is a float or a float array; an array is mapped elementwise,
-        and each element's value does not depend on the array's length.
+        A float gives a float, a complex a complex; an array is mapped
+        elementwise, and each element's value does not depend on the
+        array's length.
         """
         raise NotImplementedError
 
@@ -518,6 +513,8 @@ class ExplicitLaw(Law):
             )
         probs.flags.writeable = False
         self.probs = probs
+        # T_i = P(X > i) from i = d-1 down to 0, one_minus_pgf's Horner order
+        self._tail_sums = np.cumsum(probs[:0:-1]).tolist()
         ks = np.arange(probs.size, dtype=float)
         self.mean = float(np.dot(ks, probs))
         self.factorial_second_moment = float(np.dot(ks * (ks - 1.0), probs))
@@ -538,22 +535,14 @@ class ExplicitLaw(Law):
     def describe(self):
         return f"explicit[{self.probs.size}]"
 
-    def _pgf(self, s):
-        out = np.zeros_like(s, dtype=np.result_type(s, float))
-        for p in self.probs[::-1]:
-            out = out * s + p
-        return out
-
     def one_minus_pgf(self, u):
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        ks = np.arange(1, self.probs.size, dtype=float)
-        with np.errstate(divide="ignore"):  # u = 1 gives -inf, replaced below
-            logs = np.log1p(-np.clip(arr, 0.0, 1.0))
-        # one row of p_k (1 - (1 - u)**k), k >= 1, per point
-        terms = self.probs[1:] * -np.expm1(np.multiply.outer(logs, ks))
-        out = np.where(arr >= 1.0, 1.0 - self.probs[0],
-                       np.where(arr <= 0.0, 0.0, np.sum(terms, axis=-1)))
-        return out if _is_array(u) else float(out[0])
+        # 1 - s**k = u (1 + s + ... + s**(k-1)), so 1 - pgf(s) = u T(s) with
+        # T(s) = sum_i T_i s**i, by Horner on its nonnegative coefficients
+        s = 1.0 - u
+        acc = 0.0
+        for t in self._tail_sums:
+            acc = acc * s + t
+        return u * acc
 
     def pmf_array(self, K):
         return trim(self.probs, K).copy()
@@ -590,9 +579,6 @@ class GeometricCriticalLaw(Law):
 
     def _key(self):
         return ("geometric-critical",)
-
-    def _pgf(self, s):
-        return 1.0 / (2.0 - s)
 
     def one_minus_pgf(self, u):
         return u / (1.0 + u)
@@ -668,12 +654,9 @@ class BinaryLaw(Law):
     def _key(self):
         return ("binary",)
 
-    def _pgf(self, s):
-        # 0.5 * x has the bits of x / 2.0, without a complex division
-        return 0.5 + 0.5 * (s * s)
-
     def one_minus_pgf(self, u):
-        return u * (2.0 - u) / 2.0
+        # 0.5 * x has the bits of x / 2.0, without a complex division
+        return 0.5 * (u * (2.0 - u))
 
     def pmf_array(self, K):
         out = np.zeros(K + 1)
@@ -722,13 +705,10 @@ class PoissonLaw(Law):
     def describe(self):
         return f"poisson({self.rate})"
 
-    def _pgf(self, s):
-        return np.exp(self.rate * (s - 1.0))
-
     def one_minus_pgf(self, u):
-        # np.expm1 for floats and arrays alike, so both give the same bits
+        # np.expm1 for scalars and arrays alike, so both give the same bits
         out = -np.expm1(-self.rate * u)
-        return out if _is_array(u) else float(out)
+        return out if _is_array(u) else out.item()
 
     def pmf_array(self, K):
         k = np.arange(K + 1, dtype=float)
@@ -785,9 +765,6 @@ class Bernoulli01Law(Law):
 
     def describe(self):
         return f"bernoulli01({self.q1})"
-
-    def _pgf(self, s):
-        return (1.0 - self.q1) + self.q1 * s
 
     def one_minus_pgf(self, u):
         return self.q1 * u
@@ -992,8 +969,10 @@ class _HeavyLawBase(Law):
     _one_minus_head), plus the tail beyond it, a cubic spline in log-log
     coordinates through a table built once by fixed-order quadrature (see
     _build_spline and _one_minus_tail).  one_minus_pgf works on 1-D arrays
-    only and takes a float as a one-element array, so a point's value has
-    the same bits as a float and inside any array.
+    only and takes a scalar as a one-element array, so a point's value has
+    the same bits as a scalar and inside any array.  Off the segment
+    0 <= u <= 1 (complex u, or u > 1) it sums the first _COMPLEX_HEAD
+    terms of the pmf directly.
 
     Offspring iterates come in corrected runs of _RUN generations (see
     one_minus_iterates): a Python-float predictor steps each run on cells,
@@ -1114,17 +1093,28 @@ class _HeavyLawBase(Law):
         return u * out
 
     def one_minus_pgf(self, u):
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.where(arr <= 0.0, 0.0, np.nan)  # nan stays nan
-        inner = (arr > 0.0) & (arr < 1.0)
-        ui = arr[inner]
+        arr = np.atleast_1d(np.asarray(u))
+        x = arr.real
+        far = (arr.imag != 0.0) | (x > 1.0)  # complex u, or u > 1 (s < 0)
+        out = np.where(x <= 0.0, 0.0, np.nan)  # nan stays nan
+        out = out.astype(np.result_type(arr, float), copy=False)
+        inner = (x > 0.0) & (x < 1.0) & ~far
+        ui = x[inner]
         t = -np.log1p(-ui)
         out[inner] = self.atom1 * ui + self.c * (
             self._one_minus_head(ui, t) + self._one_minus_tail(t)
         )
-        full = arr >= 1.0
-        out[full] = self.atom1 * arr[full] + self.c * self.total_mass
-        return out if _is_array(u) else float(out[0])
+        full = (x >= 1.0) & ~far
+        out[full] = self.atom1 * x[full] + self.c * self.total_mass
+        if np.any(far):
+            # direct head sum; the neglected tail has modulus below
+            # tail_mass(2**17): 2.9e-8 for log-heavy-immigration(1.5),
+            # 9.1e-10 at beta = 3, 5.3e-13 for log-heavy-offspring(1.5);
+            # fine for modulus diagnostics
+            coeffs = self.pmf_array(self._COMPLEX_HEAD)
+            ks = np.arange(self._COMPLEX_HEAD + 1)
+            out[far] = [1.0 - np.dot(coeffs, s**ks) for s in 1.0 - arr[far]]
+        return out if _is_array(u) else out[0].item()
 
     # -- offspring iterates ------------------------------------------------
 
@@ -1214,23 +1204,6 @@ class _HeavyLawBase(Law):
             last = float(out[-1]) if done else float(pred[0])
             out = np.concatenate((out, Law.one_minus_iterates(self, last, start + done, m - done)))
         return out
-
-    def _pgf(self, s):
-        flat = np.ravel(s)
-        out = np.empty(flat.shape, dtype=np.result_type(flat, float))
-        real_path = (flat.imag == 0.0) & (flat.real >= 0.0)
-        out[real_path] = 1.0 - self.one_minus_pgf(1.0 - flat.real[real_path])
-        rest = np.nonzero(~real_path)[0]
-        if rest.size:
-            # direct head sum; the neglected tail has modulus below
-            # tail_mass(2**17): 2.9e-8 for log-heavy-immigration(1.5),
-            # 9.1e-10 at beta = 3, 5.3e-13 for log-heavy-offspring(1.5);
-            # fine for modulus diagnostics
-            coeffs = self.pmf_array(self._COMPLEX_HEAD)
-            ks = np.arange(self._COMPLEX_HEAD + 1)
-            for i in rest:
-                out[i] = np.dot(coeffs, flat[i] ** ks)
-        return out.reshape(np.shape(s))
 
     # -- sampling ---------------------------------------------------------
 
@@ -1360,7 +1333,7 @@ def make_law(spec) -> Law:
 
 
 def classify_xlogx(law: Law, role: str) -> str:
-    """Tri-state for the extra tail sum in the given role.
+    """FINITE or INFINITE: the extra tail sum in the given role.
 
     offspring role tests sum k^2 log k p_k; immigration role tests
     sum k log k q_k.  Decided analytically per family; bounded-support

@@ -684,3 +684,101 @@ class TestPgfEval:
             law = make_law(fam)
             assert law.one_minus_pgf(u) == pytest.approx(
                 1.0 - float(law.pgf(1.0 - u)), abs=1e-12)
+
+
+_EPS = np.finfo(float).eps
+
+
+def _disk_points(count: int, seed: int) -> np.ndarray:
+    """count points u with |1 - u| <= 1 (up to rounding) and |u| log-uniform
+    from 1e-300 to 2: every other point inside the disk, the rest on its
+    boundary circle |1 - u| = 1, where |u|**2 = 2 Re u."""
+    rng = np.random.default_rng(seed)
+    rho = 10.0 ** rng.uniform(-300.0, math.log10(2.0), count)
+    half = np.arccos(rho / 2.0)  # the widest angle of u at modulus rho
+    phi = np.where(np.arange(count) % 2 == 0, rng.uniform(-1.0, 1.0, count),
+                   rng.choice([-1.0, 1.0], count)) * half
+    return rho * np.exp(1j * phi)
+
+
+def _dyadic_probs(d: int, seed: int) -> list:
+    """An explicit law on 0..d whose probabilities are dyadic and sum to 1
+    exactly, so 1 - pgf(1 - u) = sum_k p_k (1 - (1 - u)**k) holds exactly."""
+    raw = np.random.default_rng(seed).integers(1, 64, d + 1).astype(float)
+    probs = raw / 2.0 ** math.ceil(math.log2(raw.sum()))
+    probs[0] += 1.0 - probs.sum()
+    return probs.tolist()
+
+
+def _mpmath_one_minus_pgf(law, u: complex) -> complex:
+    """1 - h(1 - u) at the exact u, with 40 significant digits: the working
+    precision covers the digits 1 - h(1 - u) cancels at small |u|."""
+    with mpmath.workdps(40 + max(0, math.ceil(-math.log10(abs(u))))):
+        s = 1 - mpmath.mpc(u.real, u.imag)
+        if law.kind == "explicit":
+            h = mpmath.polyval([mpmath.mpf(p) for p in law.probs[::-1]], s)
+        elif law.kind == "poisson":
+            h = mpmath.exp(law.rate * (s - 1))
+        elif law.kind == "binary":
+            h = (1 + s * s) / 2
+        elif law.kind == "geometric-critical":
+            h = 1 / (2 - s)
+        else:
+            h = 1 - mpmath.mpf(law.q1) + mpmath.mpf(law.q1) * s
+        return complex(1 - h)
+
+
+_LIGHT_SPECS = [
+    "geometric-critical",
+    "binary",
+    {"family": "poisson", "params": {"mean": 2.0}},
+    {"family": "poisson", "params": {"mean": 20.0}},
+    {"family": "bernoulli01", "params": {"q1": 0.4}},
+    {"family": "explicit", "probs": _dyadic_probs(3, 1)},
+    {"family": "explicit", "probs": _dyadic_probs(20, 2)},
+]
+
+
+class TestKernel:
+    """one_minus_pgf(u) = 1 - h(1 - u), every family's one pointwise
+    kernel, on the closed disk |1 - u| <= 1."""
+
+    @pytest.mark.parametrize("spec", _LIGHT_SPECS, ids=lambda s: str(make_law(s).describe()))
+    def test_complex_points_against_mpmath(self, spec):
+        # within 4 eps of |1 - h(1 - u)|; an explicit law on 0..d within the
+        # first-order Horner bound (3d + 2) eps |u| sum_i T_i |1 - u|**i, T_i
+        # = P(X > i): d complex steps of about 1.7 eps each, plus the
+        # rounding of s = 1 - u (i eps/2 in term i) and of the T_i
+        law = make_law(spec)
+        us = _disk_points(600, 31)
+        ref = np.array([_mpmath_one_minus_pgf(law, u) for u in us])
+        if law.kind == "explicit":
+            d = law.support_bound
+            T = np.cumsum(np.array(law.probs[:0:-1]))[::-1]
+            scale = np.abs(us) * (np.abs(1.0 - us)[:, None] ** np.arange(d) @ T)
+            bound = (3 * d + 2) * _EPS * scale
+        else:
+            bound = 4.0 * _EPS * np.abs(ref)
+        assert np.all(np.abs(law.one_minus_pgf(us) - ref) <= bound)
+        scalars = np.array([law.one_minus_pgf(complex(u)) for u in us])
+        assert np.all(np.abs(scalars - ref) <= bound)
+
+    @pytest.mark.parametrize("spec", _FAMILY_SPECS,
+                             ids=lambda s: s if isinstance(s, str) else s["family"])
+    def test_types_follow_the_argument(self, spec):
+        law = make_law(spec)
+        assert isinstance(law.one_minus_pgf(0.25), float)
+        assert isinstance(law.one_minus_pgf(0.25 + 0.25j), complex)
+        for u in (np.array([0.25]), np.array([0.25 + 0.25j, 0.5])):
+            out = law.one_minus_pgf(u)
+            assert isinstance(out, np.ndarray) and out.shape == u.shape
+        assert isinstance(law.pgf(0.5), float) and isinstance(law.pgf(0.5j), complex)
+
+    @pytest.mark.parametrize("spec", _FAMILY_SPECS,
+                             ids=lambda s: s if isinstance(s, str) else s["family"])
+    def test_pgf_is_the_complement_of_the_kernel(self, spec):
+        law = make_law(spec)
+        for s in (0.0, 0.3, 1.0, -0.5, 0.6 - 0.8j):
+            assert law.pgf(s) == 1.0 - law.one_minus_pgf(1.0 - s)
+        s = np.array([0.0, 0.3, 1.0, -0.5, 0.6 - 0.8j])
+        assert np.array_equal(law.pgf(s), 1.0 - law.one_minus_pgf(1.0 - s))

@@ -577,6 +577,19 @@ class TestCirclePath:
         assert pmf.path == "circle"
         assert np.max(np.abs(pmf.probs - ref)) <= 1e-13
 
+    @pytest.mark.parametrize("immigration", [{"family": "bernoulli01", "params": {"q1": 0.5}},
+                                             {"family": "poisson", "params": {"mean": 2.0}}],
+                             ids=["bern", "poisson2"])
+    def test_coefficients_beyond_the_window_against_series(self, immigration):
+        # coefficients 65..512 of the circle route at K = 2048 against the
+        # series route at K = 512, exact to relative rounding here
+        model = make_model("geometric-critical", immigration)
+        circle = exact_pmf_Y(model, 256, 2048, deficit_ceiling=math.inf)
+        series = exact_pmf_Y(model, 256, 512, deficit_ceiling=math.inf)
+        assert circle.path == "circle" and series.path == "series"
+        err = np.abs(circle.probs[CIRCLE_WINDOW + 1 : 513] - series.probs[CIRCLE_WINDOW + 1 :])
+        assert np.max(err) <= 5e-17
+
     def test_binary_window_keeps_lattice_zeros(self, bin_bern):
         pmf = exact_pmf_Z(bin_bern, 256, 2048, deficit_ceiling=math.inf)
         assert np.all(pmf.probs[1 : CIRCLE_WINDOW + 1 : 2] == 0.0)
@@ -870,29 +883,78 @@ class TestExactCohort:
         assert exact_pmf_Z(model, m, 64, deficit_ceiling=math.inf)[0] == 1.0 - v
 
 
+_IMMIGRATION = {
+    "bern": {"family": "bernoulli01", "params": {"q1": 0.5}},
+    "geo": "geometric-critical",
+    "poisson2": {"family": "poisson", "params": {"mean": 2.0}},
+    "poisson20": {"family": "poisson", "params": {"mean": 20.0}},
+}
+
+
+def _mpmath_charfn(offspring, immigration, n, ts):
+    """|H_n(e^{it})| at every t of ts by the walk z <- f(z) in 30-digit
+    mpmath, from z = e^{it} at the exact float t."""
+    f = {"binary": lambda z: (1 + z * z) / 2,
+         "geometric-critical": lambda z: 1 / (2 - z)}[offspring]
+    h = {"bern": lambda z: (1 + z) / 2,
+         "geo": lambda z: 1 / (2 - z),
+         "poisson2": lambda z: mpmath.exp(2 * (z - 1)),
+         "poisson20": lambda z: mpmath.exp(20 * (z - 1))}[immigration]
+    out = []
+    with mpmath.workdps(30):
+        for t in ts:
+            z, w = mpmath.exp(1j * mpmath.mpf(t)), mpmath.mpc(1)
+            for _ in range(n):
+                w *= h(z)
+                z = f(z)
+            out.append(float(abs(w)))
+    return np.array(out)
+
+
 class TestCharfn:
     def test_bit_identical_to_plain_iteration(self, bin_bern, geo_bern):
+        # a plain walk of u = 1 - z by one_minus_pgf from u = -expm1(it)
         ts = np.linspace(-math.pi, math.pi, 257)
         for model in (bin_bern, geo_bern):
-            z = np.exp(1j * ts)
-            w = np.ones_like(z)
+            u = -np.expm1(1j * ts)
+            w = np.ones_like(u)
             for _ in range(300):
-                w = w * model.immigration.pgf(z)
-                z = model.offspring.pgf(z)
+                w = w * (1.0 - model.immigration.one_minus_pgf(u))
+                u = model.offspring.one_minus_pgf(u)
             assert np.array_equal(charfn_modulus(model, 300, ts), np.abs(w))
 
     def test_circle_iterates_stay_in_disk(self, bin_bern, geo_bern):
-        # only the first generation checks the domain; the rest rely on a
-        # pgf mapping the closed disk into itself
-        z = np.exp(1j * np.linspace(-math.pi, math.pi, 257))
+        # nothing checks the walk's domain: it relies on a pgf mapping the
+        # closed disk into itself, so f_m(z) = 1 - u_m stays in it
+        u = -np.expm1(1j * np.linspace(-math.pi, math.pi, 257))
         for model in (bin_bern, geo_bern):
-            w, fz = _circle_products(model, z, 1)
+            w, um = _circle_products(model, u, 1)
             for n in range(1, 4097):
-                if n > 1:  # generation n from n - 1, unchecked, as the walk steps
-                    w = w * model.immigration._pgf(fz)
-                    fz = model.offspring._pgf(fz)
-                assert np.max(np.abs(fz)) <= 1.0 + PGF_DOMAIN_TOL
+                if n > 1:  # generation n from n - 1, as the walk steps
+                    w = w * (1.0 - model.immigration.one_minus_pgf(um))
+                    um = model.offspring.one_minus_pgf(um)
+                assert np.max(np.abs(1.0 - um)) <= 1.0 + PGF_DOMAIN_TOL
                 assert np.max(np.abs(w)) <= 1.0 + PGF_DOMAIN_TOL
+
+    @pytest.mark.parametrize("offspring, immigration", [
+        ("geometric-critical", "bern"), ("binary", "bern"),
+        ("geometric-critical", "poisson2"), ("binary", "geo"),
+    ])
+    def test_against_mpmath(self, offspring, immigration):
+        ts = [1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 3.0, math.pi]
+        model = make_model(offspring, _IMMIGRATION[immigration])
+        ref = _mpmath_charfn(offspring, immigration, 1024, ts)
+        assert np.max(np.abs(charfn_modulus(model, 1024, ts) / ref - 1.0)) <= 5e-14
+
+    def test_absolute_error_where_the_modulus_is_tiny(self):
+        # |H_64| falls to 1e-69 here; a factor 1 - (1 - h) resolves h only
+        # to about 1e-16 absolute, so the contract is absolute, relative to
+        # the grid's largest modulus
+        ts = np.geomspace(1e-4, math.pi, 64)
+        model = make_model("binary", _IMMIGRATION["poisson20"])
+        ref = _mpmath_charfn("binary", "poisson20", 64, ts)
+        err = np.abs(charfn_modulus(model, 64, ts) - ref)
+        assert np.max(err) <= 1e-14 * np.max(ref)
 
     def test_rejects_negative_n(self, geo_bern):
         with pytest.raises(ValueError, match="n=-3"):
