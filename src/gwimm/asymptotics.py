@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .models import Model
 from .pgf import IterateCache, exact_pmf_Y
@@ -53,6 +52,8 @@ def gamma_limit_cdf(gamma: float, x: float) -> float:
         raise ValueError("shape parameter must be positive")
     if x < 0.0:
         raise ValueError("the limit law lives on x >= 0")
+    from scipy import special  # here, not at import: no light-law query needs it
+
     return float(special.gammainc(gamma, x))
 
 
@@ -61,7 +62,7 @@ def _local_log(model: Model, n: int, logk):
     local asymptote and the local-limit density, from log k (a float or an
     array), summed left to right."""
     g = model.gamma
-    return -special.gammaln(g) + g * math.log(2.0 / model.B) + (g - 1.0) * logk - g * math.log(n)
+    return -math.lgamma(g) + g * math.log(2.0 / model.B) + (g - 1.0) * logk - g * math.log(n)
 
 
 def mellein_local(model: Model, n: int, k: int) -> float:
@@ -82,7 +83,7 @@ def main1_eval(model: Model, cache: IterateCache, n: int, k: int) -> float:
     g, B = model.gamma, model.B
     return float(
         math.exp(
-            -special.gammaln(g + 1.0)
+            -math.lgamma(g + 1.0)
             + g * math.log(2.0 / B)
             + g * (math.log(k) - math.log(n))
             + _l_ratio_log(cache, k, n)

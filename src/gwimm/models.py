@@ -32,11 +32,11 @@ iff beta <= 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, roots_legendre
 
 from .series import series_compose_poly, series_exp, series_recip, series_square, trim
 
@@ -210,13 +210,20 @@ class Law:
         # 1.0 - s is a numpy scalar for a 0-d s, so a scalar stays a scalar
         return 1.0 - self.one_minus_pgf(1.0 - s)
 
-    def one_minus_pgf(self, u):
+    def one_minus_pgf(self, u, out=None):
         """1 - pgf(1 - u), the law's one pointwise kernel, for real or
         complex u with |1 - u| <= 1, formed in u without cancellation.
 
         A float gives a float, a complex a complex; an array is mapped
         elementwise, and each element's value does not depend on the
-        array's length.
+        array's length.  The closed forms (vectorised_pgf laws) also take
+        ``out``, as a numpy ufunc does: an array of u's shape and type
+        that receives the values and is returned; it may be u itself.
+        They then allocate no more than one temporary of u's size (two
+        for the explicit law), so the circle walk steps in place
+        (gwimm.pgf._circle_products), with the bits of the call without
+        ``out``.  Log-heavy laws never take the circle route and have no
+        ``out``.
         """
         raise NotImplementedError
 
@@ -535,14 +542,18 @@ class ExplicitLaw(Law):
     def describe(self):
         return f"explicit[{self.probs.size}]"
 
-    def one_minus_pgf(self, u):
+    def one_minus_pgf(self, u, out=None):
         # 1 - s**k = u (1 + s + ... + s**(k-1)), so 1 - pgf(s) = u T(s) with
-        # T(s) = sum_i T_i s**i, by Horner on its nonnegative coefficients
+        # T(s) = sum_i T_i s**i, by Horner on its nonnegative coefficients,
+        # in one buffer on an array.  A float stays in Python arithmetic:
+        # the iterate store makes one scalar call per generation, and
+        # ufuncs took 2000 of them from 1.2 to 6.4 ms on [.25, .5, .25]
         s = 1.0 - u
-        acc = 0.0
+        acc = 0.0 * s  # a zero of s's type and shape
         for t in self._tail_sums:
-            acc = acc * s + t
-        return u * acc
+            acc *= s
+            acc += t
+        return u * acc if out is None else np.multiply(u, acc, out=out)
 
     def pmf_array(self, K):
         return trim(self.probs, K).copy()
@@ -580,8 +591,8 @@ class GeometricCriticalLaw(Law):
     def _key(self):
         return ("geometric-critical",)
 
-    def one_minus_pgf(self, u):
-        return u / (1.0 + u)
+    def one_minus_pgf(self, u, out=None):
+        return np.divide(u, 1.0 + u, out=out)
 
     def one_minus_iterates(self, u, start, count):
         # f_j(0) = j/(j+1), so u_j = 1/(j+1), correctly rounded at every j
@@ -590,9 +601,10 @@ class GeometricCriticalLaw(Law):
     def pmf_array(self, K):
         return 0.5 ** (np.arange(K + 1, dtype=float) + 1.0)
 
-    def _apply_one(self, g, K):
+    def apply_to_series(self, g, K):
+        # 1/(2 - g); a stack of series goes through one stacked recurrence
         denom = -trim(g, K)
-        denom[0] += 2.0
+        denom[..., 0] += 2.0
         return series_recip(denom, K)
 
     def iterate_series(self, g, m, count, K):
@@ -654,9 +666,14 @@ class BinaryLaw(Law):
     def _key(self):
         return ("binary",)
 
-    def one_minus_pgf(self, u):
-        # 0.5 * x has the bits of x / 2.0, without a complex division
-        return 0.5 * (u * (2.0 - u))
+    def one_minus_pgf(self, u, out=None):
+        # 0.5 * x has the bits of x / 2.0, without a complex division.  A
+        # float stays in Python arithmetic: the iterate store steps u one
+        # scalar call at a time (Law.one_minus_iterates), and ufuncs on a
+        # float took that loop from 5 to 62 ms at 2e4 generations
+        if out is None:
+            return 0.5 * (u * (2.0 - u))
+        return np.multiply(0.5, np.multiply(u, 2.0 - u, out=out), out=out)
 
     def pmf_array(self, K):
         out = np.zeros(K + 1)
@@ -705,14 +722,17 @@ class PoissonLaw(Law):
     def describe(self):
         return f"poisson({self.rate})"
 
-    def one_minus_pgf(self, u):
+    def one_minus_pgf(self, u, out=None):
         # np.expm1 for scalars and arrays alike, so both give the same bits
-        out = -np.expm1(-self.rate * u)
-        return out if _is_array(u) else out.item()
+        if not _is_array(u):
+            return (-np.expm1(-self.rate * u)).item()
+        out = np.multiply(-self.rate, u, out=out)
+        return np.negative(np.expm1(out, out=out), out=out)
 
     def pmf_array(self, K):
         k = np.arange(K + 1, dtype=float)
-        return np.exp(k * math.log(self.rate) - gammaln(k + 1.0) - self.rate)
+        log_factorial = np.array([math.lgamma(j + 1.0) for j in range(K + 1)])
+        return np.exp(k * math.log(self.rate) - log_factorial - self.rate)
 
     def _apply_one(self, g, K):
         # exp(rate (g - 1)), with no pmf cut-off; g[1:] >= 0 for a pgf
@@ -720,6 +740,36 @@ class PoissonLaw(Law):
         a = self.rate * g
         a[0] = -self.rate * (1.0 - g[0])
         return series_exp(a, K)
+
+    def iterate_series(self, g, m, count, K):
+        # f_{r+1} = exp(rate (f_r - 1)) for all count rows, one order k at
+        # a time: k f_{r+1}[k] = sum_{i=1..k} rate i f_r[i] f_{r+1}[k-i].
+        # The terms i < k are known for every row: one stacked dot (a BLAS
+        # dot per row).  The term i = k, rate f_{r+1}[0] f_r[k], ties a row
+        # to the one before it and is added in a scalar pass down the
+        # rows.  A block costs O(K) numpy calls, where series_exp costs
+        # O(K) per row, and a coefficient is the same operations on the
+        # same operands however the generations are split into calls, so
+        # a chain continued from a kept horizon has the bits of a fresh
+        # one.  Every term is nonnegative.  Once exp(-rate) is below the
+        # normal floats the rows go one at a time through series_exp,
+        # which keeps such a constant out of its recurrence.
+        if not math.exp(-self.rate) >= sys.float_info.min:
+            return super().iterate_series(g, m, count, K)
+        rev = np.empty((count + 1, K + 1))  # rev[r, K - j] = f_r[j]
+        rev[0] = trim(g, K)[::-1]
+        x = rev[0, K]
+        for r in range(1, count + 1):
+            x = rev[r, K] = math.exp(-self.rate * (1.0 - x))
+        lead = (self.rate * rev[1:, K]).tolist()  # rate f_{r+1}[0]
+        c = np.zeros((count, K + 1))  # c[r, i] = rate i f_r[i], filled up to k - 1
+        for k in range(1, K + 1):
+            c[:, k - 1] = (self.rate * (k - 1)) * rev[:count, K - k + 1]
+            # sum_{i<k} c[r, i] f_{r+1}[k-i]: f_{r+1}[k-1..1] ascend in rev
+            col = np.matmul(c[:, None, 1:k], rev[1:, K - k + 1 : K, None])[:, 0, 0] / k
+            x = rev[0, K - k]
+            rev[1:, K - k] = [x := s + lead_r * x for s, lead_r in zip(col.tolist(), lead)]
+        return np.ascontiguousarray(rev[1:, ::-1])
 
     def log_apply_to_series(self, g, u, K):
         # rate (g - 1), elementwise; the constant is log pgf(1 - u) = -rate u
@@ -766,8 +816,8 @@ class Bernoulli01Law(Law):
     def describe(self):
         return f"bernoulli01({self.q1})"
 
-    def one_minus_pgf(self, u):
-        return self.q1 * u
+    def one_minus_pgf(self, u, out=None):
+        return np.multiply(self.q1, u, out=out)
 
     def pmf_array(self, K):
         out = np.zeros(K + 1)
@@ -850,6 +900,9 @@ def _cell_fit():
 @lru_cache(maxsize=None)
 def _gauss_legendre():
     """The _GL_POINTS-point Gauss-Legendre rule on [0, 1]."""
+    # here, not at import: only log-heavy laws, which load scipy anyway
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(_GL_POINTS)
     return (x + 1.0) / 2.0, w / 2.0
 
@@ -998,8 +1051,9 @@ class _HeavyLawBase(Law):
                 f"{self.kind} requires beta <= {HEAVY_BETA_MAX:g} (got {beta}); "
                 "its tail table underflows beyond that"
             )
-        # Only function-level scipy imports: this one, oracles.py's quad.
-        # Loaded at construction, as is the quadrature rule (by
+        # The package imports scipy only inside functions, and light laws
+        # reach none of them.  A log-heavy law loads the spline module at
+        # construction, and the quadrature rule with scipy.special (by
         # tail_mass_const), so no timed spline build pays the import or the
         # rule's eigensolver.
         import scipy.interpolate  # noqa: F401

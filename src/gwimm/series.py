@@ -5,31 +5,24 @@ All operations truncate at a caller-supplied order ``K`` (inclusive), i.e.
 they work in the ring R[s]/(s**(K+1)).  Truncation is exact for coefficient
 extraction: the coefficient of s**j in a product depends only on inputs of
 index <= j, so low-order coefficients are never corrupted by the cutoff.
-Products are np.convolve; exp and reciprocal share one triangular recurrence.
+Products are np.convolve; exp and reciprocal share one forward recurrence,
+run on a stack of series one coefficient at a time.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 
 import numpy as np
-from scipy.linalg.blas import dtrsv
 
 # Above this truncation order, full laws of closed-form models are read off
 # a circle (pgf.py); every product here is np.convolve at every order.
 DIRECT_CONV_MAX = 512
 
-# Coefficients the triangular recurrence solves for at once.  Cost stays
-# O(K**2) for any block size; of 32..256, 64 timed best or near-best for
-# series_exp from K = 8 to 6144.
-EXP_BLOCK = 64
 # series_exp with a subnormal exp(a_0) scales a[1:] to sum to at most this,
 # so the coefficients of exp(a - a_0), which are below exp(sum a[1:]), stay
 # finite
 EXP_SCALE_SUM = 512.0
-# r - c below the diagonal, 0 on and above it: the block's Toeplitz index
-_EXP_DIFF = np.subtract.outer(np.arange(EXP_BLOCK), np.arange(EXP_BLOCK)).clip(0)
 
 
 def trim(a: np.ndarray, K: int) -> np.ndarray:
@@ -78,15 +71,22 @@ def series_pow(a: np.ndarray, m: int, K: int) -> np.ndarray:
 
 
 def series_recip(a: np.ndarray, K: int) -> np.ndarray:
-    """1/a truncated at order K.  Requires a[0] != 0.
+    """1/a truncated at order K, of one series or of each row of a stack.
+    Requires a[..., 0] != 0.
 
     Recurrence x_0 = 1/a_0, a_0 x_k = sum_{i=1..k} (-a_i) x_{k-i}: for
-    1/(2 - g) with g a pgf every term is nonnegative.
+    1/(2 - g) with g a pgf every term is nonnegative.  A stack runs
+    through one recurrence (_forward_rows), and each row has the bits of
+    the call on that row alone.
     """
     a = trim(a, K)
-    if a[0] == 0.0:
+    if np.any(a[..., 0] == 0.0):
         raise ValueError("series reciprocal needs a nonzero constant term")
-    return _forward_solve(-a, a[0], 1.0 / a[0], K)
+    rows = np.atleast_2d(a)
+    e = np.empty(rows.shape)
+    e[:, 0] = 1.0 / rows[:, 0]
+    _forward_rows(-rows, rows[:, :1], e)
+    return e if a.ndim == 2 else e[0]
 
 
 def series_compose_poly(coeffs: np.ndarray, g: np.ndarray, K: int) -> np.ndarray:
@@ -103,43 +103,31 @@ def series_compose_poly(coeffs: np.ndarray, g: np.ndarray, K: int) -> np.ndarray
     return acc
 
 
-def _forward_solve(c: np.ndarray, d, e0: float, K: int) -> np.ndarray:
-    """e_0..e_K with e_0 = e0 and d_k e_k = sum_{i=1..k} c_i e_{k-i}.
+def _forward_rows(c: np.ndarray, d, e: np.ndarray) -> np.ndarray:
+    """Fill e[:, 1:] by d_k e[:, k] = sum_{i=1..k} c[:, i] e[:, k-i], from
+    the given column e[:, 0], for every row of the stack at once.
 
-    ``c`` holds c_i at index i (c[0] is not read, missing terms are 0);
-    ``d`` is one number or the array d_0..d_K.  With c[1:] >= 0 and d > 0
+    ``c`` has e's shape (c[:, 0] is not read); ``d`` broadcasts to it.
+    One k at a time over all rows: O(K) numpy calls for the whole stack,
+    O(K**2) flops per row.  Each row's dot products see only that row, so
+    a row has the bits of a one-row call.  With c[:, 1:] >= 0 and d > 0
     every term is nonnegative, so each coefficient keeps its relative
-    accuracy however small it is.  Coefficients are found EXP_BLOCK at a
-    time: the history e_0..e_{k0-1} enters through one correlation, the
-    block itself through one triangular solve whose off-diagonal entries
-    are -c_i, so forward substitution only adds nonnegative terms too.
-    O(K**2) flops, O(K) memory.
+    accuracy however small it is.
     """
-    e = np.zeros(K + 1)
-    e[0] = e0
-    b = min(EXP_BLOCK, K)
-    if b == 0:
-        return e
-    # zero tail of c, unit tail of d: the last block may run past K
-    cz = np.zeros(K + b + 1)
-    cz[: c.shape[0]] = c
-    dz = np.ones(K + b + 1)
-    dz[: K + 1] = d
-    # (diag(dz[k0:k0+b]) - T) e[k0:k0+b] = history, T[r, c] = cz[r - c]
-    neg = -cz[:b]
-    neg[0] = 0.0
-    tri = np.asfortranarray(neg[_EXP_DIFF[:b, :b]])
-    diag = np.arange(b)
-    for k0 in range(1, K + 1, b):
-        history = np.correlate(cz[1 : k0 + b], e[k0 - 1 :: -1], "valid")
-        tri[diag, diag] = dz[k0 : k0 + b]
-        m = min(b, K + 1 - k0)
-        e[k0 : k0 + m] = dtrsv(tri, history, lower=1)[:m]
+    n = e.shape[1]
+    c = c[:, 1:, None]
+    d = np.broadcast_to(d, e.shape).T  # d[k]: the divisors of coefficient k
+    back = e[:, None, ::-1]  # back[..., n - k:] is e_{k-1}, ..., e_0
+    col = e.T
+    for k in range(1, n):
+        # one batched (1, k) @ (k, 1) product per row, into column k
+        np.divide(np.matmul(back[..., n - k :], c[:, :k])[:, 0, 0], d[k], out=col[k])
     return e
 
 
 def series_exp(a: np.ndarray, K: int) -> np.ndarray:
-    """exp(a) truncated at order K, for a series with a[1:] >= 0.
+    """exp(a) truncated at order K, for a series with a[1:] >= 0: the
+    one-row case of series_exp_rows, with its bits.
 
     Exact recurrence e_0 = exp(a_0), k e_k = sum_{i=1..k} i a_i e_{k-i},
     whose terms are all nonnegative when a[1:] is.  Every e_k is e_0
@@ -150,25 +138,15 @@ def series_exp(a: np.ndarray, K: int) -> np.ndarray:
     coefficient then underflows only where its own value does; it loses
     about |a_0| ulps, as exp of a rounded a_0 does.
     """
-    a = np.asarray(a, dtype=float)[: K + 1]
-    i = np.arange(a.shape[0])
-    e0 = math.exp(a[0])
-    if e0 >= sys.float_info.min or K == 0:
-        return _forward_solve(i * a, np.arange(K + 1), e0, K)
-    t = EXP_SCALE_SUM / max(math.fsum(a[1:]), EXP_SCALE_SUM)
-    e = _forward_solve(i * (a * t**i), np.arange(K + 1), 1.0, K)
-    with np.errstate(divide="ignore"):
-        return np.exp(a[0] + np.log(e) - np.arange(K + 1) * math.log(t))
+    return series_exp_rows(np.asarray(a, dtype=float)[None, : K + 1], K)[0]
 
 
 def series_exp_rows(a: np.ndarray, K: int) -> np.ndarray:
     """series_exp of each row of a 2-d stack, truncated at order K.
 
-    The same recurrence, with the same treatment of a subnormal exp(a_0),
-    run on all rows at once, one k at a time: O(K) numpy calls for the
-    whole stack, where series_exp pays its block set-up per row.  Row i
-    has the bits of the call on row i alone (a one-row stack); they agree
-    with series_exp(a[i], K) to relative rounding, not bit for bit.
+    The recurrence of series_exp, with the same treatment of a subnormal
+    exp(a_0), run on all rows at once by _forward_rows; row i has the
+    bits of series_exp(a[i], K).
     """
     a = trim(a, K)
     i = np.arange(K + 1)
@@ -179,9 +157,7 @@ def series_exp_rows(a: np.ndarray, K: int) -> np.ndarray:
     if K > 0 and low.any():
         t[low] = EXP_SCALE_SUM / np.maximum(a[low, 1:].sum(axis=1), EXP_SCALE_SUM)
         e[low, 0] = 1.0
-    c = i[1:] * a[:, 1:] * t[:, None] ** i[1:]  # c[:, j] is (j+1) a_{j+1} t^(j+1)
-    for k in range(1, K + 1):
-        e[:, k] = np.einsum("ij,ij->i", c[:, :k], e[:, k - 1 :: -1]) / k
+    _forward_rows(i * a * t[:, None] ** i, i, e)  # c_i = i a_i t^i
     if K > 0 and low.any():
         with np.errstate(divide="ignore"):
             e[low] = np.exp(a[low, :1] + np.log(e[low]) - i * np.log(t[low])[:, None])

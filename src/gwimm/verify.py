@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 from . import montecarlo as mc
 from .asymptotics import gw_llt_eval, lemma5_sandwich, main2_eval
@@ -97,6 +96,8 @@ def check_normalization(scale: str) -> CheckResult:
 
 
 def _gamma_limit_distance(model: Model, n: int) -> tuple[float, float]:
+    from scipy import special  # here, not at import: no light-law query needs it
+
     K = full_law_truncation(model, n, 1e-9)
     pmf = exact_pmf_Y(model, n, K, deficit_ceiling=1e-8)
     cum = np.cumsum(pmf.probs)

@@ -1,6 +1,6 @@
 """Import hygiene, each case in a fresh interpreter: light laws never load
-scipy's quadrature and spline stack; a log-heavy law loads only the spline
-module when built."""
+scipy at all; a log-heavy law loads only the spline module (with what it
+needs) when built."""
 
 import json
 import os
@@ -8,8 +8,6 @@ import subprocess
 import sys
 
 import gwimm
-
-HEAVY_STACK = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse")
 
 
 def run_fresh(code):
@@ -22,7 +20,10 @@ def run_fresh(code):
     return json.loads(proc.stdout)
 
 
-def test_light_laws_leave_heavy_stack_unloaded(tmp_path):
+def test_light_paths_load_no_scipy(tmp_path):
+    # every light-law engine: both series walks, the circle route for a
+    # full law and a cohort law, |H_n|, theta, the local asymptote and a
+    # Monte Carlo estimate
     spec = tmp_path / "bpo.json"
     spec.write_text(json.dumps({
         "offspring": {"family": "binary"},
@@ -31,11 +32,26 @@ def test_light_laws_leave_heavy_stack_unloaded(tmp_path):
     loaded = run_fresh(f"""
 import json, sys
 import gwimm, gwimm.cli, gwimm.verify
-from gwimm.pgf import exact_pmf_Y, extinction_iterates
-model = gwimm.cli.load_model_spec({str(spec)!r})
-exact_pmf_Y(model, 16, 512)
-extinction_iterates(model, 256)
-print(json.dumps([m for m in {HEAVY_STACK!r} if m in sys.modules]))
+from gwimm import make_model
+from gwimm.asymptotics import main2_eval
+from gwimm.montecarlo import SimConfig, estimate_lower_tail_naive
+from gwimm.pgf import (charfn_modulus, exact_pmf_Y, exact_pmf_Z, extinction_iterates,
+                       full_law_truncation)
+from gwimm.theta import theta_pmf
+bpo = gwimm.cli.load_model_spec({str(spec)!r})
+bgeo = make_model("binary", "geometric-critical")
+geo = make_model("geometric-critical", {{"family": "bernoulli01", "params": {{"q1": 0.5}}}})
+exact_pmf_Y(bpo, 256, 64, deficit_ceiling=float("inf"))
+exact_pmf_Y(bgeo, 256, 64, deficit_ceiling=float("inf"))
+K = full_law_truncation(bpo, 128, 1e-8)
+assert exact_pmf_Y(bpo, 128, K, deficit_ceiling=float("inf")).path == "circle"
+exact_pmf_Z(bgeo, 1024, 6144)
+charfn_modulus(geo, 1024, [0.1, 1.0, 3.0])
+cache = extinction_iterates(geo, 4096)
+theta_pmf(cache, 4096)
+main2_eval(geo, cache, 4096, 16)
+estimate_lower_tail_naive(geo, 64, 8, SimConfig(samples=200, seed=1))
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """)
     assert loaded == []
 

@@ -763,6 +763,19 @@ class TestKernel:
         scalars = np.array([law.one_minus_pgf(complex(u)) for u in us])
         assert np.all(np.abs(scalars - ref) <= bound)
 
+    @pytest.mark.parametrize("spec", _LIGHT_SPECS, ids=lambda s: str(make_law(s).describe()))
+    def test_out_has_the_bits_of_a_fresh_array(self, spec):
+        # out receives the values and is returned; it may be u itself
+        law = make_law(spec)
+        for us in (_disk_points(600, 32), np.linspace(0.0, 1.0, 257)):
+            want = law.one_minus_pgf(us)
+            buf = np.empty_like(us)
+            assert law.one_minus_pgf(us, out=buf) is buf
+            assert np.array_equal(buf, want)
+            alias = us.copy()
+            assert law.one_minus_pgf(alias, out=alias) is alias
+            assert np.array_equal(alias, want)
+
     @pytest.mark.parametrize("spec", _FAMILY_SPECS,
                              ids=lambda s: s if isinstance(s, str) else s["family"])
     def test_types_follow_the_argument(self, spec):

@@ -19,7 +19,7 @@ from gwimm import (
     make_law,
     make_model,
 )
-from gwimm.models import HEAVY_BETA_MAX, PGF_DOMAIN_TOL, LogHeavyOffspringLaw
+from gwimm.models import HEAVY_BETA_MAX, PGF_DOMAIN_TOL, Law, LogHeavyOffspringLaw
 from gwimm.oracles import enumerate_population_pmf, step_pmf
 from gwimm.pgf import (
     _CHAINS,
@@ -28,8 +28,11 @@ from gwimm.pgf import (
     ITER_BLOCK,
     _chain_store,
     _circle_products,
+    _circle_points,
     _sum_walk,
     full_law_truncation,
+    gamma_upper_quantile,
+    next_fast_len,
 )
 from gwimm.series import identity_series, series_exp, series_exp_rows, series_mul, trim
 
@@ -405,6 +408,37 @@ class TestFullLawTruncation:
             assert pmf.deficit <= 1e-6, (initial, K, pmf.deficit)
 
 
+    @pytest.mark.parametrize("tail", [0.0, 1.0, 2.0, -1e-3, math.nan, math.inf])
+    def test_rejects_tail_outside_the_unit_interval(self, bin_bern, tail):
+        with pytest.raises(ValueError, match="tail"):
+            full_law_truncation(bin_bern, 16, tail)
+        with pytest.raises(ValueError, match="tail"):
+            full_law_truncation(bin_bern, 16, tail, initial=10)
+
+
+class TestNumpyOnlyHelpers:
+    """The quantile and the FFT length that replace scipy's, against scipy."""
+
+    def test_gamma_upper_quantile_against_scipy(self):
+        tails = (1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 0.1, 0.5)
+        for a in np.geomspace(0.01, 500.0, 60):
+            for tail in tails:
+                want = float(special.gammainccinv(a, tail))
+                assert gamma_upper_quantile(float(a), tail) == pytest.approx(
+                    want, rel=1e-13, abs=0.0), (a, tail)
+
+    @pytest.mark.parametrize("a, tail", [(0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, 1.0)])
+    def test_gamma_upper_quantile_rejects_bad_arguments(self, a, tail):
+        with pytest.raises(ValueError):
+            gamma_upper_quantile(a, tail)
+
+    def test_next_fast_len_against_scipy(self):
+        from scipy import fft
+
+        for n in range(1, 30000):
+            assert next_fast_len(n) == fft.next_fast_len(n, real=True), n
+
+
 class TestLowerTailFullLaw:
     """Full laws (K > DIRECT_CONV_MAX) keep the lower tail's relative accuracy."""
 
@@ -602,6 +636,24 @@ class TestCirclePath:
         assert circle.path == "circle" and series.path == "series"
         assert np.max(np.abs(circle.probs[:401] - series.probs)) <= 1e-13
 
+    @pytest.mark.parametrize("offspring", [
+        "geometric-critical", "binary", {"family": "explicit", "probs": [0.3, 0.45, 0.2, 0.05]},
+        {"family": "poisson", "params": {"mean": 1.0}},
+    ], ids=["geometric", "binary", "explicit", "poisson1"])
+    @pytest.mark.parametrize("immigration", ["bern", "geo", "poisson2"])
+    def test_walk_in_place_has_the_bits_of_fresh_arrays(self, offspring, immigration):
+        model = make_model(offspring, _IMMIGRATION[immigration])
+        _, _, u = _circle_points(600)
+        start = u.copy()
+        w_ref, u_ref = np.ones_like(u), u
+        for _ in range(40):
+            w_ref = w_ref * (1.0 - model.immigration.one_minus_pgf(u_ref))
+            u_ref = model.offspring.one_minus_pgf(u_ref)
+        w, um = _circle_products(model, u, 40)
+        assert np.array_equal(w, w_ref) and np.array_equal(um, u_ref)
+        assert np.array_equal(_circle_products(model, u, 40, products=False)[1], u_ref)
+        assert np.array_equal(u, start)  # the caller's points are left as they were
+
     def test_heavy_law_stays_on_series(self):
         model = make_model("binary", {"family": "log-heavy-immigration",
                                       "params": {"beta": 1.5}})
@@ -696,11 +748,13 @@ class TestBlockWalk:
         (make_model("geometric-critical", "geometric-critical"), CIRCLE_WINDOW),
         (make_model("binary", {"family": "explicit", "probs": [0.25, 0.5, 0.25]}),
          CIRCLE_WINDOW),
+        (make_model({"family": "poisson", "params": {"mean": 1.0}}, _bern(0.5)),
+         CIRCLE_WINDOW),
         (_heavy_imm(), 16),
         (make_model({"family": "log-heavy-offspring", "params": {"beta": 1.5}}, _bern(0.5)),
          8),
-    ], ids=["geo-bern", "bin-bern", "bin-po", "geo-geo", "bin-explicit", "heavy-imm",
-            "heavy-off"])
+    ], ids=["geo-bern", "bin-bern", "bin-po", "geo-geo", "bin-explicit", "po-bern",
+            "heavy-imm", "heavy-off"])
     def test_equals_one_generation_at_a_time(self, model, K):
         ref, ref_rows = _one_generation_at_a_time(model, self.NS, K)
         _CHAINS.clear()
@@ -742,6 +796,51 @@ class TestBlockWalk:
             block = law.iterate_series(unused, first, 9, K)
             assert block.shape == (9, K + 1)
             assert np.array_equal(block[m - first - 1], closed_form(m))
+
+    @pytest.mark.parametrize("K", [0, 1, 63, 64, 65, 512])
+    @pytest.mark.parametrize("rate", [1.0, 2.3])
+    def test_poisson_block_hook_against_one_row_route(self, K, rate):
+        # the stacked block against exp(rate (f_r - 1)) one row at a time by
+        # series_exp: both are sums of nonnegative terms, each within about
+        # k eps relative per generation, so they agree within 2 G K eps
+        # over G generations; a block split in two has the block's bits
+        law = make_law({"family": "poisson", "params": {"mean": rate}})
+        g = identity_series(K)
+        block = law.iterate_series(g, 0, 40, K)
+        assert block.shape == (40, K + 1) and block.flags.c_contiguous
+        one = np.array(Law.iterate_series(law, g, 0, 40, K))
+        normal = one >= 2.2250738585072014e-308
+        assert np.all(block[~normal] < 2.2250738585072014e-308)
+        bound = 2 * 40 * max(K, 1) * np.finfo(float).eps
+        assert np.max(np.abs(block[normal] / one[normal] - 1.0)) <= bound
+        first = law.iterate_series(g, 0, 17, K)
+        rest = law.iterate_series(first[-1], 17, 23, K)
+        assert np.array_equal(np.concatenate((first, rest)), block)
+
+    @pytest.mark.parametrize("rate", [1.0, 2.3])
+    def test_poisson_block_hook_against_mpmath(self, rate):
+        # ten generations at K = 65 against the recurrence at 30 digits
+        K = 65
+        block = make_law({"family": "poisson", "params": {"mean": rate}}).iterate_series(
+            identity_series(K), 0, 10, K)
+        with mpmath.workdps(30):
+            f = [mpmath.mpf(0)] * (K + 1)
+            f[1] = mpmath.mpf(1)
+            for row in block:
+                c = [rate * i * f[i] for i in range(K + 1)]
+                f = [mpmath.exp(rate * (f[0] - 1))]
+                for k in range(1, K + 1):
+                    f.append(mpmath.fsum(c[i] * f[k - i] for i in range(1, k + 1)) / k)
+                ref = np.array([float(x) for x in f])
+                assert np.max(np.abs(row[1:] / ref[1:] - 1.0)) <= 1e-13
+                assert abs(row[0] / ref[0] - 1.0) <= 1e-15
+
+    def test_poisson_block_hook_with_a_subnormal_constant(self):
+        # exp(-rate) is not a normal float: the rows go through series_exp
+        law = make_law({"family": "poisson", "params": {"mean": 800.0}})
+        g = identity_series(64)
+        block = law.iterate_series(g, 0, 5, 64)
+        assert np.array_equal(block, Law.iterate_series(law, g, 0, 5, 64))
 
 
 def _binary_iterates(K):

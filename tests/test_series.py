@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gwimm.models import make_law
 from gwimm.series import (
     identity_series,
     series_compose_poly,
@@ -221,6 +222,53 @@ def test_exp_matches_poisson_composed_by_horner(K):
     got = series_exp(a, K)
     want = series_compose_poly(pmf, g, K)
     assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
+
+def _pgf_rows(rows, K, seed):
+    """Series shaped like the engine's: coefficients of random size that
+    fall from about 1 to 1e-200 and sum to 0.99, one series per row."""
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.2, 1.0, (rows, K + 1)) * 10.0 ** (-200.0 * np.arange(K + 1) / max(K, 1))
+    return 0.99 * g / g.sum(axis=1, keepdims=True)
+
+
+# Relative error of the forward recurrence against mpmath, fixed before
+# the first run: every term is nonnegative, so rounding errors average
+# over the k terms of each coefficient instead of cancelling
+_FORWARD_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("K", [0, 1, 63, 64, 65, 512])
+def test_forward_recurrence_against_mpmath(K):
+    # exp(3 (g - 1)), 1/(2 - g), and 1/(2 - g) as the geometric law's map
+    # of a stack of series: every coefficient, the tiny ones included
+    rows = _pgf_rows(3, K, seed=K + 7)
+    denom = -rows
+    denom[:, 0] += 2.0
+    recips = np.array([_recip_recurrence_mp(d, K) for d in denom])
+    for g, d, want in zip(rows, denom, recips):
+        a = 3.0 * g
+        a[0] = -3.0 * (1.0 - g[0])
+        assert np.max(np.abs(series_exp(a, K) / _exp_recurrence_mp(a, K) - 1.0)) <= _FORWARD_RTOL
+        assert np.max(np.abs(series_recip(d, K) / want - 1.0)) <= _FORWARD_RTOL
+    block = make_law("geometric-critical").apply_to_series(rows, K)
+    assert block.shape == (3, K + 1)
+    assert np.max(np.abs(block / recips - 1.0)) <= _FORWARD_RTOL
+
+
+@pytest.mark.parametrize("K", [0, 1, 5, 64, 130])
+def test_recip_rows_are_one_row_calls(K):
+    denom = -_pgf_rows(37, K, seed=K + 200)
+    denom[:, 0] += 2.0
+    got = series_recip(denom, K)
+    assert got.shape == (37, K + 1)
+    for i in (0, 3, 17, 36):
+        assert np.array_equal(got[i], series_recip(denom[i], K))
+        assert np.array_equal(got[i], series_recip(denom[i : i + 1], K)[0])
+    assert np.array_equal(got[10:20], series_recip(denom[10:20], K))
+    denom[5, 0] = 0.0
+    with pytest.raises(ValueError, match="nonzero constant term"):
+        series_recip(denom, K)
 
 
 def test_identity_and_trim():
