@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -192,7 +193,10 @@ def cmd_verify(args, _model):
     ]
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: every default in it is immutable, and
+    parse_args returns a fresh namespace, so main reuses it."""
     p = argparse.ArgumentParser(
         prog="gwimm",
         description="critical branching with immigration: exact laws, "

@@ -852,11 +852,10 @@ def _heavy_term(x, a, beta):
     return x ** (-a) * np.log(x) ** (-beta)
 
 
-# Tail quadrature: Gauss-Legendre with _GL_POINTS points on every panel;
+# Tail quadrature: 10-point Gauss-Legendre on every panel;
 # the tail table's finite piece has _LOW_PANELS equal panels (each under 1.5
 # units of log x), every semi-infinite piece _INF_PANELS panels of doubling
 # width.  _TABLE_ROWS nodes are evaluated at a time (under 0.2 MB per array).
-_GL_POINTS = 10
 _LOW_PANELS = 12
 _INF_PANELS = 10
 _TABLE_ROWS = 128
@@ -897,13 +896,21 @@ def _cell_fit():
     return np.cos(theta), mono.T @ cheb
 
 
+# The 10-point Gauss-Legendre rule on [-1, 1], its positive nodes (the
+# roots of P_10) and their weights 2 / ((1 - x**2) P_10'(x)**2), each the
+# double nearest the true value; the rule is symmetric about 0.
+_GL_NODES = (0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+             0.8650633666889845, 0.9739065285171717)
+_GL_WEIGHTS = (0.29552422471475287, 0.26926671930999635, 0.21908636251598204,
+               0.1494513491505806, 0.06667134430868814)
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre():
-    """The _GL_POINTS-point Gauss-Legendre rule on [0, 1]."""
-    # here, not at import: only log-heavy laws, which load scipy anyway
-    from scipy.special import roots_legendre
-
-    x, w = roots_legendre(_GL_POINTS)
+    """The 10-point Gauss-Legendre rule on [0, 1]."""
+    x = np.array(_GL_NODES)
+    w = np.array(_GL_WEIGHTS)
+    x, w = np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
     return (x + 1.0) / 2.0, w / 2.0
 
 
@@ -1011,6 +1018,56 @@ def _heavy_tail_table(a: int, beta: float, theta: np.ndarray) -> np.ndarray:
     return out
 
 
+class _NotAKnotSpline:
+    """The not-a-knot cubic spline through (x_i, y_i), 1-D float arrays
+    with x increasing and at least 4 nodes (de Boor, A Practical Guide to
+    Splines, ch. IV): scipy.interpolate.CubicSpline's default.
+
+    The slopes solve CubicSpline's tridiagonal rows by one elimination
+    without pivoting, the steps LAPACK's gtsv (CubicSpline's solver) takes
+    when it need not pivot, as on the near-uniform grids of the tail
+    tables; there the bits are CubicSpline's.  The pieces are kept in
+    PPoly's layout, c of shape (4, n-1) with c[k, i] the coefficient of
+    (q - x_i)**(3-k), and evaluated in PPoly's order.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        n = x.size
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # row i: lower[i-1] s_{i-1} + diag[i] s_i + upper[i] s_{i+1} = rhs[i]
+        diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+        upper = np.concatenate(([x[2] - x[0]], dx[:-1]))
+        lower = np.concatenate((dx[1:], [x[-1] - x[-3]]))
+        rhs = np.empty(n)
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = x[2] - x[0]
+        rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] * dx[0] * slope[1]) / d
+        d = x[-1] - x[-3]
+        rhs[-1] = (dx[-1] * dx[-1] * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        diag, upper, lower, s = diag.tolist(), upper.tolist(), lower.tolist(), rhs.tolist()
+        for i in range(n - 1):
+            fact = lower[i] / diag[i]
+            diag[i + 1] -= fact * upper[i]
+            s[i + 1] -= fact * s[i]
+        s[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+        s = np.array(s)
+        # CubicHermiteSpline's coefficients from the slopes
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, q):
+        """Values at q (any shape); beyond the ends the end pieces go on."""
+        i = np.clip(np.searchsorted(self.x, q, "right") - 1, 0, self.x.size - 2)
+        s = q - self.x[i]
+        s2 = s * s
+        c0, c1, c2, c3 = self.c
+        return ((c3[i] + c2[i] * s) + c1[i] * s2) + c0[i] * (s2 * s)
+
+
 class _HeavyLawBase(Law):
     """A log-heavy law: pmf c * k**-a (log k)**-beta for k >= 2, plus the
     atoms atom0 and atom1 that each family sets.
@@ -1019,13 +1076,14 @@ class _HeavyLawBase(Law):
     same sum over k > _HEAVY_HEAD, are sums without c.  The c-free sum
     u |-> sum_{k >= 2} k**-a (log k)**-beta (1 - (1-u)**k) is a head
     k <= _HEAVY_HEAD, summed exactly by baby-step giant-step (see
-    _one_minus_head), plus the tail beyond it, a cubic spline in log-log
-    coordinates through a table built once by fixed-order quadrature (see
-    _build_spline and _one_minus_tail).  one_minus_pgf works on 1-D arrays
-    only and takes a scalar as a one-element array, so a point's value has
-    the same bits as a scalar and inside any array.  Off the segment
-    0 <= u <= 1 (complex u, or u > 1) it sums the first _COMPLEX_HEAD
-    terms of the pmf directly.
+    _one_minus_head), plus the tail beyond it, a not-a-knot cubic spline
+    in log-log coordinates through a table built once by a 10-point
+    Gauss-Legendre rule (see _build_spline and _one_minus_tail); both run
+    on numpy and math alone, so a log-heavy law loads no scipy module.
+    one_minus_pgf works on 1-D arrays only and takes a scalar as a
+    one-element array, so a point's value has the same bits as a scalar
+    and inside any array.  Off the segment 0 <= u <= 1 (complex u, or
+    u > 1) it sums the first _COMPLEX_HEAD terms of the pmf directly.
 
     Offspring iterates come in corrected runs of _RUN generations (see
     one_minus_iterates): a Python-float predictor steps each run on cells,
@@ -1051,13 +1109,6 @@ class _HeavyLawBase(Law):
                 f"{self.kind} requires beta <= {HEAVY_BETA_MAX:g} (got {beta}); "
                 "its tail table underflows beyond that"
             )
-        # The package imports scipy only inside functions, and light laws
-        # reach none of them.  A log-heavy law loads the spline module at
-        # construction, and the quadrature rule with scipy.special (by
-        # tail_mass_const), so no timed spline build pays the import or the
-        # rule's eigensolver.
-        import scipy.interpolate  # noqa: F401
-
         self.a = a
         self.beta = float(beta)
         self.total_mass = _heavy_tail_sum(a, self.beta, 1)
@@ -1100,11 +1151,9 @@ class _HeavyLawBase(Law):
         """Cubic spline of log tail(t) in log t through 929 nodes from T_LO
         to T_HI, their values from one vectorised quadrature over all nodes
         (_heavy_tail_table)."""
-        from scipy.interpolate import CubicSpline
-
         n_nodes = int(math.log(self.T_HI / self.T_LO) / math.log(10.0) * 80) + 1
         theta = np.linspace(math.log(self.T_LO), math.log(self.T_HI), n_nodes)
-        self._spline = CubicSpline(theta, _heavy_tail_table(self.a, self.beta, theta))
+        self._spline = _NotAKnotSpline(theta, _heavy_tail_table(self.a, self.beta, theta))
         # tail value at T_LO, the slope of the linear regime below it
         self._base = float(np.exp(self._spline(theta[0])))
 

@@ -529,3 +529,24 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "lemma4-ratio" in proc.stdout
+
+
+def test_one_parser_serves_every_call(bin_bern_spec, geo_bern_spec, tmp_path):
+    from gwimm.cli import build_parser
+
+    assert build_parser() is build_parser()
+    # in one process, a later call sees none of an earlier call's flags:
+    # exact without --trunc after exact with it, across another subcommand
+    argvs = [
+        ["exact", "--model", bin_bern_spec, "--n", "2", "--trunc", "3"],
+        ["theta", "--model", geo_bern_spec, "--n", "8", "--format", "json"],
+        ["exact", "--model", bin_bern_spec, "--n", "2"],
+    ]
+    for i, argv in enumerate(argvs):
+        assert main(argv + ["--out", str(tmp_path / f"in-{i}")]) == 0
+    for i, argv in enumerate(argvs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gwimm.cli", *argv, "--out", str(tmp_path / f"own-{i}")],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / f"in-{i}").read_text() == (tmp_path / f"own-{i}").read_text()

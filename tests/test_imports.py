@@ -1,6 +1,5 @@
-"""Import hygiene, each case in a fresh interpreter: light laws never load
-scipy at all; a log-heavy law loads only the spline module (with what it
-needs) when built."""
+"""Import hygiene, each case in a fresh interpreter: no engine path, light
+or log-heavy, loads scipy at all."""
 
 import json
 import os
@@ -56,13 +55,30 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
     assert loaded == []
 
 
-def test_log_heavy_law_loads_stack_when_built():
-    state = run_fresh("""
+def test_heavy_paths_load_no_scipy(tmp_path):
+    # both log-heavy laws built, their iterate stores filled to 2e4 (which
+    # builds the tail splines), a heavy window and a heavy scan-L run
+    spec = tmp_path / "heavy.json"
+    spec.write_text(json.dumps({
+        "offspring": {"family": "binary"},
+        "immigration": {"family": "log-heavy-immigration", "params": {"beta": 1.5}},
+    }))
+    out = tmp_path / "scan.csv"
+    loaded = run_fresh(f"""
 import json, sys
-from gwimm import make_law
-law = make_law({"family": "log-heavy-immigration", "params": {"beta": 1.5}})
-print(json.dumps({"spline_built": law._spline is not None,
-                  "loaded": [m for m in ("scipy.integrate", "scipy.interpolate")
-                             if m in sys.modules]}))
+import gwimm.cli
+from gwimm import make_model
+from gwimm.pgf import exact_pmf_Y, extinction_iterates
+heavy = lambda family: {{"family": family, "params": {{"beta": 1.5}}}}
+off = make_model(heavy("log-heavy-offspring"), {{"family": "bernoulli01", "params": {{"q1": 0.5}}}})
+imm = make_model("binary", heavy("log-heavy-immigration"))
+extinction_iterates(off, 20000)
+extinction_iterates(imm, 20000)
+assert off.offspring._spline is not None and imm.immigration._spline is not None
+exact_pmf_Y(off, 256, 16, deficit_ceiling=float("inf"))
+assert gwimm.cli.main(["scan-L", "--model", {str(spec)!r}, "--grid", "1000,20000",
+                       "--out", {str(out)!r}]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """)
-    assert state == {"spline_built": False, "loaded": ["scipy.interpolate"]}
+    assert loaded == []
+    assert out.read_text().count("\n") == 3

@@ -11,15 +11,19 @@ from hypothesis import strategies as st
 from gwimm import classify_xlogx, extinction_iterates, make_law, make_model
 from gwimm.models import (
     _CELL_FLOOR,
+    _GL_NODES,
+    _GL_WEIGHTS,
     _HEAVY_HEAD,
     _SAMPLE_TABLE,
     FINITE,
     HEAVY_BETA_MAX,
     INFINITE,
+    _NotAKnotSpline,
     ExplicitLaw,
     Law,
     LogHeavyImmigrationLaw,
     LogHeavyOffspringLaw,
+    _gauss_legendre,
     _heavy_tail_sum,
     _heavy_tail_table,
     _heavy_term,
@@ -566,8 +570,6 @@ class TestHeavyKernel:
     def test_construction_peak_memory(self):
         import tracemalloc
 
-        import scipy.interpolate  # noqa: F401  (module memory is not the law's)
-
         tracemalloc.start()
         try:
             make_law({"family": "log-heavy-immigration", "params": {"beta": 1.5}})
@@ -575,6 +577,67 @@ class TestHeavyKernel:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestTailSpline:
+    """The log-heavy laws' numpy spline and quadrature rule, against scipy's
+    CubicSpline and 40-digit mpmath."""
+
+    @pytest.mark.parametrize("a", [2, 3])
+    @pytest.mark.parametrize("beta", [1.01, 1.5, 3.0, 50.0, HEAVY_BETA_MAX])
+    def test_matches_cubic_spline_on_tail_tables(self, a, beta):
+        from scipy.interpolate import CubicSpline
+
+        law = {2: LogHeavyImmigrationLaw, 3: LogHeavyOffspringLaw}[a](beta)
+        law._build_spline()
+        theta = law._spline.x
+        table = _heavy_tail_table(a, beta, theta)
+        got, ref = _NotAKnotSpline(theta, table), CubicSpline(theta, table)
+        eps = np.finfo(float).eps
+        assert got.c.shape == ref.c.shape == (4, theta.size - 1)
+        assert np.all(np.abs(got.c - ref.c) <= 4 * eps * np.abs(ref.c))
+        rng = np.random.default_rng(33)
+        q = np.concatenate((theta, np.nextafter(theta, -np.inf), np.nextafter(theta, np.inf),
+                            rng.uniform(theta[0], theta[-1], 20000)))
+        for pts in (q, np.sort(q)):
+            want = ref(pts)
+            assert np.all(np.abs(got(pts) - want) <= 4 * eps * np.abs(want))
+
+    @pytest.mark.parametrize("grid", ["uniform", "non-uniform"])
+    def test_reproduces_a_cubic(self, grid):
+        rng = np.random.default_rng(7)
+        if grid == "uniform":
+            x = np.linspace(-1.0, 2.0, 40)
+        else:
+            x = np.cumsum(rng.uniform(0.02, 0.15, 40)) - 1.0
+        cubic = np.polynomial.Polynomial([1.0, -2.0, 0.5, 0.25])
+        spline = _NotAKnotSpline(x, cubic(x))
+        q = np.concatenate((x, rng.uniform(x[0], x[-1], 1000)))
+        want = cubic(q)
+        assert np.all(np.abs(spline(q) - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        # a scalar or 0-d query gives a scalar
+        for point in (0.3, np.float64(0.3), np.array(0.3)):
+            value = spline(point)
+            assert np.ndim(value) == 0
+            assert abs(value - cubic(0.3)) <= 1e-13
+
+    def test_rule_literals_against_mpmath(self):
+        # roots of P_10, weights 2 / ((1 - x**2) P_10'(x)**2), with
+        # (x**2 - 1) P_n' = n (x P_n - P_{n-1})
+        with mpmath.workdps(40):
+            for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+                root = mpmath.findroot(lambda t: mpmath.legendre(10, t), mpmath.mpf(x))
+                slope = 10 * (root * mpmath.legendre(10, root) - mpmath.legendre(9, root)) / (
+                    root**2 - 1)
+                weight = 2 / ((1 - root**2) * slope**2)
+                assert abs(mpmath.mpf(x) - root) <= np.spacing(x)
+                assert abs(mpmath.mpf(w) - weight) <= np.spacing(w)
+
+    def test_rule_integrates_degree_19(self):
+        x, w = _gauss_legendre()
+        assert np.all(np.diff(x) > 0) and x.size == 10
+        for k in range(20):
+            assert abs(float(np.dot(w, x**k)) - 1.0 / (k + 1)) <= 1e-15
 
 
 _RUN_BETAS = [1.01, 1.5, 2.5, 50.0, HEAVY_BETA_MAX]
