@@ -175,7 +175,7 @@ class Law:
     # from a closed form for the m-generation law, so the simulator draws
     # Y_m from the immigrant batches with descendants at time m alone
     # instead of stepping it generation by generation (see
-    # gwimm.montecarlo.simulate_Y_batch)
+    # gwimm.montecarlo._from_survivors)
     closed_form_generations: bool = False
     # one_minus_iterates gives a stored run's bits only from a start that is
     # a multiple of this, so the iterate store fills to such ends (see
@@ -222,8 +222,9 @@ class Law:
         They then allocate no more than one temporary of u's size (two
         for the explicit law), so the circle walk steps in place
         (gwimm.pgf._circle_products), with the bits of the call without
-        ``out``.  Log-heavy laws never take the circle route and have no
-        ``out``.
+        ``out``.  Log-heavy laws take only real 0 <= u <= 1, raising
+        ValueError off it, and never take the circle route; they fill
+        ``out`` from a fresh array.
         """
         raise NotImplementedError
 
@@ -320,8 +321,21 @@ class Law:
         raise NotImplementedError
 
     def sample_sum(self, counts: np.ndarray, rng) -> np.ndarray:
-        """Entrywise sums of `counts[i]` iid draws (one array per call)."""
-        raise NotImplementedError
+        """Entrywise sums of `counts[i]` iid draws (one array per call).
+
+        Only the offspring steps of a generation loop call it:
+        gwimm.montecarlo._generation_loop and sample_generations, which
+        Poisson and log-heavy offspring reach.  Generic: sum(counts) draws
+        of sample, entry i summing those between its two count edges (a
+        zero count sums to 0).  Poisson overrides with its closed form.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        total = int(counts.sum())
+        if total == 0:
+            return np.zeros_like(counts)
+        csum = np.concatenate(([0], np.cumsum(self.sample(total, rng))))
+        edges = np.cumsum(counts)
+        return csum[edges] - csum[edges - counts]
 
     def sample_generations(self, counts, gens, rng) -> np.ndarray:
         """Entrywise sums of `counts[i]` iid copies of Z_{gens[i]}, the
@@ -561,22 +575,6 @@ class ExplicitLaw(Law):
     def sample(self, size, rng):
         return rng.choice(self.probs.size, size=size, p=self.probs)
 
-    def sample_sum(self, counts, rng):
-        counts = np.asarray(counts, dtype=np.int64)
-        total = np.zeros_like(counts)
-        remaining = counts.copy()
-        rest = 1.0
-        # sequential binomial splitting == one multinomial per entry
-        for k, p in enumerate(self.probs):
-            if rest <= 0:
-                break
-            frac = min(1.0, p / rest)
-            draws = rng.binomial(remaining, frac)
-            total += k * draws
-            remaining -= draws
-            rest -= p
-        return total
-
 
 class GeometricCriticalLaw(Law):
     """p_k = 2**-(k+1); pgf 1/(2-s); the linear-fractional critical law."""
@@ -623,14 +621,6 @@ class GeometricCriticalLaw(Law):
 
     def sample(self, size, rng):
         return rng.geometric(0.5, size=size) - 1
-
-    def sample_sum(self, counts, rng):
-        counts = np.asarray(counts, dtype=np.int64)
-        out = np.zeros_like(counts)
-        pos = counts > 0
-        if np.any(pos):
-            out[pos] = rng.negative_binomial(counts[pos], 0.5)
-        return out
 
     def sample_survivors(self, counts, gens, u, rng):
         # f_m(s) = m/(m+1) + (1/(m+1)) s/(m+1 - m s), so c lines alive after
@@ -701,9 +691,6 @@ class BinaryLaw(Law):
 
     def sample(self, size, rng):
         return 2 * rng.integers(0, 2, size=size)
-
-    def sample_sum(self, counts, rng):
-        return 2 * rng.binomial(np.asarray(counts, dtype=np.int64), 0.5)
 
 
 class PoissonLaw(Law):
@@ -834,9 +821,6 @@ class Bernoulli01Law(Law):
 
     def sample(self, size, rng):
         return rng.binomial(1, self.q1, size=size)
-
-    def sample_sum(self, counts, rng):
-        return rng.binomial(np.asarray(counts, dtype=np.int64), self.q1)
 
     def sample_thinned(self, u, rng):
         # at most one immigrant: given that one survives, it is the one
@@ -1082,8 +1066,10 @@ class _HeavyLawBase(Law):
     on numpy and math alone, so a log-heavy law loads no scipy module.
     one_minus_pgf works on 1-D arrays only and takes a scalar as a
     one-element array, so a point's value has the same bits as a scalar
-    and inside any array.  Off the segment 0 <= u <= 1 (complex u, or
-    u > 1) it sums the first _COMPLEX_HEAD terms of the pmf directly.
+    and inside any array.  It takes only real u on the segment 0 <= u <=
+    1 and raises ValueError off it (complex u, u < 0 or u > 1): no tail
+    there is summed to the head's accuracy, so pgf at s < 0 and
+    gwimm.pgf.charfn_modulus on a log-heavy model refuse too.
 
     Offspring iterates come in corrected runs of _RUN generations (see
     one_minus_iterates): a Python-float predictor steps each run on cells,
@@ -1095,8 +1081,7 @@ class _HeavyLawBase(Law):
 
     T_LO = 1e-11
     T_HI = 4.0
-    _COMPLEX_HEAD = 1 << 17
-    vectorised_pgf = False  # complex points cost a 2**17-term dot product each
+    vectorised_pgf = False  # one_minus_pgf takes no complex points
     iterate_granule = _RUN
 
     def __init__(self, beta: float, a: int):
@@ -1195,29 +1180,24 @@ class _HeavyLawBase(Law):
             out[lo : lo + _HEAD_ROWS] = (e[:, None, _HEAD_STEP:] @ inner)[:, 0, 0]
         return u * out
 
-    def one_minus_pgf(self, u):
+    def one_minus_pgf(self, u, out=None):
         arr = np.atleast_1d(np.asarray(u))
-        x = arr.real
-        far = (arr.imag != 0.0) | (x > 1.0)  # complex u, or u > 1 (s < 0)
-        out = np.where(x <= 0.0, 0.0, np.nan)  # nan stays nan
-        out = out.astype(np.result_type(arr, float), copy=False)
-        inner = (x > 0.0) & (x < 1.0) & ~far
-        ui = x[inner]
+        off = arr if np.iscomplexobj(arr) else arr[(arr < 0.0) | (arr > 1.0)]
+        if off.size:
+            raise ValueError(f"{self.describe()} evaluates 1 - pgf(1 - u) only on the real "
+                             f"segment 0 <= u <= 1 (0 <= s <= 1), got u = {off[0]}")
+        vals = np.where(arr == 0.0, 0.0, np.nan)  # nan stays nan
+        inner = (arr > 0.0) & (arr < 1.0)
+        ui = arr[inner]
         t = -np.log1p(-ui)
-        out[inner] = self.atom1 * ui + self.c * (
+        vals[inner] = self.atom1 * ui + self.c * (
             self._one_minus_head(ui, t) + self._one_minus_tail(t)
         )
-        full = (x >= 1.0) & ~far
-        out[full] = self.atom1 * x[full] + self.c * self.total_mass
-        if np.any(far):
-            # direct head sum; the neglected tail has modulus below
-            # tail_mass(2**17): 2.9e-8 for log-heavy-immigration(1.5),
-            # 9.1e-10 at beta = 3, 5.3e-13 for log-heavy-offspring(1.5);
-            # fine for modulus diagnostics
-            coeffs = self.pmf_array(self._COMPLEX_HEAD)
-            ks = np.arange(self._COMPLEX_HEAD + 1)
-            out[far] = [1.0 - np.dot(coeffs, s**ks) for s in 1.0 - arr[far]]
-        return out if _is_array(u) else out[0].item()
+        vals[arr == 1.0] = self.atom1 + self.c * self.total_mass
+        if out is not None:
+            out[...] = vals
+            return out
+        return vals if _is_array(u) else vals[0].item()
 
     # -- offspring iterates ------------------------------------------------
 
@@ -1343,17 +1323,6 @@ class _HeavyLawBase(Law):
             else:
                 lo = mid
         return hi
-
-    def sample_sum(self, counts, rng):
-        counts = np.asarray(counts, dtype=np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros_like(counts)
-        # entry i sums the draws between its two count edges; an entry with
-        # count 0 has equal edges and sums to 0
-        csum = np.concatenate(([0], np.cumsum(self.sample(total, rng))))
-        edges = np.cumsum(counts)
-        return csum[edges] - csum[edges - counts]
 
 
 class LogHeavyOffspringLaw(_HeavyLawBase):

@@ -8,22 +8,16 @@ Randomness comes from counter-based Philox streams keyed by
 are reproducible and independent of how work is scheduled: contributions
 are always merged in stream-index order.
 
-Y_m is drawn on one of three routes, by the offspring law (see
-simulate_Y_batch): for a closed-form law (geometric), a sum over only the
-immigrant batches with descendants at time m, their ages drawn by
-inverting the cumulative hazard -log F held by the iterate store; for a
-bounded law (binary, explicit; Law.sample_reduced), the reduced tree of
-the lines with descendants at time m; otherwise (log-heavy), one
-generation loop.  Neither the surviving-cohort nor the reduced route has
-intermediate populations, so they cap and count only the final Y_m.
+Y_m is drawn by one core, _from_survivors, from founders: lines at time 0
+each with descendants at time m; it picks one of three routes by the
+offspring law.  Forward simulation passes the Bin(Y_0, u_m) survivors of
+Y_0 on geometric and bounded offspring, and on other offspring steps one
+generation loop from Y_0.
 
 The stratified estimator conditions on the first surviving cohort.  Each
 stratum weight P(theta_n = l) is exact from the iterate cache; the
-conditional factor P(Z + Y' <= k | Z > 0) is estimated from surviving
-cohorts drawn directly from their conditioned law (Law.sample_thinned, then
-Law.sample_survivors) plus an independent copy of the younger process; on
-a bounded offspring law the cohort and the younger process are one reduced
-tree.
+conditional factor P(Z + Y' <= k | Z > 0) is estimated by the core, its
+founders the cohort's surviving immigrants (Law.sample_thinned).
 Strata outside the sampling window (cohort age m = n - l above
 k/epsilon), or allocated no samples by the budget, are not simulated;
 their total possible contribution, bounded through the computable Markov
@@ -111,9 +105,10 @@ def _fan_out(run_stream, streams: int, jobs: int) -> list:
 
 
 def _reads_iterates(model: Model) -> bool:
-    """Whether simulate_Y_batch reads the model's iterate cache: the
-    surviving-cohort route (closed_form_generations) and the reduced route
-    (bounded offspring) do, the generation loop does not."""
+    """Whether simulate_Y_batch draws Y_m from surviving founders
+    (_from_survivors), reading the model's iterate store: geometric
+    (closed_form_generations) and bounded offspring do; the others step
+    the generation loop from Y_0 and read none."""
     offspring = model.offspring
     return offspring.closed_form_generations or offspring.support_bound is not None
 
@@ -122,40 +117,76 @@ def simulate_Y_batch(model: Model, horizons, initial: int, rng,
                      max_population: int = MAX_POPULATION):
     """One draw of Y_m given Y_0 = initial per entry m of `horizons`, as
     (draws in input order, guard trips).  Horizon-0 lines draw nothing.
-    The surviving-cohort and reduced routes read the model's iterate store
-    (extinction_iterates) up to the longest horizon.  The store is not safe
-    to grow from two threads, so a caller that fans batches out to threads
-    fills it to the longest horizon first; each batch then only reads it.
 
-    Three routes, by the offspring law:
+    On geometric and bounded offspring (_reads_iterates) the Bin(initial,
+    u_m) founders with descendants at time m are drawn first (lines with a
+    positive horizon, in input order), then _from_survivors draws Y_m from
+    them, reading the model's iterate store up to the longest horizon.  The
+    store is not safe to grow from two threads, so a caller that fans
+    batches out to threads fills it first; each batch then only reads it.
+    Other offspring step _generation_loop from `initial` and read no store.
+    """
+    horizons = np.asarray(horizons, dtype=np.int64)
+    if not _reads_iterates(model):
+        return _generation_loop(model, horizons, initial, rng, max_population)
+    cache = extinction_iterates(model, max(int(horizons.max(initial=0)), 1))
+    founders = np.full(horizons.shape[0], initial, dtype=np.int64)
+    if initial:
+        live = horizons > 0
+        founders[live] = rng.binomial(initial, cache.one_minus_fj0[horizons[live]])
+    return _from_survivors(model, horizons, founders, rng, cache, max_population)
 
-    - closed_form_generations (geometric): the surviving-cohort route
-      (_simulate_Y_survivors), which draws only the immigrant batches
-      with descendants at time m, the ages by inverting their cumulative
-      hazard (_survivor_ages);
-    - bounded support (binary, explicit): the reduced route
-      (_simulate_Y_reduced), which steps only the lines with descendants
-      at time m;
-    - otherwise (log-heavy): one generation loop.  A line with horizon m
-      joins it m steps before the end, so each generation is one
-      vectorized offspring-sum draw plus one immigration draw over the
-      lines joined so far (the longest horizons first, ties in input
-      order).  Populations crossing the guard are capped and counted each
-      generation; the trajectory continues on the capped value (reported,
-      not fatal).
 
-    The surviving-cohort and reduced routes have no intermediate
-    populations to cap: only a final Y_m above `max_population` is capped
-    and counted as a guard trip.
+def _from_survivors(model: Model, horizons: np.ndarray, founders: np.ndarray, rng,
+                    cache: IterateCache, max_population: int = MAX_POPULATION):
+    """Y_m per line of horizon m, given founders[i] lines at time 0 that
+    each have descendants at time m, plus the immigrants of every
+    generation, as (draws in input order, guard trips); a horizon-0 line
+    gives its founders.  The one place that picks how Y_m is drawn, by
+    the offspring law, u read from `cache` (filled to the longest horizon):
+
+    - bounded support (binary, explicit): one reduced tree of the lines
+      with descendants at time m, from the founders, each generation's
+      surviving immigrants joining it (Law.sample_reduced);
+    - otherwise the founders' descendants (Law.sample_survivors) plus a
+      younger process: for closed_form_generations (geometric) the
+      immigrant batches with descendants at time m, their ages by
+      _survivor_ages, each batch's surviving immigrants given one
+      (Law.sample_thinned at u_a) and their descendants in one
+      Law.sample_survivors call; else (Poisson, log-heavy) the
+      generation loop from 0.
+
+    The reduced tree and the surviving batches have no intermediate
+    populations: a final Y_m above `max_population` is capped and counted
+    as a guard trip.  The loop caps and counts every generation
+    (_generation_loop).
     """
     offspring = model.offspring
-    horizons = np.asarray(horizons, dtype=np.int64)
+    u = cache.one_minus_fj0
+    if offspring.support_bound is not None:
+        return _cap(offspring.sample_reduced(founders, horizons, u, rng, model.immigration),
+                    max_population)
+    y = offspring.sample_survivors(founders, horizons, u, rng)
+    if offspring.closed_form_generations:
+        line, age = _survivor_ages(horizons, cache, rng)
+        alive, _ = model.immigration.sample_thinned(u[age], rng)
+        np.add.at(y, line, offspring.sample_survivors(alive, age, u, rng))
+        return _cap(y, max_population)
+    younger, trips = _generation_loop(model, horizons, 0, rng, max_population)
+    return y + younger, trips
+
+
+def _generation_loop(model: Model, horizons: np.ndarray, initial: int, rng,
+                     max_population: int):
+    """Y_m given Y_0 = initial per line of horizon m, stepped generation by
+    generation, as (draws in input order, guard trips).  A line with
+    horizon m joins m steps before the end, so each generation is one
+    vectorized offspring-sum draw plus one immigration draw over the lines
+    joined so far (the longest horizons first, ties in input order).
+    Populations crossing the guard are capped and counted each generation;
+    the trajectory continues on the capped value (reported, not fatal)."""
+    offspring = model.offspring
     steps = int(horizons.max(initial=0))
-    if _reads_iterates(model):
-        cache = extinction_iterates(model, max(steps, 1))
-        route = (_simulate_Y_survivors if offspring.closed_form_generations
-                 else _simulate_Y_reduced)
-        return _cap(route(model, horizons, initial, rng, cache), max_population)
     order = np.argsort(-horizons, kind="stable")
     # lines joined by step s: those with horizon >= steps - s
     joined = np.searchsorted(-horizons[order], np.arange(steps) - steps, side="right")
@@ -178,26 +209,6 @@ def _cap(y: np.ndarray, max_population: int) -> tuple[np.ndarray, int]:
     over = y > max_population
     y[over] = max_population
     return y, int(np.count_nonzero(over))
-
-
-def _simulate_Y_reduced(model: Model, horizons: np.ndarray, initial: int, rng,
-                        cache: IterateCache) -> np.ndarray:
-    """simulate_Y_batch's draws, uncapped, on the reduced tree of a bounded
-    offspring law: of the `initial` ancestors of a line with horizon m,
-    Bin(initial, u_m) have descendants at time m, and Law.sample_reduced
-    steps those lines, with the surviving immigrants of every generation,
-    to Y_m.
-
-    Draws come in a fixed order: the initial survivors first (lines with a
-    positive horizon, in input order), then per step the offspring splits
-    and the step's immigrants.
-    """
-    u = cache.one_minus_fj0
-    start = np.full(horizons.shape[0], initial, dtype=np.int64)
-    if initial:
-        live = horizons > 0
-        start[live] = rng.binomial(initial, u[horizons[live]])
-    return model.offspring.sample_reduced(start, horizons, u, rng, model.immigration)
 
 
 def _survivor_ages(horizons: np.ndarray, cache: IterateCache, rng):
@@ -239,31 +250,6 @@ def _survivor_ages(horizons: np.ndarray, cache: IterateCache, rng):
         lines.append(line)
         ages.append(pos - 1)
     return np.concatenate(lines), np.concatenate(ages)
-
-
-def _simulate_Y_survivors(model: Model, horizons: np.ndarray, initial: int, rng,
-                          cache: IterateCache) -> np.ndarray:
-    """simulate_Y_batch's draws, uncapped, by surviving cohorts: Y_m =
-    Z_m(initial) + sum over the immigrant batches with descendants at time
-    m of those descendants.
-
-    Draws come in a fixed order: the surviving ages (_survivor_ages), each
-    batch's surviving immigrants given one (immigration.sample_thinned at
-    u_a), the initial ancestors' surviving lines Bin(initial, u_m) (lines
-    with a positive horizon, in input order), then the descendants of
-    every surviving line in one offspring.sample_survivors call.
-    """
-    y = np.where(horizons > 0, 0, initial).astype(np.int64)
-    u = cache.one_minus_fj0
-    line, age = _survivor_ages(horizons, cache, rng)
-    alive, _ = model.immigration.sample_thinned(u[age], rng)
-    if initial:
-        live = np.flatnonzero(horizons > 0)
-        line = np.concatenate((line, live))
-        age = np.concatenate((age, horizons[live]))
-        alive = np.concatenate((alive, rng.binomial(initial, u[horizons[live]])))
-    np.add.at(y, line, model.offspring.sample_survivors(alive, age, u, rng))
-    return y
 
 
 def simulate_Y_streams(model: Model, n: int, initial: int, cfg: SimConfig, jobs: int = 1,
@@ -356,18 +342,18 @@ def estimate_lower_tail_stratified(
              + sum over strata of P(theta_n in stratum) * p_hat,
     where a stratum is a single cohort age near the k-sized window and a
     geometric band of ages deeper in; weights are the exact law of theta_n
-    (theta_pmf of the model's iterate store).  Neyman targets, rounded by largest remainder, give every
-    stratum its draws, so samples_used >= cfg.samples whenever a stratum has
-    weight; each stream draws exactly its share of a stratum's ages from the
-    theta_n law.  The conditional indicator is estimated from surviving
-    cohorts drawn from their conditioned law (Law.sample_thinned for the
-    surviving immigrants, Law.sample_survivors for their descendants; no
-    rejection for the families with closed forms) plus independent
-    younger-process copies; on a bounded offspring law both come from one
-    Law.sample_reduced loop started from the surviving immigrants.  Strata
-    beyond the epsilon-window or allocated no samples are bracketed, not
-    sampled.  The sample budget splits across cfg.streams substreams merged
-    in stream-index order; `jobs` threads only fan the streams out.
+    (theta_pmf of the model's iterate store).  Neyman targets, rounded by
+    largest remainder, give every stratum its draws, so samples_used >=
+    cfg.samples whenever a stratum has weight; each stream draws exactly
+    its share of a stratum's ages from the theta_n law.  A line of cohort
+    age m draws its cohort's surviving immigrants given that one survives
+    (Law.sample_thinned; no rejection for the families with closed forms),
+    and the simulation core (_from_survivors) draws Z + Y' from those
+    founders at horizon m: their descendants at time m plus an independent
+    younger process.  Strata beyond the epsilon-window or allocated no
+    samples are bracketed, not sampled.  The sample budget splits across
+    cfg.streams substreams merged in stream-index order; `jobs` threads
+    only fan the streams out.
     """
     if n < 1:
         raise ValueError(f"stratified estimator needs n >= 1, got n={n}")
@@ -411,19 +397,10 @@ def estimate_lower_tail_stratified(
             plan[bins[b]] = rng.multinomial(share, w / w.sum())
         age = np.repeat(np.arange(window + 1), plan)
         # a line of cohort age m: the surviving immigrants of a batch given
-        # that one survives, their population after m generations given
-        # survival, and an independent younger process Y_m.  On a bounded
-        # offspring law the last two are one reduced tree from the
-        # surviving immigrants, the younger process's immigrants joining it.
+        # that one survives, then Z + Y', their descendants at time m plus
+        # an independent younger process, from those founders
         alive, tries = model.immigration.sample_thinned(u[age], rng)
-        if model.offspring.support_bound is not None:
-            total, trips = _cap(model.offspring.sample_reduced(alive, age, u, rng,
-                                                               model.immigration),
-                                MAX_POPULATION)
-        else:
-            z = model.offspring.sample_survivors(alive, age, u, rng)
-            y, trips = simulate_Y_batch(model, age, 0, rng)
-            total = z + y
+        total, trips = _from_survivors(model, age, alive, rng, cache)
         line_bin = bin_of_age[age]
         return (np.bincount(line_bin[total <= k], minlength=len(bins)),
                 np.bincount(line_bin, minlength=len(bins)), tries, trips)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwimm import classify_xlogx, extinction_iterates, make_law, make_model
+from gwimm import charfn_modulus, classify_xlogx, extinction_iterates, make_law, make_model
 from gwimm.models import (
     _CELL_FLOOR,
     _GL_NODES,
@@ -245,15 +245,24 @@ class TestHeavyLaws:
 
     @pytest.mark.parametrize("law", [LogHeavyOffspringLaw(1.5), LogHeavyImmigrationLaw(1.5)],
                              ids=["offspring", "immigration"])
-    def test_pgf_of_a_real_argument_is_real(self, law):
-        ks = np.arange(law._COMPLEX_HEAD + 1)
-        ref = float(np.dot(law.pmf_array(law._COMPLEX_HEAD), (-0.5) ** ks))
-        got = law.pgf(-0.5)
-        assert isinstance(got, float) and abs(got - ref) <= 1e-15
-        arr = law.pgf(np.array([-0.5, 0.25]))
-        assert arr.dtype == np.float64 and arr[0] == got
-        assert arr[1] == 1.0 - law.one_minus_pgf(0.75)
-        assert isinstance(law.pgf(-0.5 + 0j), complex)
+    def test_points_off_the_segment_are_refused(self, law):
+        # no tail is summed off 0 <= u <= 1, so a complex u, u < 0 or u > 1
+        # raises rather than return a head sum short by up to tail_mass(2**17)
+        for u in (1e-8 + 1e-300j, 0.5 + 0j, 1.5, -1e-3, np.array([0.25, 2.0]),
+                  np.array([0.25 + 0.25j])):
+            with pytest.raises(ValueError, match=rf"{law.kind}.*segment 0 <= u <= 1"):
+                law.one_minus_pgf(u)
+        for s in (-0.5, np.array([0.5, -0.5]), 0.5j):
+            with pytest.raises(ValueError, match="segment 0 <= u <= 1"):
+                law.pgf(s)
+        offspring, immigration = (law, "binary") if law.kind.endswith("offspring") else (
+            "binary", law)
+        with pytest.raises(ValueError, match=law.kind):
+            charfn_modulus(make_model(offspring, immigration), 4, [0.5])
+        # the segment itself, its ends included, keeps the real path
+        arr = law.pgf(np.array([0.0, 0.25, 1.0]))
+        assert arr.dtype == np.float64 and arr[2] == 1.0 and isinstance(law.pgf(0.25), float)
+        assert arr[1] == law.pgf(0.25) == 1.0 - law.one_minus_pgf(0.75)
 
     @pytest.mark.parametrize("law_cls", [LogHeavyOffspringLaw, LogHeavyImmigrationLaw])
     @pytest.mark.parametrize("beta", [1.5, 3.0])
@@ -844,17 +853,33 @@ class TestKernel:
     def test_types_follow_the_argument(self, spec):
         law = make_law(spec)
         assert isinstance(law.one_minus_pgf(0.25), float)
+        out = law.one_minus_pgf(np.array([0.25]))
+        assert isinstance(out, np.ndarray) and out.shape == (1,)
+        assert isinstance(law.pgf(0.5), float)
+        if law.kind.startswith("log-heavy"):
+            # real points in [0, 1] only
+            for call, arg in ((law.one_minus_pgf, 0.25 + 0.25j), (law.pgf, 0.5j),
+                              (law.one_minus_pgf, np.array([0.25 + 0.25j, 0.5]))):
+                with pytest.raises(ValueError, match="0 <= u <= 1"):
+                    call(arg)
+            return
         assert isinstance(law.one_minus_pgf(0.25 + 0.25j), complex)
-        for u in (np.array([0.25]), np.array([0.25 + 0.25j, 0.5])):
-            out = law.one_minus_pgf(u)
-            assert isinstance(out, np.ndarray) and out.shape == u.shape
-        assert isinstance(law.pgf(0.5), float) and isinstance(law.pgf(0.5j), complex)
+        out = law.one_minus_pgf(np.array([0.25 + 0.25j, 0.5]))
+        assert isinstance(out, np.ndarray) and out.shape == (2,)
+        assert isinstance(law.pgf(0.5j), complex)
 
     @pytest.mark.parametrize("spec", _FAMILY_SPECS,
                              ids=lambda s: s if isinstance(s, str) else s["family"])
     def test_pgf_is_the_complement_of_the_kernel(self, spec):
         law = make_law(spec)
-        for s in (0.0, 0.3, 1.0, -0.5, 0.6 - 0.8j):
+        # log-heavy laws take real points in [0, 1] only
+        heavy = law.kind.startswith("log-heavy")
+        points = [0.0, 0.3, 1.0] + ([] if heavy else [-0.5, 0.6 - 0.8j])
+        for s in points:
             assert law.pgf(s) == 1.0 - law.one_minus_pgf(1.0 - s)
-        s = np.array([0.0, 0.3, 1.0, -0.5, 0.6 - 0.8j])
+        s = np.array(points)
         assert np.array_equal(law.pgf(s), 1.0 - law.one_minus_pgf(1.0 - s))
+        if heavy:
+            for s in (-0.5, 0.6 - 0.8j, np.array([0.3, -0.5])):
+                with pytest.raises(ValueError, match="0 <= u <= 1"):
+                    law.pgf(s)

@@ -533,25 +533,6 @@ class TestReducedRoute:
         assert trips == int(np.count_nonzero(free > 3)) > 0
         assert np.array_equal(capped, np.minimum(free, 3))
 
-    @pytest.mark.parametrize("m", [0, 1, 7, 64, 300])
-    @pytest.mark.parametrize("pair", ["binary+poisson(1)", "explicit+poisson(1)"])
-    def test_merged_cohort_loop_matches_two_draws(self, pair, m):
-        # the stratified estimator's Z + Y' in one reduced tree, against a
-        # conditioned cohort plus an independent younger process
-        model = make_model(*_REDUCED_PAIRS[pair])
-        N = 20_000
-        u = extinction_iterates(model, max(m, 1)).one_minus_fj0
-        alive, _ = model.immigration.sample_thinned(np.full(N, u[m]), mc.substream(26, m))
-        merged = model.offspring.sample_reduced(alive, m, u, mc.substream(27, m),
-                                                model.immigration)
-        rng = mc.substream(28, m)
-        z = model.offspring.sample_survivors(alive, m, u, rng)
-        y, _ = mc.simulate_Y_batch(model, np.full(N, m), 0, rng)
-        if m == 0:
-            assert np.array_equal(merged, alive) and np.array_equal(z + y, alive)
-        else:
-            assert _two_sample_p(merged, z + y) > 0.001
-
     def test_deterministic_chain(self, one_child):
         # one child per line and one immigrant per step: Y_23 = 23
         values = one_child.sample_reduced([0], [23], np.ones(24), mc.substream(0, 0), one_child)
@@ -640,6 +621,44 @@ class TestReducedRoute:
         assert _two_sample_p(closed, default) > 0.001
 
 
+# offspring law, immigration law: one pair per route of the simulation core
+_CORE_PAIRS = {
+    "binary+poisson(1)": ("binary", _POISSON_1),
+    "explicit+poisson(1)": ({"family": "explicit", "probs": [0.1, 0.8, 0.1]}, _POISSON_1),
+    "geo+bern": ("geometric-critical", _BERN),
+    "poisson(1)+bern": (_POISSON_1, _BERN),
+}
+
+
+class TestCore:
+    """mc._from_survivors, the one core that draws Y_m from founders with
+    descendants at time m, on each of its routes: the reduced tree
+    (bounded offspring), surviving cohorts (geometric) and the generation
+    loop (Poisson)."""
+
+    # m <= 64 on the generation loop: 20,000 lines at m = 64 take 1.2 s
+    @pytest.mark.parametrize("pair,m", [(pair, m) for pair in _CORE_PAIRS
+                                        for m in (0, 1, 7, 64, 300)
+                                        if m <= 64 or pair != "poisson(1)+bern"])
+    def test_core_matches_cohort_plus_younger_process(self, pair, m):
+        # the stratified estimator's Z + Y' from the core, against a
+        # conditioned cohort plus an independent younger process
+        model = make_model(*_CORE_PAIRS[pair])
+        N = 20_000
+        cache = extinction_iterates(model, max(m, 1))
+        u = cache.one_minus_fj0
+        alive, _ = model.immigration.sample_thinned(np.full(N, u[m]), mc.substream(26, m))
+        core, trips = mc._from_survivors(model, np.full(N, m), alive, mc.substream(27, m), cache)
+        assert trips == 0
+        rng = mc.substream(28, m)
+        z = model.offspring.sample_survivors(alive, m, u, rng)
+        y, _ = mc.simulate_Y_batch(model, np.full(N, m), 0, rng)
+        if m == 0:
+            assert np.array_equal(core, alive) and np.array_equal(z + y, alive)
+        else:
+            assert _two_sample_p(core, z + y) > 0.001
+
+
 class TestNaiveEstimator:
     def test_impossible_event(self, bin_bern):
         res = mc.estimate_lower_tail_naive(
@@ -673,10 +692,14 @@ class TestStratifiedEstimator:
         sigma = (rs.stderr**2 + rn.stderr**2) ** 0.5
         assert abs(rs.estimate - rn.estimate) <= 3 * sigma + rs.bracket_high
 
-    def test_agrees_with_exact(self, geo_bern):
-        exact = float(exact_pmf_Y(geo_bern, 512, 4096, deficit_ceiling=1.0).cdf()[16])
-        res = mc.estimate_lower_tail_stratified(
-            geo_bern, 512, 16, mc.SimConfig(samples=20000, seed=5))
+    # surviving cohorts (geometric), and the cohort redraw plus generation
+    # loop (Poisson offspring)
+    @pytest.mark.parametrize("pair,n,K,k,samples", [("geo+bern", 512, 4096, 16, 20000),
+                                                    ("poisson(1)+bern", 256, 64, 8, 4000)])
+    def test_agrees_with_exact(self, pair, n, K, k, samples):
+        model = make_model(*_CORE_PAIRS[pair])
+        exact = float(exact_pmf_Y(model, n, K, deficit_ceiling=1.0).cdf()[k])
+        res = mc.estimate_lower_tail_stratified(model, n, k, mc.SimConfig(samples=samples, seed=5))
         assert abs(res.estimate - exact) <= 3 * res.stderr + res.bracket_high
 
     def test_reproducible(self, geo_bern):
