@@ -46,15 +46,17 @@ def build_report_row(n: int, k: int, exact: float | None, asymptotic: float,
     return AsymptoticReportRow(n, k, exact, asymptotic, ratio, formula, untrusted)
 
 
-def gamma_limit_cdf(gamma: float, x: float) -> float:
-    """Regularized lower incomplete gamma: the limit law of 2 Y_n/(B n)."""
+def gamma_limit_cdf(gamma: float, x):
+    """Regularized lower incomplete gamma: the limit law of 2 Y_n/(B n);
+    elementwise over an array of x, a float for a float."""
     if gamma <= 0.0:
         raise ValueError("shape parameter must be positive")
-    if x < 0.0:
+    if np.any(np.asarray(x) < 0.0):
         raise ValueError("the limit law lives on x >= 0")
     from scipy import special  # here, not at import: no light-law query needs it
 
-    return float(special.gammainc(gamma, x))
+    cdf = special.gammainc(gamma, x)
+    return cdf if np.ndim(cdf) else float(cdf)
 
 
 def _local_log(model: Model, n: int, logk):

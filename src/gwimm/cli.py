@@ -9,6 +9,9 @@ Subcommands
     estimate   naive / stratified lower-tail estimates
     verify     named verification checks             -> name, value, threshold, verdict
 
+Integer flags are bounded by their argparse type (_int_from), so a value out
+of range exits 2, naming the flag, before the model file is read.
+
 Exit codes: 0 success/all-pass, 1 check failure, 2 usage or parse error,
 3 numeric guard (truncation deficit, overflow guard, check infrastructure).
 """
@@ -31,10 +34,6 @@ from .theta import theta_pmf, theta_survival
 from .verify import run_checks
 
 
-class UsageError(ValueError):
-    """Bad flags or unparseable model spec (exit code 2)."""
-
-
 def load_model_spec(path: str) -> Model:
     """Parse the declarative model file: JSON with keys `offspring` and
     `immigration`, each {family: ..., params: {...}} or
@@ -43,31 +42,35 @@ def load_model_spec(path: str) -> Model:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read model spec: {exc}") from None
+        raise ValueError(f"cannot read model spec: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise UsageError(f"model spec is not valid JSON: {exc}") from None
+        raise ValueError(f"model spec is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise UsageError("model spec must be a JSON object")
+        raise ValueError("model spec must be a JSON object")
     for key in ("offspring", "immigration"):
         if key not in doc:
-            raise UsageError(f"model spec missing key '{key}'")
+            raise ValueError(f"model spec missing key '{key}'")
     try:
         return make_model(doc["offspring"], doc["immigration"])
     except ValueError as exc:
-        raise UsageError(f"model spec: {exc}") from None
+        raise ValueError(f"model spec: {exc}") from None
 
 
-def _check_n(args):
-    if args.n < 0:
-        raise UsageError("--n must be >= 0")
-    if getattr(args, "initial", 0) < 0:
-        raise UsageError("--initial must be >= 0")
+def _int_from(lowest: int):
+    """argparse type: an int >= lowest, named int for "invalid int value"."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
 
 
 def cmd_exact(args, model: Model):
-    _check_n(args)
     n = args.n
-    if n == 0:
+    if n == 0 and args.trunc is None:
         return [{"k": args.initial, "prob": 1.0, "cumulative": 1.0, "deficit": 0.0}]
     K = args.trunc if args.trunc is not None else full_law_truncation(model, n, 1e-8, args.initial)
     pmf = exact_pmf_Y(model, n, K, args.initial)
@@ -81,8 +84,6 @@ def cmd_exact(args, model: Model):
 
 def cmd_theta(args, model: Model):
     n = args.n
-    if n < 1:
-        raise UsageError("theta needs --n >= 1")
     cache = extinction_iterates(model, n)
     law = theta_pmf(cache, n)
     ls = np.arange(1, n + 1)
@@ -97,17 +98,17 @@ def cmd_scan_L(args, model: Model):
     try:
         grid = [int(x) for x in args.grid.split(",") if x.strip()]
     except ValueError:
-        raise UsageError(f"bad --grid value {args.grid!r}") from None
+        raise ValueError(f"bad --grid value {args.grid!r}") from None
     if not grid:
-        raise UsageError("--grid must contain at least one n")
+        raise ValueError("--grid must contain at least one n")
     if any(n < 1 for n in grid):
-        raise UsageError("scan-L grid entries must be >= 1")
+        raise ValueError("scan-L grid entries must be >= 1")
     grid = sorted(set(grid))
     cache = extinction_iterates(model, max(grid))
     logF = cache.logF_at(grid)
     if np.isneginf(logF).any():
         n = grid[int(np.argmax(np.isneginf(logF)))]
-        raise UsageError(f"P(Y_n = 0) = 0 at n={n}, so L(n) = 1/(n**gamma P(Y_n = 0)) "
+        raise ValueError(f"P(Y_n = 0) = 0 at n={n}, so L(n) = 1/(n**gamma P(Y_n = 0)) "
                          "is undefined; scan-L needs an immigration law with mass at 0")
     F = np.exp(logF)
     logL = cache.logL_at(grid)
@@ -136,7 +137,6 @@ def cmd_scan_L(args, model: Model):
 
 
 def cmd_simulate(args, model: Model):
-    _check_n(args)
     sim = mc.SimConfig(samples=args.samples, seed=args.seed, streams=args.streams)
     draws = mc.simulate_Y_streams(model, args.n, args.initial, sim)
     counts = np.bincount(np.concatenate([values for values, _ in draws]))
@@ -149,20 +149,15 @@ def cmd_simulate(args, model: Model):
 
 
 def cmd_estimate(args, model: Model):
-    _check_n(args)
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
     sim = mc.SimConfig(samples=args.samples, seed=args.seed, streams=args.streams)
     methods = ["naive", "stratified"] if args.method == "both" else [args.method]
     # checked before any method samples, so no pass runs only to be discarded
-    if args.k < 0:
-        raise UsageError("--k must be >= 0")
     if args.k < 1 and "stratified" in methods:
-        raise UsageError("the stratified estimator needs --k >= 1")
+        raise ValueError("the stratified estimator needs --k >= 1")
     if args.n < 1 and "stratified" in methods:
-        raise UsageError("the stratified estimator needs --n >= 1")
+        raise ValueError("the stratified estimator needs --n >= 1")
     if not args.epsilon > 0 and "stratified" in methods:
-        raise UsageError(f"the stratified estimator needs --epsilon > 0, got {args.epsilon}")
+        raise ValueError(f"the stratified estimator needs --epsilon > 0, got {args.epsilon}")
     rows = []
     for method in methods:
         if method == "naive":
@@ -214,15 +209,24 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", default="csv", choices=("csv", "json"),
                         dest="fmt")
 
+    def horizon(sp, lowest=0, initial=True):
+        sp.add_argument("--n", type=_int_from(lowest), required=True)
+        if initial:
+            sp.add_argument("--initial", type=_int_from(0), default=0)
+
+    def sampling(sp):
+        sp.add_argument("--samples", type=_int_from(1), default=10000)
+        sp.add_argument("--seed", type=_int_from(0), default=0)
+        sp.add_argument("--streams", type=_int_from(1), default=1)
+
     sp = sub.add_parser("exact", help="exact truncated pmf of Y_n")
     common(sp, cmd_exact)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--trunc", type=int, default=None)
-    sp.add_argument("--initial", type=int, default=0)
+    horizon(sp)
+    sp.add_argument("--trunc", type=_int_from(0), default=None)
 
     sp = sub.add_parser("theta", help="law of the first surviving cohort")
     common(sp, cmd_theta)
-    sp.add_argument("--n", type=int, required=True)
+    horizon(sp, lowest=1, initial=False)
 
     sp = sub.add_parser("scan-L", help="F(n), L(n) over a grid")
     common(sp, cmd_scan_L)
@@ -231,20 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="empirical pmf of Y_n")
     common(sp, cmd_simulate)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--initial", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=10000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--streams", type=int, default=1)
+    horizon(sp)
+    sampling(sp)
 
     sp = sub.add_parser("estimate", help="lower-tail probability estimators")
     common(sp, cmd_estimate)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=10000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--streams", type=int, default=1)
-    sp.add_argument("--jobs", type=int, default=1)
+    horizon(sp, initial=False)
+    sp.add_argument("--k", type=_int_from(0), required=True)
+    sampling(sp)
+    sp.add_argument("--jobs", type=_int_from(1), default=1)
     sp.add_argument("--epsilon", type=float, default=0.01)
     sp.add_argument("--method", default="both",
                     choices=("naive", "stratified", "both"))
@@ -267,19 +266,13 @@ def main(argv=None) -> int:
     try:
         model = load_model_spec(args.model) if args.model is not None else None
         rows = args.run(args, model)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DeficitError as exc:
+    except (DeficitError, ArithmeticError, RuntimeError) as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        # bad numeric parameters for the requested operation
+        # bad flags, spec or numeric parameters; DeficitError is one, caught above
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, RuntimeError) as exc:
-        print(f"numeric guard: {exc}", file=sys.stderr)
-        return 3
 
     # every command's rows are nonempty, keyed in column order
     text = serialize(rows, list(rows[0]), args.fmt)

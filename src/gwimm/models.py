@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import series_compose_poly, series_exp, series_recip, series_square, trim
+from .series import series_compose_poly, series_exp, series_mul, series_recip, trim
 
 CRITICALITY_TOL = 1e-10
 EXPLICIT_MASS_TOL = 1e-12
@@ -673,13 +673,13 @@ class BinaryLaw(Law):
         return out
 
     def _apply_one(self, g, K):
-        out = 0.5 * series_square(g, K)
+        out = 0.5 * series_mul(g, g, K)
         out[0] += 0.5
         return out
 
     def iterate_series(self, g, m, count, K):
         # _apply_one row after row; from the second row on g has K+1
-        # terms, so np.convolve alone gives series_square's bits
+        # terms, so np.convolve alone gives series_mul's bits
         out = np.empty((count, K + 1))
         if count:
             out[0] = g = self._apply_one(np.asarray(g, dtype=float), K)

@@ -193,12 +193,9 @@ def _generation_loop(model: Model, horizons: np.ndarray, initial: int, rng,
     pops = np.full(horizons.shape[0], initial, dtype=np.int64)
     trips = 0
     for width in joined:
-        head = offspring.sample_sum(pops[:width], rng) + model.immigration.sample(width, rng)
-        over = head > max_population
-        if np.any(over):
-            trips += int(np.count_nonzero(over))
-            head[over] = max_population
-        pops[:width] = head
+        pops[:width], capped = _cap(offspring.sample_sum(pops[:width], rng)
+                                    + model.immigration.sample(width, rng), max_population)
+        trips += capped
     out = np.empty_like(pops)
     out[order] = pops
     return out, trips

@@ -301,7 +301,10 @@ class TruncatedPmf:
         return np.cumsum(self.probs)
 
     def __getitem__(self, k: int) -> float:
-        return float(self.probs[k]) if 0 <= k <= self.K else 0.0
+        """P(. = k), 0 for k < 0; past K the mass is in the deficit, unknown."""
+        if k > self.K:
+            raise IndexError(f"k={k} is past the truncation K={self.K}, in the deficit")
+        return float(self.probs[k]) if k >= 0 else 0.0
 
 
 def full_law_truncation(model: Model, n: int, tail: float, initial: int = 0) -> int:

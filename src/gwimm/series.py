@@ -48,12 +48,6 @@ def series_mul(a: np.ndarray, b: np.ndarray, K: int) -> np.ndarray:
     return _cut(np.convolve(a, b), K)
 
 
-def series_square(a: np.ndarray, K: int) -> np.ndarray:
-    """a**2 truncated at order K."""
-    a = np.asarray(a, dtype=float)[: K + 1]
-    return _cut(np.convolve(a, a), K)
-
-
 def series_pow(a: np.ndarray, m: int, K: int) -> np.ndarray:
     """a**m for integer m >= 0, by binary exponentiation."""
     if m < 0:
@@ -66,7 +60,7 @@ def series_pow(a: np.ndarray, m: int, K: int) -> np.ndarray:
             result = series_mul(result, base, K)
         m >>= 1
         if m:
-            base = series_square(base, K)
+            base = series_mul(base, base, K)
     return result
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import montecarlo as mc
-from .asymptotics import gw_llt_eval, lemma5_sandwich, main2_eval
+from .asymptotics import gamma_limit_cdf, gw_llt_eval, lemma5_sandwich, main2_eval
 from .models import Model, make_law, make_model
 from .oracles import enumerate_population_pmf
 from .pgf import (charfn_modulus, exact_pmf_Y, exact_pmf_Z,
@@ -96,13 +96,11 @@ def check_normalization(scale: str) -> CheckResult:
 
 
 def _gamma_limit_distance(model: Model, n: int) -> tuple[float, float]:
-    from scipy import special  # here, not at import: no light-law query needs it
-
     K = full_law_truncation(model, n, 1e-9)
     pmf = exact_pmf_Y(model, n, K, deficit_ceiling=1e-8)
     cum = np.cumsum(pmf.probs)
     xs = 2.0 * np.arange(K + 1) / (model.B * n)
-    gx = special.gammainc(model.gamma, xs)
+    gx = gamma_limit_cdf(model.gamma, xs)
     dist = max(float(np.max(np.abs(cum - gx))),
                float(np.max(np.abs(cum[:-1] - gx[1:]))))
     return dist, pmf.deficit
@@ -265,21 +263,16 @@ def check_gw_llt_ratio(scale: str) -> CheckResult:
     """
     n = 512 if scale == "full" else 256
     worst = 0.0
-    bin_model = _bin_bern()
-    pz = exact_pmf_Z(bin_model, n, 4 * n, deficit_ceiling=1.0)
-    span = bin_model.offspring.lattice_span
-    lam = bin_model.lam
-    for j in range(((n // 10 + 1) // span) * span, n + 1, span):
-        ratio = pz[j] / (span * gw_llt_eval(lam, bin_model.B, n, j))
-        worst = max(worst, abs(ratio - 1.0))
-    geo = _geo_bern()
-    pzg = exact_pmf_Z(geo, n, 4 * n, deficit_ceiling=1.0)
-    for j in range(n // 10, n + 1):
-        ratio = pzg[j] / gw_llt_eval(geo.lam, geo.B, n, j)
-        worst = max(worst, abs(ratio - 1.0))
+    for model in (_bin_bern(), _geo_bern()):
+        law = exact_pmf_Z(model, n, 4 * n, deficit_ceiling=1.0)
+        span = model.offspring.lattice_span
+        # the first lattice point at or above n // 10
+        for j in range(-(-(n // 10) // span) * span, n + 1, span):
+            ratio = law[j] / (span * gw_llt_eval(model.lam, model.B, n, j))
+            worst = max(worst, abs(ratio - 1.0))
     return CheckResult(
         "gw-llt-ratio", worst <= 0.1, worst, 0.1,
-        f"n={n}, j in [n/10, n]; binary span-corrected (x{span}), geometric plain",
+        f"n={n}, j in [n/10, n]; binary span-corrected (x2), geometric plain",
     )
 
 

@@ -37,11 +37,22 @@ class TestGammaLimitCdf:
             assert gamma_limit_cdf(g, x) == pytest.approx(
                 gamma_cdf_by_quadrature(g, x), abs=1e-10)
 
+    def test_array_is_its_scalar_calls(self):
+        xs = np.array([0.0, 1e-3, 0.3, 1.0, 2.2, 4.0, 40.0])
+        for g in (0.5, 1.0, 2.7):
+            got = gamma_limit_cdf(g, xs)
+            assert isinstance(got, np.ndarray) and got.shape == xs.shape
+            want = [gamma_limit_cdf(g, float(x)) for x in xs]
+            assert all(type(w) is float for w in want)
+            assert got.tolist() == want
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gamma_limit_cdf(0.0, 1.0)
         with pytest.raises(ValueError):
             gamma_limit_cdf(1.0, -0.5)
+        with pytest.raises(ValueError):
+            gamma_limit_cdf(1.0, np.array([0.5, -0.5]))
 
 
 class TestMellein:

@@ -66,6 +66,24 @@ class TestExact:
         assert len(rows) == 1
         assert rows[0]["k"] == "4" and rows[0]["prob"] == "1"
 
+    def test_zero_generations_with_trunc_is_the_engine_law(self, bin_bern_spec, capsys):
+        code, out = run_cli(["exact", "--model", bin_bern_spec, "--n", "0",
+                             "--trunc", "6", "--initial", "4"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["k"] for r in rows] == [str(k) for k in range(7)]
+        assert [r["prob"] for r in rows] == ["0", "0", "0", "0", "1", "0", "0"]
+        assert {r["deficit"] for r in rows} == {"0"}
+
+    def test_zero_generations_past_the_trunc_is_a_deficit(self, bin_bern_spec, capsys):
+        # Y_0 = 4 lies past K = 2: the engine's guard, not a row beyond K
+        code = main(["exact", "--model", bin_bern_spec, "--n", "0",
+                     "--trunc", "2", "--initial", "4"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "increase the truncation bound K=2" in captured.err
+
     def test_malformed_spec_names_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"offspring": {"family": "binary"}}))
@@ -164,6 +182,41 @@ def test_negative_seed_usage_error(argv, bin_bern_spec, capsys):
     assert captured.out == ""
     assert "seed" in captured.err
 
+
+# each integer flag one below its bound, with a model file that does not
+# exist: the flag's own argparse type refuses it before the spec is read
+@pytest.mark.parametrize("argv, flag", [
+    (["exact", "--n", "-1"], "--n"),
+    (["exact", "--n", "2", "--initial", "-1"], "--initial"),
+    (["exact", "--n", "2", "--trunc", "-1"], "--trunc"),
+    (["theta", "--n", "0"], "--n"),
+    (["simulate", "--n", "-1"], "--n"),
+    (["simulate", "--n", "2", "--initial", "-1"], "--initial"),
+    (["simulate", "--n", "2", "--samples", "0"], "--samples"),
+    (["simulate", "--n", "2", "--seed", "-1"], "--seed"),
+    (["simulate", "--n", "2", "--streams", "0"], "--streams"),
+    (["estimate", "--n", "-1", "--k", "2"], "--n"),
+    (["estimate", "--n", "8", "--k", "-1"], "--k"),
+    (["estimate", "--n", "8", "--k", "2", "--samples", "0"], "--samples"),
+    (["estimate", "--n", "8", "--k", "2", "--seed", "-1"], "--seed"),
+    (["estimate", "--n", "8", "--k", "2", "--streams", "0"], "--streams"),
+    (["estimate", "--n", "8", "--k", "2", "--jobs", "0"], "--jobs"),
+])
+def test_integer_flag_below_its_bound_exits_before_the_model_is_read(argv, flag, tmp_path,
+                                                                     capsys):
+    code = main(argv + ["--model", str(tmp_path / "missing.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: must be >= " in captured.err
+    assert "model spec" not in captured.err
+
+
+def test_non_integer_flag_reads_invalid_int_value(tmp_path, capsys):
+    code = main(["estimate", "--model", str(tmp_path / "missing.json"), "--n", "8",
+                 "--k", "1.5"])
+    assert code == 2
+    assert "argument --k: invalid int value: '1.5'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("law, key", [

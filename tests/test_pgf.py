@@ -1093,7 +1093,10 @@ class TestTruncatedPmf:
     def test_K_and_deficit_come_from_probs(self):
         pmf = TruncatedPmf(np.array([0.5, 0.25]))
         assert pmf.K == 1 and pmf.deficit == 0.25
-        assert pmf[5] == 0.0 and pmf[1] == 0.25
+        assert pmf[1] == 0.25 and pmf[-1] == 0.0
+        # mass past K is in the deficit, not known to be 0
+        with pytest.raises(IndexError, match="K=1"):
+            pmf[2]
         for knob in ({"K": 7}, {"deficit": 0.0}):
             with pytest.raises(TypeError):
                 TruncatedPmf(np.array([0.5, 0.25]), **knob)

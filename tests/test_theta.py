@@ -61,6 +61,14 @@ class TestPmf:
             law = theta_pmf(cache, 10**4)
             assert abs(law.total() - 1.0) < 1e-12
 
+    def test_atom_is_F_of_n(self, geo_bern, bin_bern):
+        # read from the store at n alone, with the bits of the whole F array
+        for model in (geo_bern, bin_bern):
+            cache = extinction_iterates(model, 4096)
+            for n in (1, 7, 512, 4096):
+                atom = theta_pmf(cache, n).atom_none
+                assert type(atom) is float and atom == float(cache.F[n])
+
     def test_deterministic_immigration_kills_atom(self):
         model = make_model("binary", {"family": "explicit", "probs": [0.0, 1.0]})
         cache = extinction_iterates(model, 32)
