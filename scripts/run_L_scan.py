@@ -8,6 +8,8 @@ Usage: python scripts/run_L_scan.py [--decades 3 5] [--beta 1.5]
 
 import argparse
 
+import numpy as np
+
 from gwimm import extinction_iterates, make_model
 
 
@@ -31,9 +33,9 @@ def main():
         ("both heavy (open regime)", make_model(heavy_off, heavy_imm)),
     ]
     for name, model in models:
-        cache = extinction_iterates(model, grid[-1])
-        vals = " ".join(f"L({n:g})={cache.L[n]:.6g}" for n in grid)
-        ratio = cache.L[grid[-1]] / cache.L[grid[0]]
+        L = np.exp(extinction_iterates(model, grid[-1]).logL_at(grid))
+        vals = " ".join(f"L({n:g})={value:.6g}" for n, value in zip(grid, L))
+        ratio = L[-1] / L[0]
         flags = (model.xlogx_offspring_finite, model.xlogx_immigration_finite)
         print(f"{name:30s} gamma={model.gamma:.4f} xlogx={flags} {vals} "
               f"ratio={ratio:.4f}")

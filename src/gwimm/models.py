@@ -1041,11 +1041,29 @@ class _NotAKnotSpline:
         # CubicHermiteSpline's coefficients from the slopes
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x
+        self._step = (x[-1] - x[0]) / (n - 1)
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def interval(self, q):
+        """The piece of each point of q: np.searchsorted(x, q, "right") - 1,
+        clipped to 0..n-2, found arithmetically.  The guess (q - x_0) / h
+        for the mean spacing h is one off at most on a uniform grid (the
+        tail tables' linspace), and one comparison on each side corrects
+        it; on other grids the corrections repeat until none is needed."""
+        x, last = self.x, self.x.size - 2
+        # fmin and fmax take nan to the last piece, where searchsorted puts it
+        i = np.fmax(np.fmin(np.floor((q - x[0]) / self._step), last), 0).astype(np.intp)
+        while True:
+            down = (q < x[i]) & (i > 0)
+            up = (q >= x[i + 1]) & (i < last)
+            if not (down.any() or up.any()):
+                return i
+            i += up
+            i -= down
 
     def __call__(self, q):
         """Values at q (any shape); beyond the ends the end pieces go on."""
-        i = np.clip(np.searchsorted(self.x, q, "right") - 1, 0, self.x.size - 2)
+        i = self.interval(q)
         s = q - self.x[i]
         s2 = s * s
         c0, c1, c2, c3 = self.c

@@ -213,7 +213,7 @@ def _survivor_ages(horizons: np.ndarray, cache: IterateCache, rng):
     per line of horizon m, as (line, age) arrays, one entry per batch.
 
     A batch of age a survives with chance lambda_a = 1 - h(f_a(0))
-    (cache.one_minus_hfj0), independently of the others, so the
+    (cache.one_minus_hfj0_at), independently of the others, so the
     surviving ages are a Bernoulli sequence with cumulative hazard
     Lambda(i) = -sum_{a<i} log(1 - lambda_a) = -cache.logF_pos[i], which
     is nondecreasing (every term of its Sum2 prefix is <= 0; the tests
@@ -232,7 +232,7 @@ def _survivor_ages(horizons: np.ndarray, cache: IterateCache, rng):
     """
     steps = int(horizons.max(initial=0))
     # zero-factor ages below each horizon, line by line
-    forced = np.flatnonzero(cache.one_minus_hfj0[:steps] >= 1.0)
+    forced = cache.zero_generations
     per = np.searchsorted(forced, horizons)
     lines = [np.repeat(np.arange(horizons.shape[0]), per)]
     ages = [forced[np.arange(lines[0].shape[0]) - np.repeat(np.cumsum(per) - per, per)]]
@@ -294,10 +294,10 @@ def _markov_tail_bounds(cache: IterateCache, ms: np.ndarray, k: int) -> np.ndarr
     """Computable upper bounds on P(Y_m <= k) at the ages ms from the pgf
     Markov chain (monotone product shortened to the cache horizon); 1 where
     m <= k or f_k(0) gives no bound."""
-    if k < 1 or k > cache.N or cache.fj0[k] <= 0.0:
+    if k < 1 or k > cache.N or cache.one_minus_fj0[k] >= 1.0:  # f_k(0) = 0
         return np.ones(np.shape(ms))
     with np.errstate(over="ignore"):
-        bounds = np.exp(cache.log_F_ratio(ms, k) - k * math.log(cache.fj0[k]))
+        bounds = np.exp(cache.log_F_ratio(ms, k) - k * math.log(1.0 - cache.one_minus_fj0[k]))
     return np.where(ms <= k, 1.0, np.minimum(1.0, bounds))
 
 

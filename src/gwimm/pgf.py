@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -67,19 +67,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class IterateCache:
-    """Read-only arrays indexed by generation j = 0..N.
+    """Read-only views of the model's iterate store, generations j = 0..N.
 
-    The four fields are views of the model's iterate store.  fj0, logF, F,
-    logL and L are derived from them on first read and kept; a caller that
-    needs a few generations reads logF_at / logL_at there instead.
+    The store keeps 16 bytes per generation, u_j = 1 - f_j(0) and the log
+    F prefix, plus the sorted generations of the zero factors.  Everything
+    else is read from them at the generations asked for: v_j = 1 - h(f_j(0))
+    by one_minus_hfj0_at, log F and log L by logF_at / logL_at, F ratios by
+    F_ratio.  logF and F are whole arrays derived on first read and kept.
     """
 
     model: Model
     N: int
-    one_minus_fj0: np.ndarray  # 1 - f_j(0), exact complement
-    one_minus_hfj0: np.ndarray
-    logF_pos: np.ndarray       # log of the product over nonzero factors only
-    zero_factors: np.ndarray   # count of zero factors h(f_j(0)) with j < n
+    one_minus_fj0: np.ndarray    # u_j = 1 - f_j(0), exact complement
+    logF_pos: np.ndarray         # log of the product over nonzero factors only
+    zero_generations: np.ndarray  # sorted j < N with a zero factor h(f_j(0))
 
     def __post_init__(self):
         for f in fields(self):
@@ -87,14 +88,26 @@ class IterateCache:
             if isinstance(value, np.ndarray):
                 _frozen(value)
 
+    def one_minus_hfj0_at(self, js):
+        """v_j = 1 - h(f_j(0)) at the generations js (an int, a slice or an
+        array), a float for an int.  The immigration kernel is elementwise
+        with bits independent of the array's length, so these are the
+        values the store summed into log F."""
+        u = self.one_minus_fj0[js]
+        v = self.model.immigration.one_minus_pgf(np.atleast_1d(u))
+        return float(v[0]) if np.ndim(u) == 0 else v
+
     def log_F_ratio(self, n, m) -> np.ndarray:
         """log F(n)/F(m) = sum_{j=m}^{n-1} log h(f_j(0)), elementwise over
         ints or broadcasting arrays.  -inf where a zero factor lies between
         m and n; finite when a common zero factor makes both F vanish.  The
-        only reader of zero_factors; the simulator also reads logF_pos, as
-        the cumulative hazard of the surviving immigrant batches."""
-        return np.where(self.zero_factors[n] == self.zero_factors[m],
-                        self.logF_pos[n] - self.logF_pos[m], -np.inf)
+        simulator also reads logF_pos, as the cumulative hazard of the
+        surviving immigrant batches."""
+        ratio = self.logF_pos[n] - self.logF_pos[m]
+        zeros = self.zero_generations
+        if not zeros.size:
+            return ratio
+        return np.where(np.searchsorted(zeros, n) == np.searchsorted(zeros, m), ratio, -np.inf)
 
     def F_ratio(self, n, m):
         """F(n)/F(m) = prod_{j=m}^{n-1} h(f_j(0)), elementwise as
@@ -112,11 +125,6 @@ class IterateCache:
             return -self.model.gamma * np.log(np.asarray(ns, dtype=float)) - self.logF_at(ns)
 
     @cached_property
-    def fj0(self) -> np.ndarray:
-        """f_j(0)."""
-        return _frozen(1.0 - self.one_minus_fj0)
-
-    @cached_property
     def logF(self) -> np.ndarray:
         """log F(n), n = 0..N (-inf where a factor is 0)."""
         return _frozen(self.logF_at(np.arange(self.N + 1)))
@@ -124,17 +132,6 @@ class IterateCache:
     @cached_property
     def F(self) -> np.ndarray:
         return _frozen(np.exp(self.logF))
-
-    @cached_property
-    def logL(self) -> np.ndarray:
-        """log L(n), n >= 1; index 0 is nan."""
-        logL = self.logL_at(np.arange(self.N + 1))
-        logL[0] = math.nan
-        return _frozen(logL)
-
-    @cached_property
-    def L(self) -> np.ndarray:
-        return _frozen(np.exp(self.logL))
 
 
 # Generations are added to an iterate store in blocks of this length: the
@@ -145,30 +142,32 @@ ITER_BLOCK = 8192
 
 
 class _IterStore:
-    """Grow-on-demand backing arrays shared by every cache on one model.
+    """Grow-on-demand backing arrays shared by every cache on one model:
+    u_j and the log F prefix, 16 bytes per generation, and the sorted
+    generations whose factor h(f_j(0)) is zero (none for most models).
 
     Only u_{j+1} = 1 - f(1 - u_j) is sequential, one Law.one_minus_iterates
     call per block (a scalar loop, a closed form, or corrected runs).  Each
     fill ends at a multiple of the offspring law's iterate_granule (the
     length of a corrected run, 1 for other laws), so every call starts
     where a fresh store's would, from the same stored value.  v_j = 1 -
-    h(1 - u_j) is one array call per block, and log F accumulates by Sum2
-    (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005): a running float
-    sum of the log factors, plus a running sum of the exact error of each
-    of its additions.  Every step is elementwise or a sequential cumsum
-    continued from stored totals, so a store grown in any sequence of steps
-    holds the same bits as a fresh one.
+    h(1 - u_j) is one array call per block, a temporary: readers derive it
+    again from u_j, with the same bits (IterateCache.one_minus_hfj0_at).
+    log F accumulates by Sum2 (Ogita, Rump and Oishi, SIAM J. Sci. Comput.
+    26, 2005): a running float sum of the log factors, plus a running sum
+    of the exact error of each of its additions.  Every step is elementwise
+    or a sequential cumsum continued from stored totals, so a store grown
+    in any sequence of steps holds the same bits as a fresh one.
     """
 
     def __init__(self, model: Model):
         self.model = model
         cap = 1024
         self.u = np.zeros(cap)
-        self.v = np.zeros(cap)
         self.logFp = np.zeros(cap)
-        self.nzero = np.zeros(cap, dtype=np.int64)
         self.u[0] = 1.0
-        self.v[0] = model.immigration.one_minus_pgf(self.u[:1])[0]
+        # replaced, never written: a cache's view stays as it was
+        self.zeros = _frozen(np.zeros(0, dtype=np.int64))
         self.filled = 0  # largest valid generation index
         self._sum = 0.0    # running float sum of log(1 - v_j) over nonzero factors
         self._carry = 0.0  # running sum of that sum's rounding errors
@@ -181,10 +180,9 @@ class _IterStore:
         cap = self.u.shape[0]
         if N + 1 > cap:
             new_cap = max(N + 1, 2 * cap)
-            for name in ("u", "v", "logFp", "nzero"):
-                arr = getattr(self, name)
-                grown = np.zeros(new_cap, dtype=arr.dtype)
-                grown[: arr.shape[0]] = arr
+            for name in ("u", "logFp"):
+                grown = np.zeros(new_cap)
+                grown[:cap] = getattr(self, name)
                 setattr(self, name, grown)
         while self.filled < N:
             self._fill(min(self.filled + ITER_BLOCK, N))
@@ -194,14 +192,14 @@ class _IterStore:
         a = self.filled
         u = self.u
         u[a + 1 : b + 1] = self.model.offspring.one_minus_iterates(float(u[a]), a, b - a)
-        self.v[a + 1 : b + 1] = self.model.immigration.one_minus_pgf(u[a + 1 : b + 1])
-        v = self.v[a:b]
+        v = self.model.immigration.one_minus_pgf(u[a:b])
         zero = v >= 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(zero, 0.0, np.log1p(-v))
         total, carry = _running_sum2(np.float64(self._sum), np.float64(self._carry), terms)
         self.logFp[a + 1 : b + 1] = total[1:] + carry[1:]
-        self.nzero[a + 1 : b + 1] = self.nzero[a] + np.cumsum(zero)
+        if zero.any():
+            self.zeros = _frozen(np.concatenate((self.zeros, a + np.flatnonzero(zero))))
         self._sum = float(total[-1])
         self._carry = float(carry[-1])
         self.filled = b
@@ -233,9 +231,10 @@ def extinction_iterates(model: Model, N: int) -> IterateCache:
 
     Stores grow monotonically per model, so asking for a longer horizon
     later reuses all earlier work.  Every array of the cache is read-only;
-    its four fields are views of the store, which never rewrites
+    its three arrays are views of the store, which never rewrites
     generations already filled (growth past its capacity moves it to new
-    arrays and leaves the old ones as they are).
+    arrays and leaves the old ones as they are; a new zero factor replaces
+    the zero list).
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -248,9 +247,8 @@ def extinction_iterates(model: Model, N: int) -> IterateCache:
         model=model,
         N=N,
         one_minus_fj0=store.u[: N + 1],
-        one_minus_hfj0=store.v[: N + 1],
         logF_pos=store.logFp[: N + 1],
-        zero_factors=store.nzero[: N + 1],
+        zero_generations=store.zeros[: bisect_left(store.zeros, N)],
     )
 
 
@@ -494,7 +492,7 @@ class _ChainStore:
                 total, carry = totals[-1], carries[-1]
             else:
                 factors = imm.apply_to_series(block, K)
-                factors[:, 0] = 1.0 - cache.one_minus_hfj0[m : m + count]
+                factors[:, 0] = 1.0 - cache.one_minus_hfj0_at(slice(m, m + count))
                 if rows:
                     zs = factors.copy()
                     zs[:, 0] = 0.0
@@ -577,7 +575,7 @@ def _series_cohort(model: Model, m: int, K: int) -> np.ndarray:
         g = model.offspring.iterate_series(g, start, min(CHAIN_BLOCK, m - start), K)[-1]
     g[0] = 1.0 - cache.one_minus_fj0[m]
     out = model.immigration.apply_to_series(g, K)
-    out[0] = 1.0 - cache.one_minus_hfj0[m]
+    out[0] = 1.0 - cache.one_minus_hfj0_at(m)
     return out
 
 

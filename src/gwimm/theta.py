@@ -53,7 +53,7 @@ def theta_pmf(cache: IterateCache, n: int) -> ThetaLaw:
         raise ValueError(f"cache horizon {cache.N} < n={n}")
     pmf = np.zeros(n + 1)
     m = n - np.arange(1, n + 1)  # cohort age at the horizon
-    pmf[1:] = cache.one_minus_hfj0[m] * cache.F_ratio(n, m + 1)
+    pmf[1:] = cache.one_minus_hfj0_at(m) * cache.F_ratio(n, m + 1)
     return ThetaLaw(n=n, pmf=pmf, atom_none=cache.F_ratio(n, 0))
 
 

@@ -80,7 +80,7 @@ def check_normalization(scale: str) -> CheckResult:
         closed = math.comb(2 * n, n) / 4.0**n
         rel = max(rel, abs(cache.F[n] - closed) / closed)
     part_f = rel / 1e-10
-    l_err = abs(cache.L[10**4] - math.sqrt(math.pi)) / math.sqrt(math.pi)
+    l_err = abs(float(np.exp(cache.logL_at(10**4))) - math.sqrt(math.pi)) / math.sqrt(math.pi)
     part_l = l_err / 0.005
     mass_err = 0.0
     for m, n, K in [(model, 64, 256), (_bin_bern(), 40, 128)]:
@@ -296,8 +296,8 @@ def check_lemma6_trend(scale: str) -> CheckResult:
         ("light-geometric", _geo_bern()),
         ("light-binary", _bin_bern()),
     ]:
-        cache = extinction_iterates(model, hi)
-        ratios[name] = float(cache.L[hi] / cache.L[lo])
+        L_lo, L_hi = np.exp(extinction_iterates(model, hi).logL_at([lo, hi]))
+        ratios[name] = float(L_hi / L_lo)
     ok_imm = ratios["heavy-immigration"] <= 1.0 / 1.2
     ok_off = ratios["heavy-offspring"] >= 1.2
     ok_light = all(0.98 <= ratios[nm] <= 1.02
@@ -318,7 +318,8 @@ def check_lemma4_ratio(scale: str) -> CheckResult:
     cache = extinction_iterates(model, 10**4)
     k, n = 100, 10**4
     prod = cache.F_ratio(n, k)
-    rhs = (k / n) ** model.gamma * math.exp(cache.logL[k] - cache.logL[n])
+    logL_k, logL_n = cache.logL_at([k, n])
+    rhs = (k / n) ** model.gamma * math.exp(logL_k - logL_n)
     ratio = prod / rhs
     return CheckResult("lemma4-ratio", 0.99 <= ratio <= 1.01, abs(ratio - 1.0),
                        0.01, f"ratio {ratio!r} at k=100, n=1e4")

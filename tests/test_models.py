@@ -123,7 +123,7 @@ class TestValidation:
             ({"family": "log-heavy-offspring", "params": {"beta": HEAVY_BETA_MAX}}, bern),
         ):
             cache = extinction_iterates(make_model(offspring, immigration), 1000)
-            assert np.all(np.isfinite(cache.logL[1:]))
+            assert np.all(np.isfinite(cache.logL_at(np.arange(1, 1001))))
 
     def test_unknown_family_and_missing_keys(self):
         with pytest.raises(ValueError, match="family"):
@@ -611,6 +611,36 @@ class TestTailSpline:
         for pts in (q, np.sort(q)):
             want = ref(pts)
             assert np.all(np.abs(got(pts) - want) <= 4 * eps * np.abs(want))
+
+    @pytest.mark.parametrize("grid", ["heavy-off", "heavy-imm", "uniform", "non-uniform"])
+    def test_interval_is_searchsorted(self, grid):
+        # the arithmetic piece index, and the values read through it, have
+        # the bits of np.searchsorted(x, q, "right") - 1 clipped to the pieces
+        rng = np.random.default_rng(11)
+        if grid.startswith("heavy"):
+            law = LogHeavyOffspringLaw(1.5) if grid == "heavy-off" else LogHeavyImmigrationLaw(1.5)
+            law._build_spline()
+            spline = law._spline
+        else:
+            x = (np.linspace(-1.0, 2.0, 40) if grid == "uniform"
+                 else np.cumsum(rng.uniform(0.02, 0.15, 40)) - 1.0)
+            spline = _NotAKnotSpline(x, np.sin(x))
+        x = spline.x
+        width = x[-1] - x[0]
+        q = np.concatenate((x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                            rng.uniform(x[0], x[-1], 20000),
+                            rng.uniform(x[0] - width, x[0], 100), rng.uniform(x[-1], x[-1] + width, 100),
+                            [x[0] - 1e300, x[-1] + 1e300, -np.inf, np.inf, np.nan]))
+        for pts in (q, np.sort(q)):
+            want = np.clip(np.searchsorted(x, pts, "right") - 1, 0, x.size - 2)
+            assert np.array_equal(spline.interval(pts), want)
+            s = pts - x[want]
+            c0, c1, c2, c3 = spline.c[:, want]
+            with np.errstate(all="ignore"):  # the far points overflow
+                ref = ((c3 + c2 * s) + c1 * (s * s)) + c0 * ((s * s) * s)
+                assert spline(pts).tobytes() == ref.tobytes()
+        for point in (x[0], x[5], x[-1], np.float64(x[3] + 1e-3)):
+            assert spline.interval(point) == min(np.searchsorted(x, point, "right") - 1, x.size - 2)
 
     @pytest.mark.parametrize("grid", ["uniform", "non-uniform"])
     def test_reproduces_a_cubic(self, grid):

@@ -193,7 +193,7 @@ class TestConditionedCohorts:
         # survival function
         assert tries == N
         probs = exact_pmf_Z(model, m, K, deficit_ceiling=1.0).probs
-        conditioned = np.concatenate(([0.0], probs[1:] / cache.one_minus_hfj0[m]))
+        conditioned = np.concatenate(([0.0], probs[1:] / cache.one_minus_hfj0_at(m)))
         if np.count_nonzero(conditioned > 1e-12) == 1:  # one atom
             assert np.all(z == np.argmax(conditioned))
         else:
@@ -215,7 +215,7 @@ class TestConditionedCohorts:
         assert np.all(alive >= 1) and tries > N
         q, i = law.pmf_array(2**16), np.arange(2**16 + 1)
         thinned = np.array([float(q @ stats.binom.pmf(b, i, u)) for b in range(K + 1)])
-        conditioned = np.concatenate(([0.0], thinned[1:] / cache.one_minus_hfj0[m]))
+        conditioned = np.concatenate(([0.0], thinned[1:] / cache.one_minus_hfj0_at(m)))
         assert _chisquare_p(alive, conditioned) > 0.001
 
     @pytest.mark.parametrize("spec", ["binary", {"family": "explicit", "probs": [0.5, 0.3, 0.2]},
@@ -417,8 +417,8 @@ class TestSurvivorAges:
         same_line = np.diff(line[order]) == 0
         assert np.all(np.diff(age[order])[same_line] > 0)
         # every zero-factor age is drawn on every line that reaches past it
-        forced = np.flatnonzero(cache.one_minus_hfj0[:-1] >= 1.0)
-        assert forced.tolist() == {"geo+explicit(q0=0)": [0],
+        forced = np.flatnonzero(cache.one_minus_hfj0_at(slice(None, -1)) >= 1.0)
+        assert cache.zero_generations.tolist() == forced.tolist() == {"geo+explicit(q0=0)": [0],
                                    "geo+poisson(80)": [0, 1]}.get(pair, [])
         for a in forced:
             assert np.array_equal(np.sort(line[age == a]), np.flatnonzero(horizons > a))
@@ -432,7 +432,7 @@ class TestSurvivorAges:
         cache = extinction_iterates(model, m)
         _, age = mc._survivor_ages(np.full(N, m), cache, mc.substream(41, 0))
         hits = np.bincount(age, minlength=m)
-        chance = np.minimum(cache.one_minus_hfj0[:m], 1.0)
+        chance = np.minimum(cache.one_minus_hfj0_at(slice(None, m)), 1.0)
         pvalues = [stats.binomtest(int(h), N, float(c)).pvalue for h, c in zip(hits, chance)]
         assert min(pvalues) * m > 0.001
 
@@ -755,10 +755,10 @@ def _markov_bound_reference(cache, m, k):
     """Upper bound on P(Y_m <= k) for one age, computed in scalars."""
     if m <= k or k < 1:
         return 1.0
-    fk = float(cache.fj0[k])
+    fk = float(1.0 - cache.one_minus_fj0[k])
     if fk <= 0.0:
         return 1.0
-    if cache.zero_factors[m] != cache.zero_factors[k]:
+    if any(k <= j < m for j in cache.zero_generations.tolist()):
         return 0.0
     return min(1.0, math.exp(cache.logF_pos[m] - cache.logF_pos[k] - k * math.log(fk)))
 

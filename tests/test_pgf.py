@@ -39,18 +39,18 @@ from gwimm.series import identity_series, series_exp, series_exp_rows, series_mu
 # the length of a corrected run of log-heavy offspring iterates
 _GRANULE = LogHeavyOffspringLaw.iterate_granule
 
-# every array an IterateCache exposes: its four fields, views of the store,
-# and the five arrays it derives from them on first read
-CACHE_ARRAYS = ("fj0", "one_minus_fj0", "one_minus_hfj0", "logF", "F", "logL", "L",
-                "logF_pos", "zero_factors")
+# every array an IterateCache exposes: its three fields, views of the store,
+# and the two arrays it derives from them on first read
+CACHE_ARRAYS = ("one_minus_fj0", "logF", "F", "logF_pos", "zero_generations")
 
 
 class TestIterates:
     def test_geometric_closed_form(self, geo_bern):
         cache = extinction_iterates(geo_bern, 1000)
         ns = np.arange(1001, dtype=float)
-        assert np.max(np.abs(cache.fj0 - ns / (ns + 1.0))) < 1e-12
-        assert cache.fj0[0] == 0.0
+        fj0 = 1.0 - cache.one_minus_fj0
+        assert np.max(np.abs(fj0 - ns / (ns + 1.0))) < 1e-12
+        assert fj0[0] == 0.0
 
     def test_F_product_values(self, geo_bern):
         cache = extinction_iterates(geo_bern, 30)
@@ -63,17 +63,19 @@ class TestIterates:
 
     def test_L_values(self, geo_bern):
         cache = extinction_iterates(geo_bern, 10)
-        assert cache.L[1] == pytest.approx(2.0, abs=1e-14)
-        assert cache.L[4] == pytest.approx(64.0 / 35.0, abs=1e-14)
+        L1, L4 = np.exp(cache.logL_at([1, 4]))
+        assert L1 == pytest.approx(2.0, abs=1e-14)
+        assert L4 == pytest.approx(64.0 / 35.0, abs=1e-14)
 
     def test_L_cache_identity(self, geo_bern):
         cache = extinction_iterates(geo_bern, 100)
-        n = np.arange(1, 101, dtype=float)
-        assert np.max(np.abs(cache.L[1:] * n**geo_bern.gamma * cache.F[1:] - 1.0)) < 1e-12
+        n = np.arange(1, 101)
+        L = np.exp(cache.logL_at(n))
+        assert np.max(np.abs(L * n**geo_bern.gamma * cache.F[1:] - 1.0)) < 1e-12
 
     def test_monotonicity(self, bin_bern):
         cache = extinction_iterates(bin_bern, 500)
-        assert np.all(np.diff(cache.fj0) > 0)
+        assert np.all(np.diff(1.0 - cache.one_minus_fj0) > 0)
         assert np.all(np.diff(cache.F) < 0)
         assert np.all((cache.F > 0) & (cache.F <= 1))
 
@@ -124,14 +126,16 @@ class TestIterates:
         for model in (geo_bern, bin_bern):
             cache = extinction_iterates(model, 5 * 10**5)
             for c in (2, 5):
-                ratio = cache.L[c * 10**5] / cache.L[10**5]
+                L_lo, L_hi = np.exp(cache.logL_at([10**5, c * 10**5]))
+                ratio = L_hi / L_lo
                 assert abs(ratio - 1.0) < 0.01
 
     def test_lemma4_product_identity(self, geo_bern):
         cache = extinction_iterates(geo_bern, 10**4)
         k, n = 100, 10**4
         prod = cache.F_ratio(n, k)
-        rhs = (k / n) ** geo_bern.gamma * math.exp(cache.logL[k] - cache.logL[n])
+        logL_k, logL_n = cache.logL_at([k, n])
+        rhs = (k / n) ** geo_bern.gamma * math.exp(logL_k - logL_n)
         assert 0.99 <= prod / rhs <= 1.01
 
 
@@ -161,9 +165,12 @@ class TestIterStore:
             grown = extinction_iterates(model, n)
         _STORES.pop(model)
         fresh = extinction_iterates(model, N)
-        for name in ("logF", "logF_pos", "one_minus_hfj0", "one_minus_fj0", "zero_factors"):
+        for name in ("logF", "logF_pos", "one_minus_fj0", "zero_generations"):
             assert np.array_equal(getattr(grown, name), getattr(fresh, name)), name
-        assert fresh.zero_factors[-1] == (1 if model.immigration.kind == "explicit" else 0)
+        assert np.array_equal(grown.one_minus_hfj0_at(slice(None)),
+                              fresh.one_minus_hfj0_at(slice(None)))
+        assert fresh.zero_generations.tolist() == ([0] if model.immigration.kind == "explicit"
+                                                   else [])
 
     @pytest.mark.parametrize("model, granule", [
         (make_model({"family": "log-heavy-offspring", "params": {"beta": 1.5}}, _BERN), _GRANULE),
@@ -183,7 +190,7 @@ class TestIterStore:
 
         def failing_third_call(u):
             calls.append(u)
-            if len(calls) == 3:  # the store's first value, block 1, then block 2
+            if len(calls) == 3:  # blocks 1 and 2 are filled, block 3 is not
                 raise RuntimeError("interrupted")
             return type(imm).one_minus_pgf(imm, u)
 
@@ -196,7 +203,8 @@ class TestIterStore:
         _STORES.pop(model)
         fresh = extinction_iterates(model, 3 * ITER_BLOCK)
         assert np.array_equal(resumed.logF, fresh.logF)
-        assert np.array_equal(resumed.one_minus_hfj0, fresh.one_minus_hfj0)
+        assert np.array_equal(resumed.one_minus_hfj0_at(slice(None)),
+                              fresh.one_minus_hfj0_at(slice(None)))
 
     def test_geometric_iterates_are_the_closed_form(self):
         # f_j(0) = j/(j+1): the store holds 1/(j+1), correctly rounded
@@ -217,12 +225,57 @@ class TestIterStore:
     def test_log_F_is_the_rounded_exact_prefix_sum(self, bin_bern):
         cache = extinction_iterates(bin_bern, 3 * ITER_BLOCK)
         exact, ref = Fraction(0), [0.0]
-        for term in np.log1p(-cache.one_minus_hfj0[:-1]).tolist():
+        for term in np.log1p(-cache.one_minus_hfj0_at(slice(None, -1))).tolist():
             exact += Fraction(term)
             ref.append(float(exact))
         err = np.abs(cache.logF - np.array(ref))
         assert np.max(err / np.spacing(np.abs(ref))) <= 1.0
 
+
+    def test_store_keeps_two_float_arrays_per_generation(self):
+        # u_j and the log F prefix, 16 bytes a generation; v_j is derived
+        # and the zero factors are a list of generations
+        model = make_model("binary", {"family": "poisson", "params": {"mean": 200.0}})
+        _STORES.pop(model, None)
+        extinction_iterates(model, 3 * ITER_BLOCK)
+        store = _STORES[model]
+        per_generation = {name: value for name, value in vars(store).items()
+                          if isinstance(value, np.ndarray) and value.shape[0] > store.filled}
+        assert sorted(per_generation) == ["logFp", "u"]
+        assert all(a.dtype == np.float64 and a.ndim == 1 for a in per_generation.values())
+        assert store.zeros.tolist() == list(range(7))
+
+    @pytest.mark.parametrize("model", [
+        make_model("geometric-critical", _BERN),
+        make_model("geometric-critical", {"family": "poisson", "params": {"mean": 2.0}}),
+        make_model("binary", "geometric-critical"),
+        make_model("binary", {"family": "explicit", "probs": [0.0, 0.5, 0.5]}),
+        make_model({"family": "explicit", "probs": [0.3, 0.45, 0.2, 0.05]},
+                   {"family": "explicit", "probs": [0.2, 0.3, 0.5]}),
+        make_model({"family": "poisson", "params": {"mean": 1.0}}, _BERN),
+        make_model("binary", {"family": "poisson", "params": {"mean": 200.0}}),
+        make_model("binary", {"family": "log-heavy-immigration", "params": {"beta": 1.5}}),
+        make_model({"family": "log-heavy-offspring", "params": {"beta": 1.5}}, _BERN),
+    ], ids=["geo-bern", "geo-poisson", "bin-geo", "bin-explicit(q0=0)", "explicit-explicit",
+            "poisson-bern", "bin-poisson(200)", "heavy-imm", "heavy-off"])
+    def test_derived_factors_have_the_blockwise_bits(self, model):
+        # v_j as the store once kept it: v_0 alone, then one immigration
+        # call per block of generations a+1..b
+        N = 2 * ITER_BLOCK + 17
+        cache = extinction_iterates(model, N)
+        u, imm = cache.one_minus_fj0, model.immigration
+        ref = np.empty(N + 1)
+        ref[0] = imm.one_minus_pgf(u[:1])[0]
+        for a in range(0, N, ITER_BLOCK):
+            b = min(a + ITER_BLOCK, N)
+            ref[a + 1 : b + 1] = imm.one_minus_pgf(u[a + 1 : b + 1])
+        js = np.arange(N + 1)
+        assert cache.one_minus_hfj0_at(slice(None)).tobytes() == ref.tobytes()
+        assert cache.one_minus_hfj0_at(js[::-1]).tobytes() == ref[::-1].tobytes()
+        for j in (0, 1, ITER_BLOCK - 1, ITER_BLOCK, ITER_BLOCK + 1, N):
+            v = cache.one_minus_hfj0_at(j)
+            assert type(v) is float and v == ref[j]
+        assert cache.zero_generations.tolist() == np.flatnonzero(ref[:-1] >= 1.0).tolist()
 
 class TestFRatio:
     """log_F_ratio and F_ratio, the one reader of the stored F."""
@@ -247,6 +300,28 @@ class TestFRatio:
         assert np.array_equal(np.diag(ratio), np.ones(N + 1))
         assert np.array_equal(cache.logF_at(np.arange(N + 1)), log_ratio[:, 0])
 
+    @pytest.mark.parametrize("model", [
+        make_model("geometric-critical", _BERN),
+        make_model("binary", {"family": "poisson", "params": {"mean": 200.0}}),
+        make_model("binary", {"family": "explicit", "probs": [0.0, 0.5, 0.5]}),
+    ], ids=["geo-bern", "bin-poisson(200)", "bin-explicit"])
+    def test_ratios_match_the_zero_factor_counts(self, model):
+        # the counts of zero factors below each n, formed from the derived
+        # factors, give the ratios bit for bit, with or without zeros
+        N = 48
+        cache = extinction_iterates(model, N)
+        zero = cache.one_minus_hfj0_at(slice(None, -1)) >= 1.0
+        counts = np.concatenate(([0], np.cumsum(zero)))
+        ns, ms = np.meshgrid(np.arange(N + 1), np.arange(N + 1), indexing="ij")
+        ref = np.where(counts[ns] == counts[ms], cache.logF_pos[ns] - cache.logF_pos[ms], -np.inf)
+        assert cache.log_F_ratio(ns, ms).tobytes() == ref.tobytes()
+        if model.immigration.kind == "poisson":
+            # binary + poisson(200): h(f_j(0)) = exp(-200 u_j) is 0 for j <= 6
+            assert cache.zero_generations.tolist() == list(range(7))
+            assert np.all(np.isinf(cache.logF_at(np.arange(1, N + 1))))
+            assert np.all(np.isfinite(cache.log_F_ratio(np.arange(7, N + 1), 7)))
+            assert cache.log_F_ratio(8, 6) == -np.inf
+
     def test_zero_factor_ratios(self):
         cache = extinction_iterates(
             make_model("binary", {"family": "explicit", "probs": [0.0, 0.5, 0.5]}), 16)
@@ -255,7 +330,7 @@ class TestFRatio:
         # both F values vanish, their ratio does not
         assert 0.0 < cache.F_ratio(5, 1) < 1.0
         assert cache.F_ratio(5, 1) == pytest.approx(
-            math.prod(1.0 - cache.one_minus_hfj0[1:5]), rel=1e-14)
+            math.prod(1.0 - cache.one_minus_hfj0_at(slice(1, 5))), rel=1e-14)
 
 
 class TestStepPmf:
@@ -707,7 +782,7 @@ def _one_generation_at_a_time(model, ns, K):
             total, carry = _sum2_step(total, carry, log_factor)
         else:
             factor = imm.apply_to_series(g, K)
-            factor[0] = 1.0 - cache.one_minus_hfj0[m]
+            factor[0] = 1.0 - cache.one_minus_hfj0_at(m)
             z = factor.copy()
             z[0] = 0.0
             rows[m] = series_mul(acc, z, K)
@@ -978,7 +1053,7 @@ class TestExactCohort:
         # P(Z^(m) = 0) is 1 - v_m from the iterate store, to the bit, not
         # the drifting constant of the series chain's own f_m(0)
         model = make_model("binary", immigration)
-        v = extinction_iterates(model, m).one_minus_hfj0[m]
+        v = extinction_iterates(model, m).one_minus_hfj0_at(m)
         assert exact_pmf_Z(model, m, 64, deficit_ceiling=math.inf)[0] == 1.0 - v
 
 

@@ -183,7 +183,7 @@ def _joint_per_call(model, cache, n, k, K, m_max):
         else:
             H = acc
             factor = imm.apply_to_series(g, K)
-            factor[0] = 1.0 - cache.one_minus_hfj0[m]
+            factor[0] = 1.0 - cache.one_minus_hfj0_at(m)
             z = factor.copy()
             acc = series_mul(acc, factor, K)
         z[0] = 0.0
