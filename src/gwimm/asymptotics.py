@@ -9,7 +9,9 @@ the lower-deviation formulas
 
 are evaluated in the log domain.  The fixed-k normalization n**gamma L(n)
 P(Y_n = k) equals P(Y_n = k)/F(n) identically, which is how the
-stabilization sequences are computed.
+stabilization sequences are computed.  The gamma limit law of 2 Y_n/(B n)
+comes from the package's one incomplete gamma, pgf._log_gamma_upper, the
+function that also sizes every full law.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Model
-from .pgf import IterateCache, exact_pmf_Y
+from .pgf import IterateCache, _log_gamma_upper, exact_pmf_Y
 
 
 @dataclass
@@ -46,17 +48,30 @@ def build_report_row(n: int, k: int, exact: float | None, asymptotic: float,
     return AsymptoticReportRow(n, k, exact, asymptotic, ratio, formula, untrusted)
 
 
+def _gamma_cdf_at(gamma: float, x: float) -> float:
+    """P(gamma, x) = 1 - Q(gamma, x) from the log of Q that sizes full laws;
+    0 at x = 0, 1 at x = inf, nan for nan."""
+    if x == 0.0:
+        return 0.0
+    if x == math.inf:
+        return 1.0
+    if x != x:
+        return x
+    return -math.expm1(_log_gamma_upper(gamma, x))
+
+
 def gamma_limit_cdf(gamma: float, x):
     """Regularized lower incomplete gamma: the limit law of 2 Y_n/(B n);
     elementwise over an array of x, a float for a float."""
     if gamma <= 0.0:
         raise ValueError("shape parameter must be positive")
-    if np.any(np.asarray(x) < 0.0):
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs < 0.0):
         raise ValueError("the limit law lives on x >= 0")
-    from scipy import special  # here, not at import: no light-law query needs it
-
-    cdf = special.gammainc(gamma, x)
-    return cdf if np.ndim(cdf) else float(cdf)
+    if not xs.ndim:
+        return _gamma_cdf_at(gamma, float(xs))
+    cdf = [_gamma_cdf_at(gamma, v) for v in xs.ravel().tolist()]
+    return np.array(cdf, dtype=float).reshape(xs.shape)
 
 
 def _local_log(model: Model, n: int, logk):

@@ -1,4 +1,5 @@
-"""Independent oracles used by the verification checks and the test suite.
+"""Independent oracles of the population law, used by the verification
+checks and the test suite, on numpy and the standard library alone.
 
 The enumeration deliberately avoids the series engine: the branching
 recursion is enumerated with exact rational arithmetic, so agreement is
@@ -81,18 +82,3 @@ def enumerate_population_pmf(offspring_probs, immigration_probs, n: int,
         dist = dict(new)
     return dist
 
-
-def gamma_cdf_by_quadrature(gamma: float, x: float) -> float:
-    """Regularized lower incomplete gamma via direct numeric quadrature
-    (independent of the special-function implementation)."""
-    import math
-
-    from scipy import integrate
-
-    if x <= 0.0:
-        return 0.0
-    val, _ = integrate.quad(
-        lambda u: u ** (gamma - 1.0) * math.exp(-u), 0.0, x,
-        epsabs=1e-14, epsrel=1e-12, limit=200,
-    )
-    return val / math.gamma(gamma)

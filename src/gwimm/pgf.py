@@ -338,8 +338,11 @@ def _log_gamma_upper(a: float, x: float) -> float:
             ap += 1.0
             term *= x / ap
             total += term
-        lead = a * math.log(x) - x - math.lgamma(a + 1.0)
-        return math.log1p(-math.exp(lead) * total)
+        if x < 1.0:  # x^a by pow: exp(a log x) would scale the rounding of a log x by its size
+            front = x**a * math.exp(-x - math.lgamma(a + 1.0))
+        else:
+            front = math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
+        return math.log1p(-front * total)
     lead = a * math.log(x) - x - math.lgamma(a)
     tiny = sys.float_info.min / eps
     b = x + 1.0 - a
@@ -684,9 +687,40 @@ def _exact_law(model: Model, n: int, K: int, initial: int, deficit_ceiling: floa
     if pmf.deficit > deficit_ceiling:
         where = (f"for cohort law at m={n}; increase K={K}" if cohort
                  else f"at n={n}; increase the truncation bound K={K}")
+        tail = model.immigration.tail_mass(K) if not cohort and n >= 1 else 0.0
+        if tail > deficit_ceiling:
+            # Y_n >= the batch that immigrates in generation n, so its tail
+            # bounds P(Y_n > K) from below at every K
+            least = _least_tail_bound(model.immigration, K, deficit_ceiling)
+            where += (f"; P(Y_n > K) >= {tail:.1e} from the last generation's immigrants "
+                      "alone, and this bound meets the ceiling "
+                      + (f"only at K >= {least}" if least else "at no K tried"))
         raise DeficitError(
             f"deficit {pmf.deficit:.3e} exceeds ceiling {deficit_ceiling:.3e} {where}")
     return pmf
+
+
+def _least_tail_bound(law: Law, K: int, ceiling: float) -> int | None:
+    """The least k > K with law.tail_mass(k) <= ceiling, given that K has a
+    larger tail: doubling brackets, at most 64, then bisection.  None when
+    the doublings run out or the tail stops falling (its rounding floor)."""
+    lo, hi, last = K, 2 * K + 1, law.tail_mass(K)
+    for _ in range(64):
+        tail = law.tail_mass(hi)
+        if tail <= ceiling:
+            break
+        if not tail < last:
+            return None
+        lo, hi, last = hi, 2 * hi, tail
+    else:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if law.tail_mass(mid) <= ceiling:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def exact_pmf_Y(

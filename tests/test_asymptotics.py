@@ -1,7 +1,10 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 
 from gwimm import exact_pmf_Y, exact_pmf_Z, extinction_iterates
 from gwimm.asymptotics import (
@@ -16,8 +19,19 @@ from gwimm.asymptotics import (
     main3_mu_estimate,
     mellein_local,
 )
-from gwimm.oracles import gamma_cdf_by_quadrature
 from gwimm.pgf import full_law_truncation
+
+
+def gamma_cdf_by_quadrature(gamma: float, x: float) -> float:
+    """Regularized lower incomplete gamma via direct numeric quadrature
+    (independent of the special-function implementation)."""
+    if x <= 0.0:
+        return 0.0
+    val, _ = integrate.quad(
+        lambda u: u ** (gamma - 1.0) * math.exp(-u), 0.0, x,
+        epsabs=1e-14, epsrel=1e-12, limit=200,
+    )
+    return val / math.gamma(gamma)
 
 
 class TestGammaLimitCdf:
@@ -45,6 +59,26 @@ class TestGammaLimitCdf:
             want = [gamma_limit_cdf(g, float(x)) for x in xs]
             assert all(type(w) is float for w in want)
             assert got.tolist() == want
+
+    @pytest.mark.parametrize("g, tol", [
+        (0.5, 3e-14), (1.0, 3e-14), (2.7, 3e-14), (8.0, 3e-14),
+        (20.0, 5e-13), (200.0, 5e-13), (1000.0, 3e-12),
+    ])
+    def test_against_mpmath(self, g, tol):
+        # relative error against 40 digits, x from 1e-300 to 1e3; below the
+        # least normal float the error is taken relative to that float
+        xs = np.concatenate((np.logspace(-300, 3, 304), [g * 0.9, g, g + 1.0, g * 1.1]))
+        got = gamma_limit_cdf(g, xs)
+        with mpmath.workdps(40):
+            for x, p in zip(xs.tolist(), got.tolist()):
+                ref = float(mpmath.gammainc(g, 0, x, regularized=True))
+                assert abs(p - ref) <= tol * max(ref, sys.float_info.min), (x, p, ref)
+
+    def test_nan_and_inf(self):
+        assert math.isnan(gamma_limit_cdf(2.0, math.nan))
+        assert gamma_limit_cdf(2.0, math.inf) == 1.0
+        got = gamma_limit_cdf(0.5, np.array([math.nan, 0.0, math.inf]))
+        assert math.isnan(got[0]) and got[1:].tolist() == [0.0, 1.0]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
-"""Import hygiene, each case in a fresh interpreter: no engine path, light
-or log-heavy, loads scipy at all."""
+"""Import hygiene: no module of the package imports scipy, and, each case
+in a fresh interpreter, no engine path or CLI subcommand loads it or needs
+it."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import gwimm
 
@@ -17,6 +20,21 @@ def run_fresh(code):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def test_no_module_imports_scipy():
+    found = []
+    for path in sorted(Path(gwimm.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_light_paths_load_no_scipy(tmp_path):
@@ -82,3 +100,45 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 """)
     assert loaded == []
     assert out.read_text().count("\n") == 3
+
+
+def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
+    # sys.modules["scipy"] = None makes every scipy import raise ImportError
+    bern = {"family": "bernoulli01", "params": {"q1": 0.5}}
+    heavy = {"family": "log-heavy-immigration", "params": {"beta": 1.5}}
+    specs = {
+        "bin-bern": {"offspring": {"family": "binary"}, "immigration": bern},
+        "bin-poisson": {"offspring": {"family": "binary"},
+                        "immigration": {"family": "poisson", "params": {"mean": 4.0}}},
+        "geo-bern": {"offspring": {"family": "geometric-critical"}, "immigration": bern},
+        "bin-heavy": {"offspring": {"family": "binary"}, "immigration": heavy},
+    }
+    for name, spec in specs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+    sampling = ["--samples", "500", "--seed", "1"]
+    runs = {
+        "exact, series route": ["exact", "--model", "bin-bern", "--n", "64"],
+        "exact, circle route": ["exact", "--model", "bin-poisson", "--n", "128"],
+        "theta": ["theta", "--model", "geo-bern", "--n", "512"],
+        "scan-L, light": ["scan-L", "--model", "geo-bern", "--grid", "100,10000"],
+        "scan-L, heavy": ["scan-L", "--model", "bin-heavy", "--grid", "100,10000"],
+        "simulate": ["simulate", "--model", "bin-bern", "--n", "64", *sampling],
+        "estimate, naive": ["estimate", "--model", "geo-bern", "--n", "64", "--k", "4",
+                            "--method", "naive", *sampling],
+        "estimate, stratified": ["estimate", "--model", "geo-bern", "--n", "64", "--k", "4",
+                                 "--method", "stratified", *sampling],
+        "verify, desk": ["verify"],
+    }
+    for i, argv in enumerate(runs.values()):
+        if "--model" in argv:
+            at = argv.index("--model") + 1
+            argv[at] = str(tmp_path / f"{argv[at]}.json")
+        argv += ["--out", str(tmp_path / f"out-{i}.csv")]
+    codes = run_fresh(f"""
+import json, sys
+sys.modules["scipy"] = None
+from gwimm.cli import main
+runs = {runs!r}
+print(json.dumps({{label: main(argv) for label, argv in runs.items()}}))
+""")
+    assert codes == dict.fromkeys(runs, 0)

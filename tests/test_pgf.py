@@ -25,6 +25,7 @@ from gwimm.pgf import (
     _CHAINS,
     _STORES,
     CIRCLE_WINDOW,
+    DEFAULT_DEFICIT_CEILING,
     ITER_BLOCK,
     _chain_store,
     _circle_products,
@@ -426,8 +427,31 @@ class TestExactEngine:
         assert np.allclose(pmf.probs[:4], [0.25, 0.25, 0.25, 0.25], atol=1e-15)
 
     def test_deficit_ceiling_raises(self, geo_bern):
-        with pytest.raises(DeficitError, match="increase"):
+        # bernoulli01 immigrants never exceed K: the message names no tail bound
+        with pytest.raises(DeficitError) as err:
             exact_pmf_Y(geo_bern, 256, 64)
+        assert str(err.value).endswith("at n=256; increase the truncation bound K=64")
+
+    def test_heavy_refusal_names_the_immigrants_tail(self):
+        # Y_16 >= the last batch, whose tail alone is 5.2e-05 at K = 211
+        model = _heavy_imm()
+        imm = model.immigration
+        with pytest.raises(DeficitError) as err:
+            exact_pmf_Y(model, 16, 211)
+        assert str(err.value).endswith(
+            "at n=16; increase the truncation bound K=211; P(Y_n > K) >= 5.2e-05 from the "
+            "last generation's immigrants alone, and this bound meets the ceiling only "
+            "at K >= 5765")
+        assert imm.tail_mass(5764) > DEFAULT_DEFICIT_CEILING >= imm.tail_mass(5765)
+
+    def test_refusal_stops_at_the_tails_rounding_floor(self):
+        # poisson(4)'s tail_mass = 1 - sum(pmf) stays at 2.2e-16 from K = 64
+        # on: no K meets a ceiling of 1e-20, and the search stops there
+        model = make_model("binary", {"family": "poisson", "params": {"mean": 4.0}})
+        with pytest.raises(DeficitError, match=r"ceiling only at K >= 17$"):
+            exact_pmf_Y(model, 4, 3)
+        with pytest.raises(DeficitError, match="meets the ceiling at no K tried$"):
+            exact_pmf_Y(model, 4, 3, deficit_ceiling=1e-20)
 
     def test_negative_truncation_rejected(self, geo_bern):
         with pytest.raises(ValueError, match="K=-5"):
