@@ -12,7 +12,7 @@ Subcommands
 Integer flags are bounded by their argparse type (_int_from), so a value out
 of range exits 2, naming the flag, before the model file is read.
 
-Exit codes: 0 success/all-pass, 1 check failure, 2 usage or parse error,
+Exit codes: 0 success/all-pass, 1 check failure, 2 usage, parse or --out write error,
 3 numeric guard (truncation deficit, overflow guard, check infrastructure).
 """
 
@@ -71,27 +71,20 @@ def _int_from(lowest: int):
 def cmd_exact(args, model: Model):
     n = args.n
     if n == 0 and args.trunc is None:
-        return [{"k": args.initial, "prob": 1.0, "cumulative": 1.0, "deficit": 0.0}]
+        return {"k": args.initial, "prob": 1.0, "cumulative": 1.0, "deficit": 0.0}
     K = args.trunc if args.trunc is not None else full_law_truncation(model, n, 1e-8, args.initial)
     pmf = exact_pmf_Y(model, n, K, args.initial)
-    cum = np.cumsum(pmf.probs)
-    return [
-        {"k": k, "prob": float(pmf.probs[k]), "cumulative": float(cum[k]),
-         "deficit": pmf.deficit}
-        for k in range(K + 1)
-    ]
+    return {"k": np.arange(K + 1), "prob": pmf.probs, "cumulative": np.cumsum(pmf.probs),
+            "deficit": pmf.deficit}
 
 
 def cmd_theta(args, model: Model):
     n = args.n
     cache = extinction_iterates(model, n)
     law = theta_pmf(cache, n)
-    ls = np.arange(1, n + 1)
-    survival = theta_survival(cache, n, ls)
-    rows = [{"l": l, "prob": p, "survival": s}
-            for l, p, s in zip(ls.tolist(), law.pmf[1:].tolist(), survival.tolist())]
-    rows.append({"l": "atom", "prob": law.atom_none, "survival": law.atom_none})
-    return rows
+    survival = theta_survival(cache, n, np.arange(1, n + 1))
+    return {"l": list(range(1, n + 1)) + ["atom"], "prob": np.append(law.pmf[1:], law.atom_none),
+            "survival": np.append(survival, law.atom_none)}
 
 
 def cmd_scan_L(args, model: Model):
@@ -120,32 +113,18 @@ def cmd_scan_L(args, model: Model):
         trend = "decreasing"
     else:
         trend = "flat"
-    rows = []
-    for i, n in enumerate(grid):
-        slope = ""
-        if i > 0:
-            slope = float((logL[i] - logL[i - 1])
-                          / (math.log(n) - math.log(grid[i - 1])))
-        rows.append({
-            "n": n,
-            "F": float(F[i]),
-            "L": float(L[i]),
-            "dlogL_dlogn": slope,
-            "trend": trend,
-        })
-    return rows
+    slopes = [float((logL[i] - logL[i - 1]) / (math.log(grid[i]) - math.log(grid[i - 1])))
+              for i in range(1, len(grid))]
+    return {"n": grid, "F": F, "L": L, "dlogL_dlogn": [None] + slopes, "trend": trend}
 
 
 def cmd_simulate(args, model: Model):
     sim = mc.SimConfig(samples=args.samples, seed=args.seed, streams=args.streams)
     draws = mc.simulate_Y_streams(model, args.n, args.initial, sim)
     counts = np.bincount(np.concatenate([values for values, _ in draws]))
-    return [
-        {"n": args.n, "samples": sim.samples, "seed": sim.seed,
-         "streams": sim.streams, "value": v, "count": int(c),
-         "freq": float(c / sim.samples)}
-        for v, c in enumerate(counts) if c > 0
-    ]
+    seen = np.flatnonzero(counts)
+    return {"n": args.n, "samples": sim.samples, "seed": sim.seed, "streams": sim.streams,
+            "value": seen, "count": counts[seen], "freq": counts[seen] / sim.samples}
 
 
 def cmd_estimate(args, model: Model):
@@ -158,34 +137,29 @@ def cmd_estimate(args, model: Model):
         raise ValueError("the stratified estimator needs --n >= 1")
     if not args.epsilon > 0 and "stratified" in methods:
         raise ValueError(f"the stratified estimator needs --epsilon > 0, got {args.epsilon}")
-    rows = []
+    results = []
     for method in methods:
         if method == "naive":
-            res = mc.estimate_lower_tail_naive(model, args.n, args.k, sim,
-                                               jobs=args.jobs)
+            results.append(mc.estimate_lower_tail_naive(model, args.n, args.k, sim,
+                                                        jobs=args.jobs))
         else:
-            res = mc.estimate_lower_tail_stratified(
-                model, args.n, args.k, sim, epsilon=args.epsilon, jobs=args.jobs)
-        rows.append({
-            "method": res.method, "n": args.n, "k": args.k,
+            results.append(mc.estimate_lower_tail_stratified(
+                model, args.n, args.k, sim, epsilon=args.epsilon, jobs=args.jobs))
+    fields = ("estimate", "stderr", "samples_used", "attempts", "bracket_low",
+              "bracket_high", "guard_trips")
+    return {"method": [r.method for r in results], "n": args.n, "k": args.k,
             "samples": sim.samples, "seed": sim.seed, "streams": sim.streams,
-            "estimate": res.estimate, "stderr": res.stderr,
-            "samples_used": res.samples_used, "attempts": res.attempts,
-            "bracket_low": res.bracket_low, "bracket_high": res.bracket_high,
-            "guard_trips": res.guard_trips,
-        })
-    return rows
+            **{f: [getattr(r, f) for r in results] for f in fields}}
 
 
 def cmd_verify(args, _model):
     only = [x.strip() for x in (args.only or "").split(",") if x.strip()]
     results = run_checks(only, args.scale)
-    return [
-        {"check": r.name, "value": r.value, "threshold": r.threshold,
-         "verdict": r.verdict(), "seconds": round(r.seconds, 3),
-         "detail": r.detail}
-        for r in results
-    ]
+    return {"check": [r.name for r in results], "value": [r.value for r in results],
+            "threshold": [r.threshold for r in results],
+            "verdict": [r.verdict() for r in results],
+            "seconds": [round(r.seconds, 3) for r in results],
+            "detail": [r.detail for r in results]}
 
 
 @lru_cache(maxsize=None)
@@ -265,7 +239,7 @@ def main(argv=None) -> int:
 
     try:
         model = load_model_spec(args.model) if args.model is not None else None
-        rows = args.run(args, model)
+        table = args.run(args, model)
     except (DeficitError, ArithmeticError, RuntimeError) as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return 3
@@ -274,15 +248,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    # every command's rows are nonempty, keyed in column order
-    text = serialize(rows, list(rows[0]), args.fmt)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    text = serialize(table, args.fmt)
+    if not args.out:
         sys.stdout.write(text)
-    # only verify rows carry a verdict; a failed check exits 1
-    return 1 if any(row.get("verdict") == "FAIL" for row in rows) else 0
+    else:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
+    # only verify tables carry a verdict; a failed check exits 1
+    return 1 if "FAIL" in table.get("verdict", ()) else 0
 
 
 if __name__ == "__main__":

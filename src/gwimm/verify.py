@@ -348,13 +348,10 @@ def check_determinism(scale: str) -> CheckResult:
         cfg = mc.SimConfig(samples=2000, seed=99, streams=3)
         rn = mc.estimate_lower_tail_naive(model, 64, 8, cfg, jobs=jobs)
         rs = mc.estimate_lower_tail_stratified(model, 64, 8, cfg, jobs=jobs)
-        rows = [
-            {"method": r.method, "estimate": r.estimate, "stderr": r.stderr,
-             "samples": r.samples_used, "seed": cfg.seed, "streams": cfg.streams}
-            for r in (rn, rs)
-        ]
-        outs.append(serialize(rows, ["method", "estimate", "stderr", "samples",
-                                     "seed", "streams"], "csv"))
+        outs.append(serialize({
+            "method": [rn.method, rs.method], "estimate": [rn.estimate, rs.estimate],
+            "stderr": [rn.stderr, rs.stderr], "samples": [rn.samples_used, rs.samples_used],
+            "seed": cfg.seed, "streams": cfg.streams}, "csv"))
     same = outs[0] == outs[1] == outs[2]
     return CheckResult("determinism", same, 0.0 if same else 1.0, 0.0,
                        "naive+stratified CSV bytes across jobs in {1,2}")

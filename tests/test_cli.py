@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwimm import extinction_iterates, make_law, make_model
 from gwimm import montecarlo as mc
@@ -18,7 +20,7 @@ from gwimm.montecarlo import (
     simulate_Y_batch,
     substream,
 )
-from gwimm.reporting import rows_to_csv, serialize
+from gwimm.reporting import serialize
 from gwimm.theta import theta_survival
 
 
@@ -555,25 +557,208 @@ class TestVerifyCommand:
 
 class TestSerialization:
     def test_seventeen_significant_digits(self):
-        rows = [{"p": 1.0 / 3.0}]
-        text = rows_to_csv(rows, ["p"])
+        text = serialize({"p": [1.0 / 3.0]}, "csv")
         value = text.splitlines()[1]
         assert float(value) == 1.0 / 3.0
 
     def test_special_characters_round_trip(self):
         detail = 'max err 1e-13, at k=3; "window" ok'
-        rows = [{"check": "a", "detail": detail}, {"check": "b", "detail": "plain"}]
-        text = rows_to_csv(rows, ["check", "detail"])
+        text = serialize({"check": ["a", "b"], "detail": [detail, "plain"]}, "csv")
         back = list(csv.DictReader(io.StringIO(text)))
         assert [r["detail"] for r in back] == [detail, "plain"]
         assert text.splitlines()[2] == "b,plain"
 
     def test_header_always_present(self):
-        assert rows_to_csv([], ["a", "b"]).splitlines() == ["a,b"]
+        assert serialize({"a": [], "b": np.zeros(0)}, "csv").splitlines() == ["a,b"]
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
-            serialize([], ["a"], "xml")
+            serialize({"a": []}, "xml")
+
+    def test_lone_carriage_return_is_quoted(self):
+        # csv.writer with lineterminator="\n" leaves a lone CR unquoted, and a
+        # reader then takes it for a line break
+        text = serialize({"check": ["a\rb", "c"], "detail": ["x", "y\r"]}, "csv")
+        assert text == 'check,detail\n"a\rb",x\nc,"y\r"\n'
+        back = list(csv.DictReader(io.StringIO(text, newline="")))
+        assert [(r["check"], r["detail"]) for r in back] == [("a\rb", "x"), ("c", "y\r")]
+
+    def test_none_is_an_empty_field_and_json_null(self):
+        table = {"n": [1, 2], "slope": [None, 0.5], "trend": "flat"}
+        assert serialize(table, "csv") == "n,slope,trend\n1,,flat\n2,0.5,flat\n"
+        assert json.loads(serialize(table, "json"))[0] == {"n": 1, "slope": None,
+                                                            "trend": "flat"}
+
+    def test_single_values_fill_every_row(self):
+        table = {"k": np.arange(3), "deficit": 0.25}
+        assert serialize(table, "csv") == "k,deficit\n0,0.25\n1,0.25\n2,0.25\n"
+        assert serialize({"k": 4, "prob": 1.0}, "csv") == "k,prob\n4,1\n"
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            serialize({"a": [1, 2], "b": np.zeros(3)}, "csv")
+
+
+# -- the row serializer the tables replaced, kept as the reference of their bytes
+
+def reference_format_value(v) -> str:
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
+
+
+def reference_serialize(rows, columns, fmt):
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([reference_format_value(row.get(c, "")) for c in columns])
+        return buf.getvalue()
+    ordered = [{c: row.get(c) for c in columns if c in row} for row in rows]
+    return json.dumps(ordered, indent=1) + "\n"
+
+
+def table_rows(table, missing=None):
+    """One dict per row, cell by cell; None cells become `missing`."""
+    def is_column(col):
+        return isinstance(col, (list, np.ndarray))
+
+    n_rows = max([len(c) for c in table.values() if is_column(c)], default=1)
+    rows = []
+    for i in range(n_rows):
+        row = {}
+        for name, col in table.items():
+            cell = col[i] if is_column(col) else col
+            if isinstance(cell, np.generic):
+                cell = cell.item()
+            row[name] = missing if cell is None else cell
+        rows.append(row)
+    return rows
+
+
+def assert_reference_bytes(table, json_missing=None, csv_missing=None):
+    columns = list(table)
+    assert serialize(table, "csv") == reference_serialize(
+        table_rows(table, csv_missing), columns, "csv")
+    assert serialize(table, "json") == reference_serialize(
+        table_rows(table, json_missing), columns, "json")
+
+
+def command_table(argv):
+    from gwimm.cli import build_parser, load_model_spec
+
+    args = build_parser().parse_args(argv)
+    model = load_model_spec(args.model) if args.model is not None else None
+    return args.run(args, model)
+
+
+@pytest.fixture(scope="module")
+def bin_poisson_spec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("specs") / "bin_poisson.json"
+    path.write_text(json.dumps({
+        "offspring": {"family": "binary"},
+        "immigration": {"family": "poisson", "params": {"mean": 4.0}},
+    }))
+    return str(path)
+
+
+class TestReferenceBytes:
+    """Every subcommand's table serializes to the row path's bytes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "64"],
+        ["--n", "10", "--initial", "50"],
+        ["--n", "0"],
+        ["--n", "0", "--initial", "3"],
+        ["--n", "0", "--trunc", "5", "--initial", "2"],
+    ])
+    def test_exact_series_route(self, argv, bin_bern_spec):
+        assert_reference_bytes(command_table(["exact", "--model", bin_bern_spec, *argv]))
+
+    def test_exact_circle_route(self, bin_poisson_spec):
+        table = command_table(["exact", "--model", bin_poisson_spec, "--n", "128"])
+        assert len(table["prob"]) > 1000
+        assert_reference_bytes(table)
+
+    def test_theta(self, geo_bern_spec):
+        assert_reference_bytes(command_table(["theta", "--model", geo_bern_spec, "--n", "512"]))
+
+    def test_scan_L_first_slope_is_null(self, geo_bern_spec):
+        table = command_table(["scan-L", "--model", geo_bern_spec, "--grid", "10,100,1000"])
+        assert table["dlogL_dlogn"][0] is None
+        # CSV keeps the row path's empty field; JSON prints null where the
+        # row path printed the string ""
+        assert_reference_bytes(table, csv_missing="")
+        text = serialize(table, "json")
+        old = reference_serialize(table_rows(table, ""), list(table), "json")
+        assert text != old
+        assert text == old.replace('"dlogL_dlogn": ""', '"dlogL_dlogn": null', 1)
+        assert json.loads(text)[0]["dlogL_dlogn"] is None
+
+    def test_simulate(self, bin_bern_spec):
+        assert_reference_bytes(command_table(
+            ["simulate", "--model", bin_bern_spec, "--n", "64", "--samples", "500",
+             "--seed", "7", "--streams", "2"]))
+
+    def test_estimate_both(self, geo_bern_spec):
+        table = command_table(["estimate", "--model", geo_bern_spec, "--n", "64", "--k", "8",
+                               "--samples", "300", "--seed", "7", "--method", "both"])
+        assert table["method"] == ["naive", "stratified"]
+        assert_reference_bytes(table)
+
+    def test_verify(self):
+        table = command_table(["verify", "--only", "lemma4-ratio,determinism"])
+        assert table["check"] == ["lemma4-ratio", "determinism"]
+        assert_reference_bytes(table)
+
+
+_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, math.inf,
+                           -math.inf, math.nan, 1.0 / 3.0, 1e300, -2.5]) | st.floats()
+_TEXT = st.text(alphabet=[",", '"', "\n", " ", "a", "7", "."], max_size=6)
+
+
+@st.composite
+def tables(draw):
+    n_rows = draw(st.integers(0, 40))
+    names = draw(st.lists(_TEXT, min_size=2, max_size=6, unique=True))
+    cells = {
+        "float array": lambda: np.array(draw(st.lists(_FLOATS, min_size=n_rows,
+                                                      max_size=n_rows)), dtype=float),
+        "int array": lambda: np.array(draw(st.lists(st.integers(-2**62, 2**62),
+                                                    min_size=n_rows, max_size=n_rows)),
+                                      dtype=np.int64),
+        "float list": lambda: draw(st.lists(_FLOATS | _FLOATS.map(np.float64),
+                                            min_size=n_rows, max_size=n_rows)),
+        "int list": lambda: draw(st.lists(st.integers() | st.booleans(),
+                                          min_size=n_rows, max_size=n_rows)),
+        "text list": lambda: draw(st.lists(_TEXT, min_size=n_rows, max_size=n_rows)),
+        "mixed list": lambda: draw(st.lists(_FLOATS | st.integers() | _TEXT | st.none(),
+                                            min_size=n_rows, max_size=n_rows)),
+        "single value": lambda: draw(_FLOATS | st.integers() | st.booleans() | _TEXT),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(cells)), min_size=len(names),
+                          max_size=len(names)))
+    return {name: cells[kind]() for name, kind in zip(names, kinds)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_tables_serialize_to_the_reference_bytes(table):
+    # a None cell is the row path's empty field in CSV, null in JSON
+    assert_reference_bytes(table, csv_missing="")
+
+
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_unwritable_out_is_a_usage_error(where, bin_bern_spec, tmp_path, capsys):
+    out = tmp_path / "nope" / "x.csv" if where == "missing directory" else tmp_path
+    code = main(["exact", "--model", bin_bern_spec, "--n", "4", "--trunc", "80",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write output: ")
+    assert str(out) in err
+    assert "Traceback" not in err
 
 
 def test_console_entry_point_runs():
