@@ -38,7 +38,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import series_compose_poly, series_exp, series_mul, series_recip, trim
+from .series import (
+    mul_padded,
+    product_pad,
+    series_compose_poly,
+    series_exp,
+    series_recip,
+    trim,
+)
 
 CRITICALITY_TOL = 1e-10
 EXPLICIT_MASS_TOL = 1e-12
@@ -673,20 +680,18 @@ class BinaryLaw(Law):
         return out
 
     def _apply_one(self, g, K):
-        out = 0.5 * series_mul(g, g, K)
-        out[0] += 0.5
-        return out
+        return self.iterate_series(g, 0, 1, K)[0]
 
     def iterate_series(self, g, m, count, K):
-        # _apply_one row after row; from the second row on g has K+1
-        # terms, so np.convolve alone gives series_mul's bits
+        # (1 + g*g)/2 row after row, g in one pad: each square is
+        # series_mul(g, g, K) with its bits, written straight into out[i]
         out = np.empty((count, K + 1))
-        if count:
-            out[0] = g = self._apply_one(np.asarray(g, dtype=float), K)
-        for i in range(1, count):
-            g = 0.5 * np.convolve(g, g)[: K + 1]
-            g[0] += 0.5
-            out[i] = g
+        pad = product_pad(g, K)
+        g = pad[K:]
+        for i in range(count):
+            np.multiply(mul_padded(pad, g[::-1]), 0.5, out=out[i])
+            out[i, 0] += 0.5
+            g[:] = out[i]
         return out
 
     def sample(self, size, rng):

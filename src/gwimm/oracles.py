@@ -13,11 +13,9 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
-import numpy as np
-
 from .models import Model
 from .pgf import TruncatedPmf
-from .series import series_mul
+from .series import series_compose_poly, series_mul
 
 
 def _as_fractions(probs) -> list[Fraction]:
@@ -36,14 +34,8 @@ def step_pmf(model: Model, y: TruncatedPmf) -> TruncatedPmf:
     K = y.K
     if K < 1:
         raise ValueError("truncation bound must be >= 1")
-    inner = model.offspring.pmf_array(K)
-    acc = np.zeros(K + 1)
-    acc[0] = y.probs[K]
-    for m in range(K - 1, -1, -1):
-        acc = series_mul(acc, inner, K)
-        acc[0] += y.probs[m]
-    acc = series_mul(acc, model.immigration.pmf_array(K), K)
-    return TruncatedPmf(acc)
+    acc = series_compose_poly(y.probs, model.offspring.pmf_array(K), K)
+    return TruncatedPmf(series_mul(acc, model.immigration.pmf_array(K), K))
 
 
 def enumerate_population_pmf(offspring_probs, immigration_probs, n: int,

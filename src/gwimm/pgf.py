@@ -28,6 +28,8 @@ from .models import Law, Model
 from .series import (
     DIRECT_CONV_MAX,
     identity_series,
+    mul_padded,
+    product_pad,
     series_exp,
     series_exp_rows,
     series_mul,
@@ -46,7 +48,7 @@ DEFAULT_DEFICIT_CEILING = 1e-6
 CIRCLE_OVERSAMPLE = 4
 CIRCLE_DAMPING = 1e-10
 # Coefficients 0..CIRCLE_WINDOW of a circle-path law come from the series
-# engine at K = CIRCLE_WINDOW instead: direct convolutions of nonnegative
+# engine at K = CIRCLE_WINDOW instead: truncated products of nonnegative
 # series, which keep every tiny lower-tail coefficient to full relative
 # accuracy and exact lattice zeros.
 CIRCLE_WINDOW = 64
@@ -264,8 +266,8 @@ class TruncatedPmf:
     deficit = 1 - sum(probs) are derived from the coefficients.  ``path``
     names the engine that produced them:
 
-    - "series": truncated products of the factor series, direct
-      convolutions of nonnegative series at every K (for Poisson
+    - "series": truncated products of the factor series, each
+      coefficient one dot of nonnegative terms at every K (for Poisson
       immigration, the exponential of a sum of nonnegative series), so
       each coefficient is a certified lower bound on the true probability,
       to relative rounding (exact for laws whose series are exact;
@@ -478,6 +480,8 @@ class _ChainStore:
         cache = extinction_iterates(self.model, n)
         if self.sums is not None:
             total, carry = self.sums[m]
+        pad = product_pad(acc, K)  # acc on the product walk, H_m for a row
+        acc = pad[K:]
         while m < n:
             count = min(CHAIN_BLOCK, n - m)
             later = off.iterate_series(g, m, count, K)  # f_{m+1}..f_{m+count}
@@ -490,20 +494,23 @@ class _ChainStore:
                     # one stacked exponential
                     hz = series_exp_rows(np.concatenate((totals[:-1] + carries[:-1], logs)), K)
                     hz[count:, 0] = 0.0
-                    for r in range(count):
-                        self._rows[m + r] = series_mul(hz[r], hz[count + r], K)
+                    cohorts_rev = hz[count:, ::-1].copy()
+                    for r in range(count):  # series_mul(hz[r], hz[count + r], K)
+                        acc[:] = hz[r]
+                        self._rows[m + r] = mul_padded(pad, cohorts_rev[r])
                 total, carry = totals[-1], carries[-1]
             else:
                 factors = imm.apply_to_series(block, K)
                 factors[:, 0] = 1.0 - cache.one_minus_hfj0_at(slice(m, m + count))
+                factors_rev = factors[:, ::-1].copy()
                 if rows:
-                    zs = factors.copy()
-                    zs[:, 0] = 0.0
-                # series_mul's bits: acc and every factor have K+1 terms
-                for r, factor in enumerate(factors):
+                    zs_rev = factors_rev.copy()
+                    zs_rev[:, -1] = 0.0
+                # series_mul(acc, factor, K) with its bits, acc in the pad
+                for r, factor_rev in enumerate(factors_rev):
                     if rows:
-                        self._rows[m + r] = np.convolve(acc, zs[r])[: K + 1]
-                    acc = np.convolve(acc, factor)[: K + 1]
+                        self._rows[m + r] = mul_padded(pad, zs_rev[r])
+                    acc[:] = mul_padded(pad, factor_rev)
             m += count
             g = later[-1]
         if rows:
@@ -514,6 +521,8 @@ class _ChainStore:
                 # copies: a row would keep its whole block alive
                 self.sums[n] = (_frozen(total.copy()), _frozen(carry.copy()))
                 acc = series_exp(total + carry, K)
+            else:
+                acc = acc.copy()  # the pad is this walk's buffer
             self.horizons.insert(j, n)
             # a copy: a row of `later` would keep its whole block alive
             self.states.insert(j, (_frozen(g.copy()), _frozen(acc)))
@@ -737,12 +746,13 @@ def exact_pmf_Y(
     factor f_n(s)**initial.  Two routes, recorded in ``path``:
 
     - "series" (K <= DIRECT_CONV_MAX, or a log-heavy law): one truncated
-      direct convolution per generation, of nonnegative series at every
-      K, each factor's constant term h(f_m(0)) read from the iterate
-      store.  Poisson immigration instead sums log h(f_m) = rate (f_m -
-      1), its constant -rate u_m from the store, and takes one
-      series_exp per horizon (a recurrence of nonnegative terms, with no
-      pmf cut-off).  Coefficients are exact up to relative roundoff
+      product per generation (series.mul_padded, the K+1 kept
+      coefficients each one dot of nonnegative terms, within gamma_{k+1}
+      relative of the exact product), each factor's constant term
+      h(f_m(0)) read from the iterate store.  Poisson immigration
+      instead sums log h(f_m) = rate (f_m - 1), its constant -rate u_m
+      from the store, and takes one series_exp per horizon (a
+      recurrence of nonnegative terms, with no pmf cut-off).  Coefficients are exact up to relative roundoff
       whenever the factor series are: bounded-support families, the
       geometric closed form and geometric immigration (a nonnegative
       reciprocal recurrence), and Poisson immigration.  Log-heavy laws

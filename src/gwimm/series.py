@@ -5,8 +5,23 @@ All operations truncate at a caller-supplied order ``K`` (inclusive), i.e.
 they work in the ring R[s]/(s**(K+1)).  Truncation is exact for coefficient
 extraction: the coefficient of s**j in a product depends only on inputs of
 index <= j, so low-order coefficients are never corrupted by the cutoff.
-Products are np.convolve; exp and reciprocal share one forward recurrence,
-run on a stack of series one coefficient at a time.
+
+Every truncated product is one kernel, mul_padded: coefficient k of a*b is
+one dot of a zero-padded a with b reversed, np.correlate(pad, b[::-1],
+"valid") with pad = K zeros followed by a[0..K].  It forms the K+1 kept
+coefficients only, each by one dot as long as b.  A caller that loops
+keeps one pad (product_pad) and reverses its fixed operand once.
+
+Rounding: for nonnegative inputs whose products are normal floats,
+coefficient k has relative error at most gamma_{k+1} = (k+1)u / (1 -
+(k+1)u), u = 2**-53, the inner-product bound for k+1 nonnegative terms
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3).
+The padding's zeros add exactly nothing, however the dot orders its
+sums.  So every coefficient keeps its relative accuracy however small it
+is.
+
+Exp and reciprocal share one forward recurrence, run on a stack of series
+one coefficient at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +31,7 @@ import sys
 import numpy as np
 
 # Above this truncation order, full laws of closed-form models are read off
-# a circle (pgf.py); every product here is np.convolve at every order.
+# a circle (pgf.py); every product here is mul_padded at every order.
 DIRECT_CONV_MAX = 512
 
 # series_exp with a subnormal exp(a_0) scales a[1:] to sum to at most this,
@@ -36,16 +51,30 @@ def trim(a: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-def _cut(full: np.ndarray, K: int) -> np.ndarray:
-    """trim for a fresh product: a slice when it has K+1 terms already."""
-    return full[: K + 1] if full.shape[0] > K else trim(full, K)
+def product_pad(a: np.ndarray, K: int) -> np.ndarray:
+    """The left operand of mul_padded: K zeros, then ``a`` cut or
+    zero-padded to K+1 terms (2K+1 floats; pad[K:] is a)."""
+    a = np.asarray(a, dtype=float)[: K + 1]
+    pad = np.zeros(2 * K + 1)
+    pad[K : K + a.shape[0]] = a
+    return pad
+
+
+def mul_padded(pad: np.ndarray, b_rev: np.ndarray) -> np.ndarray:
+    """The product kernel: coefficients 0..K of a*b, a fresh array.
+
+    ``pad`` is product_pad(a, K) and ``b_rev`` is b's K+1 terms reversed
+    (any view: the dot reads a contiguous copy, so a view has the bits of
+    a copy).  Coefficient k is pad[k : k+K+1] . b_rev = sum_{i<=k} a_i
+    b_{k-i}, plus K-k products with pad's zeros.
+    """
+    return np.correlate(pad, b_rev, "valid")
 
 
 def series_mul(a: np.ndarray, b: np.ndarray, K: int) -> np.ndarray:
-    """Product of two series, truncated at order K."""
-    a = np.asarray(a, dtype=float)[: K + 1]
-    b = np.asarray(b, dtype=float)[: K + 1]
-    return _cut(np.convolve(a, b), K)
+    """Product of two series, truncated at order K; an empty series is
+    zero."""
+    return mul_padded(product_pad(a, K), trim(b, K)[::-1])
 
 
 def series_pow(a: np.ndarray, m: int, K: int) -> np.ndarray:
@@ -84,15 +113,17 @@ def series_recip(a: np.ndarray, K: int) -> np.ndarray:
 
 
 def series_compose_poly(coeffs: np.ndarray, g: np.ndarray, K: int) -> np.ndarray:
-    """sum_m coeffs[m] * g**m truncated at order K, by Horner from the top."""
+    """sum_m coeffs[m] * g**m truncated at order K, by Horner from the top:
+    each step is series_mul(acc, g, K) with its bits, g reversed once."""
     coeffs = np.asarray(coeffs, dtype=float)
-    g = trim(g, K)
-    acc = np.zeros(K + 1)
+    g_rev = trim(g, K)[::-1].copy()
+    pad = np.zeros(2 * K + 1)
+    acc = pad[K:]  # the running sum lives in the pad
     if coeffs.shape[0] == 0:
         return acc
     acc[0] = coeffs[-1]
     for m in range(coeffs.shape[0] - 2, -1, -1):
-        acc = series_mul(acc, g, K)
+        acc[:] = mul_padded(pad, g_rev)
         acc[0] += coeffs[m]
     return acc
 

@@ -37,6 +37,19 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
+def test_no_module_calls_convolve():
+    # every truncated product is series.mul_padded, one padded correlate
+    found = []
+    for path in sorted(Path(gwimm.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "convolve":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_light_paths_load_no_scipy(tmp_path):
     # every light-law engine: both series walks, the circle route for a
     # full law and a cohort law, |H_n|, theta, the local asymptote and a

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from gwimm.models import make_law
 from gwimm.series import (
     identity_series,
+    mul_padded,
+    product_pad,
     series_compose_poly,
     series_exp,
     series_exp_rows,
@@ -53,6 +56,76 @@ def test_mul_truncates_exactly():
     b = np.array([4.0, 5.0])
     assert np.allclose(series_mul(a, b, 1), [4.0, 13.0])
     assert np.allclose(series_mul(a, b, 4), [4.0, 13.0, 22.0, 15.0, 0.0])
+
+
+# about 30% zeros, the rest spread over 150 decades (10**-150..1), so
+# every product is a normal float and no sum overflows
+spread_entries = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 150.0)).map(
+    lambda t: 0.0 if t[0] < 0.3 else 10.0 ** -t[1])
+
+
+@st.composite
+def spread_pairs(draw):
+    K = draw(st.integers(min_value=0, max_value=80))
+    side = st.lists(spread_entries, min_size=K + 1, max_size=K + 1)
+    return K, np.array(draw(side)), np.array(draw(side))
+
+
+@given(spread_pairs())
+@example((0, np.array([0.1]), np.array([0.3])))
+@example((80, np.full(81, 1e-150), np.linspace(1e-3, 1.0, 81)))
+@settings(max_examples=100, deadline=None)
+def test_products_meet_the_stated_rounding_bound(pair):
+    # the bound of series.py's docstring: coefficient k of a product of
+    # nonnegative series is within gamma_{k+1} = (k+1)u / (1 - (k+1)u),
+    # u = 2**-53, of the exact product, relatively
+    K, a, b = pair
+    got = series_mul(a, b, K)
+    u = Fraction(1, 2**53)
+    fa, fb = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    for k in range(K + 1):
+        exact = sum(fa[i] * fb[k - i] for i in range(k + 1))
+        if exact == 0:
+            assert got[k] == 0.0
+            continue
+        gamma = (k + 1) * u / (1 - (k + 1) * u)
+        assert abs(Fraction(got[k]) - exact) / exact <= gamma, k
+
+
+@pytest.mark.parametrize("K", [0, 2])
+def test_mul_of_an_empty_series_is_zero(K):
+    empty, one = np.array([]), np.array([1.0])
+    for a, b in ((empty, one), (one, empty), (empty, empty)):
+        got = series_mul(a, b, K)
+        assert got.shape == (K + 1,) and not got.any()
+
+
+def test_mul_edge_cases():
+    rng = np.random.default_rng(3)
+    # K = 0: the product of the constant terms
+    assert list(series_mul(np.array([3.0, 9.0]), np.array([0.5]), 0)) == [1.5]
+    # shorter operands are zero-padded, longer ones cut, with the bits of
+    # the K+1-term call
+    K = 12
+    a, b = rng.random(K + 1), rng.random(K + 1)
+    want = series_mul(a, b, K)
+    assert np.array_equal(series_mul(a[:5], b, K), series_mul(trim(a[:5], K), b, K))
+    assert np.array_equal(series_mul(a, b[:1], K), a * b[0])
+    longer = np.concatenate((a, rng.random(7)))
+    assert np.array_equal(series_mul(longer, np.concatenate((b, [2.0])), K), want)
+    # a reversed view and a row of a stack give the bits of contiguous copies
+    ra, rb = a[::-1], b[::-1]
+    assert np.array_equal(series_mul(ra, rb, K), series_mul(ra.copy(), rb.copy(), K))
+    stack = rng.random((3, K + 1))
+    stack[1], stack[2] = a, b
+    assert np.array_equal(series_mul(stack[1], stack[2], K), want)
+    assert np.array_equal(series_mul(stack[:, 2], stack[:, 1], K),
+                          series_mul(stack[:, 2].copy(), stack[:, 1].copy(), K))
+    # the kernel with a reversed view of b, and with b_rev a row of a
+    # reversed stack, as the product walk calls it
+    pad = product_pad(a, K)
+    assert np.array_equal(mul_padded(pad, b[::-1]), want)
+    assert np.array_equal(mul_padded(pad, stack[:, ::-1].copy()[2]), want)
 
 
 @given(coeff_arrays, st.integers(min_value=0, max_value=9))
